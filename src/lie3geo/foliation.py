@@ -2,31 +2,43 @@
 
 A unit vector ``u`` in the algebra spans a foliation of the group by
 geodesics exactly when ``nabla_u u = 0``, and that foliation is conformal
-exactly when the horizontal shape matrix ``B[a,b] = <nabla_{h_a} u, h_b>``
-(for an orthonormal horizontal frame ``h_1, h_2``) has trace-free symmetric
-part zero.  Both defects are measured by residuals:
+exactly when the horizontal part of ``h -> nabla_h u`` has trace-free
+symmetric part zero.  In an orthonormal basis both defects are polynomials
+in ``u`` and need no horizontal frame.  With ``T[i,k] = Gamma[i,j,k] u_j``
+(the matrix of ``h -> nabla_h u``), ``du = u^T T = nabla_u u`` and the
+horizontal shape matrix ``A = T - u du^T``:
 
-    geodesic_residual(u) = |nabla_u u|
-    conformal_residual(u) = sqrt((s11 - s22)^2 + s12^2),
-        s11 = B[0,0], s22 = B[1,1], s12 = B[0,1] + B[1,0]
+    geodesic_residual(u) = |du|
+    conformal_residual(u) = sqrt(2) |S0|_F,
+        S0 = sym(A) - tr(A) (I - u u^T) / 2
+
+and the total squared residual is
+
+    r(u) = |du|^2 + |A|_F^2 + <A, A^T> - tr(A)^2.
 
 Such a direction is precisely what a harmonic morphism from the group to a
 surface needs.  Away from constant curvature every conformal foliation by
 geodesics is left-invariant, so the group admits one iff some unit direction
 zeroes both residuals; constant-curvature metrics admit a continuum of them
-(not all left-invariant) and are handled as a special case.  The search
-scans a
-deterministic Fibonacci lattice on the unit sphere and polishes candidate
-minima of the total squared residual with a damped Gauss-Newton iteration;
-results are antipodally deduplicated.  Non-constant-curvature metrics can
-carry at most two such directions, and at most one when the Ricci spectrum
-has exactly two distinct eigenvalues, so short direction lists are expected.
+(not all left-invariant) and are handled as a special case.
+
+The search scans a deterministic Fibonacci lattice on the unit sphere.
+Homogenised, ``r`` is a quadratic form ``m^T Q m`` in the ten cubic
+monomials ``m`` of ``u``, with ``Q`` built exactly from ``Gamma``, so the
+scan is one product with the cached monomial matrix of the lattice.
+Candidate minima are then polished by a damped Gauss-Newton iteration on the
+12-vector ``(du, sqrt(2) S0)``, whose squared norm is ``r``, using its
+analytic Jacobian on the sphere; results are antipodally deduplicated.
+Non-constant-curvature metrics can carry at most two such directions, and at
+most one when the Ricci spectrum has exactly two distinct eigenvalues, so
+short direction lists are expected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -105,7 +117,9 @@ PRE_CLUSTER_ANGLE = 0.05
 CLUSTER_ANGLE = 1e-4
 
 NEWTON_MAX_ITER = 50
-_FD_STEP = 1e-6
+
+# search_directions refuses larger lattices before allocating anything.
+_LATTICE_MAX = 1_000_000
 
 _COEFF_NAMES = ("a", "b", "x", "y", "z")
 
@@ -191,44 +205,93 @@ class FoliationFamily:
 
 @lru_cache(maxsize=4)
 def _lattice(n: int):
-    """Deterministic Fibonacci lattice on the sphere, with frames."""
+    """Deterministic Fibonacci lattice on the sphere, with its cubic monomials."""
     i = np.arange(n, dtype=float)
     z = 1.0 - (2.0 * i + 1.0) / n
     golden = (1.0 + np.sqrt(5.0)) / 2.0
     phi = (2.0 * np.pi) * np.mod(i / golden, 1.0)
     rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     points = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
-    h1, h2 = _frames(points)
-    return _readonly(points), _readonly(h1), _readonly(h2)
+    return _readonly(points), _readonly(_cubic_monomials(points))
 
 
-def _frames(points: np.ndarray):
-    """Batched version of algebra.orthonormal_frame (same tie rule)."""
-    least = np.argmin(np.abs(points), axis=1)
-    axes = np.eye(3)[least]
-    h1 = np.cross(axes, points)
-    h1 = h1 / np.linalg.norm(h1, axis=1, keepdims=True)
-    h2 = np.cross(points, h1)
-    return h1, h2
+# Index triples (a <= b <= c) of the ten cubic monomials u_a u_b u_c.
+_CUBIC = np.array(list(combinations_with_replacement(range(3), 3)))
 
 
-def _components(gamma: np.ndarray, u: np.ndarray, h1: np.ndarray, h2: np.ndarray):
-    """Residual component vectors (g1, g2, s11 - s22, s12), batched."""
-    du = np.einsum("ijk,ni,nj->nk", gamma, u, u)
-    g1 = np.einsum("nk,nk->n", du, h1)
-    g2 = np.einsum("nk,nk->n", du, h2)
-    # tu[n, i, k] = Gamma[i, j, k] u_j, the matrix of h -> nabla_h u
-    tu = np.einsum("ijk,nj->nik", gamma, u)
-    b11 = np.einsum("ni,nik,nk->n", h1, tu, h1)
-    b22 = np.einsum("ni,nik,nk->n", h2, tu, h2)
-    b12 = np.einsum("ni,nik,nk->n", h1, tu, h2)
-    b21 = np.einsum("ni,nik,nk->n", h2, tu, h1)
-    return np.stack([g1, g2, b11 - b22, b12 + b21], axis=-1)
+def _cubic_sum() -> np.ndarray:
+    """fold[a, b, c, m] = 1 when the product u_a u_b u_c is monomial m.
+
+    Contracting a cubic coefficient tensor with it gives monomial weights.
+    """
+    fold = np.zeros((3, 3, 3, len(_CUBIC)))
+    for abc in np.ndindex(3, 3, 3):
+        fold[abc][_CUBIC.tolist().index(sorted(abc))] = 1.0
+    return _readonly(fold)
 
 
-def _components_at(gamma: np.ndarray, u: np.ndarray) -> np.ndarray:
-    h1, h2 = orthonormal_frame(u)
-    return _components(gamma, u[None], h1[None], h2[None])[0]
+_CUBIC_SUM = _cubic_sum()
+
+_EYE = np.eye(3)
+_SQRT2 = np.sqrt(2.0)
+
+
+def _cubic_monomials(points: np.ndarray) -> np.ndarray:
+    """Rows of the ten cubic monomials of each point."""
+    return np.prod(points[:, _CUBIC], axis=2)
+
+
+def _quadratic_form(gamma: np.ndarray) -> np.ndarray:
+    """The 10x10 Q with r(u) = m(u)^T Q m(u) for unit u.
+
+    Homogenised, every term of r is a product of two cubics: |u|^2 |du|^2 is
+    the sum of (u_l du_k)^2, and A becomes |u|^2 T - u du^T.  Their
+    coefficient tensors fold onto the monomials through _CUBIC_SUM.
+    """
+    # u_l du_k = sum_bc Gamma[b,c,k] u_l u_b u_c, and |u|^2 T[i,k] likewise
+    u_du = np.einsum("bck,lbcm->lkm", gamma, _CUBIC_SUM)
+    a = np.einsum("ick,aacm->ikm", gamma, _CUBIC_SUM) - u_du
+    trace = np.einsum("iim->m", a)
+    q = (
+        np.einsum("lkm,lkn->mn", u_du, u_du)
+        + np.einsum("ikm,ikn->mn", a, a)
+        + np.einsum("ikm,kin->mn", a, a)
+        - np.outer(trace, trace)
+    )
+    return 0.5 * (q + q.T)
+
+
+def _residual_vector(gamma: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The 12-vector (du, sqrt(2) S0) whose squared norm is r(u), u unit."""
+    # t[i, k] = Gamma[i, j, k] u_j, the matrix of h -> nabla_h u
+    t = np.einsum("ijk,j->ik", gamma, u)
+    du = u @ t
+    a = t - np.outer(u, du)
+    s0 = 0.5 * (a + a.T) - (0.5 * np.trace(a)) * (_EYE - np.outer(u, u))
+    return np.concatenate((du, _SQRT2 * s0.ravel()))
+
+
+def _tangent_jacobian(gamma: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """12x3 derivative of :func:`_residual_vector` along the sphere at u."""
+    t = np.einsum("ijk,j->ik", gamma, u)
+    du = u @ t
+    a = t - np.outer(u, du)
+    tangent = _EYE - np.outer(u, u)
+    # d du_k / d u_j = T[j, k] + u_i Gamma[i, j, k]
+    d_du = (t + np.einsum("i,ijk->jk", u, gamma)).T
+    # d A[i, k] / d u_j, indexed [i, k, j]
+    d_a = (
+        np.einsum("ijk->ikj", gamma)
+        - np.einsum("ij,k->ikj", _EYE, du)
+        - np.einsum("i,kj->ikj", u, d_du)
+    )
+    d_tangent = -np.einsum("ij,k->ikj", _EYE, u) - np.einsum("i,kj->ikj", u, _EYE)
+    d_s0 = 0.5 * (d_a + d_a.transpose(1, 0, 2)) - 0.5 * (
+        np.einsum("j,ik->ikj", np.einsum("iij->j", d_a), tangent)
+        + np.trace(a) * d_tangent
+    )
+    jac = np.vstack((d_du, _SQRT2 * d_s0.reshape(9, 3)))
+    return jac @ tangent
 
 
 def residuals(sc: StructureConstants, u: np.ndarray) -> tuple[float, float]:
@@ -241,63 +304,36 @@ def residuals(sc: StructureConstants, u: np.ndarray) -> tuple[float, float]:
     u = np.asarray(u, dtype=float)
     if abs(np.linalg.norm(u) - 1.0) > 1e-10:
         raise ValueError("direction must be a unit vector")
-    gamma = connection(sc).gamma
-    du = np.einsum("ijk,i,j->k", gamma, u, u)
-    comps = _components_at(gamma, u)
-    return float(np.linalg.norm(du)), float(np.hypot(comps[2], comps[3]))
-
-
-def _transported_frames(points: np.ndarray, h1_base: np.ndarray):
-    """Frames at nearby points varying smoothly from the base frame."""
-    proj = points @ h1_base
-    h1 = h1_base[None, :] - proj[:, None] * points
-    h1 = h1 / np.linalg.norm(h1, axis=1, keepdims=True)
-    h2 = np.cross(points, h1)
-    return h1, h2
+    v = _residual_vector(connection(sc).gamma, u)
+    return float(np.linalg.norm(v[:3])), float(np.linalg.norm(v[3:]))
 
 
 def _refine(gamma: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, float]:
     """Damped Gauss-Newton polish of the residual vector on the sphere."""
     u = np.asarray(start, dtype=float)
     u = u / np.linalg.norm(u)
-    v = _components_at(gamma, u)
+    v = _residual_vector(gamma, u)
     r = float(v @ v)
     for it in range(NEWTON_MAX_ITER):
         if r < 1e-30:
             break
         if it >= _STALL_ITER and r > _STALL_RESIDUAL_SQ:
             break
-        h1, h2 = orthonormal_frame(u)
-        offsets = np.stack(
-            [
-                u + _FD_STEP * h1,
-                u - _FD_STEP * h1,
-                u + _FD_STEP * h2,
-                u - _FD_STEP * h2,
-            ]
-        )
-        offsets = offsets / np.linalg.norm(offsets, axis=1, keepdims=True)
-        th1, th2 = _transported_frames(offsets, h1)
-        vals = _components(gamma, offsets, th1, th2)
-        jac = np.column_stack(
-            [
-                (vals[0] - vals[1]) / (2.0 * _FD_STEP),
-                (vals[2] - vals[3]) / (2.0 * _FD_STEP),
-            ]
-        )
-        base = _components(gamma, u[None], h1[None], h2[None])[0]
+        jac = _tangent_jacobian(gamma, u)
         normal = jac.T @ jac
-        normal += (1e-12 * (1.0 + abs(np.trace(normal)))) * np.eye(2)
-        step = -np.linalg.solve(normal, jac.T @ base)
+        normal += (1e-12 * (1.0 + abs(np.trace(normal)))) * _EYE
+        # the Jacobian annihilates u; this pins the step to the tangent plane
+        normal += np.outer(u, u)
+        step = -np.linalg.solve(normal, jac.T @ v)
         moved = False
         scale = 1.0
         for _ in range(25):
-            cand = u + scale * (step[0] * h1 + step[1] * h2)
+            cand = u + scale * step
             cand = cand / np.linalg.norm(cand)
-            vc = _components_at(gamma, cand)
+            vc = _residual_vector(gamma, cand)
             rc = float(vc @ vc)
             if rc < r:
-                u, r = cand, rc
+                u, v, r = cand, vc, rc
                 moved = True
                 break
             scale *= 0.5
@@ -319,13 +355,15 @@ def search_directions(
     """Find every unit direction spanning a conformal foliation by geodesics.
 
     The constants must be in an orthonormal basis and satisfy Jacobi within
-    ``tol``.  Constant-curvature metrics are detected first and reported
-    with an empty direction list.  Otherwise all lattice points under
-    ``COARSE_FILTER`` (plus the best ``TOPK_REFINE`` overall, one per
-    angular basin) are refined; refined points with squared residual below
-    ``ACCEPT_RESIDUAL_SQ`` are antipodally canonicalized, deduplicated at
-    ``CLUSTER_ANGLE``, and returned sorted by direction components.  The
-    whole pipeline is deterministic.
+    ``tol``, and ``lattice`` must lie in [16, 1000000] (larger lattices are
+    refused before anything is allocated).  Constant-curvature metrics are
+    detected first and reported with an empty direction list.  Otherwise
+    all lattice points under ``COARSE_FILTER`` (plus the best
+    ``TOPK_REFINE`` overall, one per angular basin) are refined; refined
+    points with squared residual below ``ACCEPT_RESIDUAL_SQ`` are
+    antipodally canonicalized, deduplicated at ``CLUSTER_ANGLE``, and
+    returned sorted by direction components.  The whole pipeline is
+    deterministic.
     """
     residual = jacobi_residual(sc)
     if residual > tol:
@@ -335,6 +373,8 @@ def search_directions(
     lattice = int(lattice)
     if lattice < 16:
         raise ValueError("lattice size must be at least 16")
+    if lattice > _LATTICE_MAX:
+        raise ValueError(f"lattice size must be at most {_LATTICE_MAX}")
     if curvature(sc).constant_curvature is not None:
         return FoliationReport(
             constant_curvature=True,
@@ -344,10 +384,11 @@ def search_directions(
             lattice_size=lattice,
         )
     gamma = connection(sc).gamma
-    points, h1, h2 = _lattice(lattice)
-    comps = _components(gamma, points, h1, h2)
-    r = np.einsum("nv,nv->n", comps, comps)
-    lattice_min = float(r.min())
+    points, monomials = _lattice(lattice)
+    r = np.einsum("ni,ni->n", monomials @ _quadratic_form(gamma), monomials)
+    # Q is indefinite, so the floor is re-read as a sum of squares
+    floor = _residual_vector(gamma, points[np.argmin(r)])
+    lattice_min = float(floor @ floor)
 
     pool = np.flatnonzero(r < COARSE_FILTER)
     scale_sq = max(float(np.sum(sc.c * sc.c)), 1.0)

@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lie3geo import cli
+from lie3geo import cli, foliation
 from lie3geo.algebra import catalog, constants_from_brackets
 
 
@@ -284,6 +285,71 @@ def test_foliations_positive_human(capsys):
     assert code == 0
     assert "1 direction found; admits harmonic morphisms" in out
     assert "family type: VIII" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["foliations", "--group", "Nil3", "--lattice", "1000001"],
+        ["verify-paper", "--samples", "0", "--lattice", "1000001"],
+    ],
+)
+def test_oversized_lattice_exits_one(capsys, monkeypatch, argv):
+    def no_lattice(n):
+        raise AssertionError("lattice allocated")
+
+    monkeypatch.setattr(foliation, "_lattice", no_lattice)
+    code, _, err = run(capsys, argv)
+    assert code == 1
+    assert "lattice size must be at most 1000000" in err
+
+
+_GOLDEN = Path(__file__).parent / "data" / "foliations_golden.json"
+_GOLDEN_EXACT = {
+    "admits",
+    "constant_curvature",
+    "lattice_size",
+    "family_type",
+    "family_alpha",
+}
+
+
+def _assert_matches_golden(got, want, key=None):
+    if key in _GOLDEN_EXACT or isinstance(want, (str, bool)) or want is None:
+        assert got == want, key
+    elif isinstance(want, dict):
+        assert sorted(got) == sorted(want), key
+        for k in want:
+            _assert_matches_golden(got[k], want[k], k)
+    elif isinstance(want, list):
+        assert len(got) == len(want), key
+        for g, w in zip(got, want):
+            _assert_matches_golden(g, w, key)
+    else:
+        assert abs(got - want) <= 1e-12, (key, got, want)
+
+
+def test_foliations_json_matches_golden(capsys):
+    """``--json foliations`` on every catalog row against a recorded run.
+
+    The file holds the output of ``lie3geo --json foliations --group G
+    [--alpha A]`` for each row of ``cli._CLASSIFICATION_ROWS``, recorded with
+    the frame-based lattice scan and finite-difference Gauss-Newton polish
+    that preceded the quadratic-form search.  Verdicts, lattice sizes,
+    family types and direction counts must match exactly; every other number
+    within 1e-12, so round-off residuals near 1e-24 may move.
+    """
+    golden = json.loads(_GOLDEN.read_text())
+    assert [(g["group"], g["alpha"]) for g in golden] == [
+        (group, alpha) for group, alpha, _, _ in cli._CLASSIFICATION_ROWS
+    ]
+    for row in golden:
+        argv = ["--json", "foliations", "--group", row["group"]]
+        if row["alpha"] is not None:
+            argv += ["--alpha", repr(row["alpha"])]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        _assert_matches_golden(json.loads(out), row["output"])
 
 
 # ------------------------------------------------------- output conventions

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_orthogonal
+from conftest import random_gl, random_orthogonal, random_spd
+
+from lie3geo import foliation
 
 from lie3geo.algebra import (
     MetricSpec,
@@ -140,6 +144,15 @@ def test_search_rejects_non_lie():
 def test_search_rejects_tiny_lattice():
     with pytest.raises(ValueError, match="lattice"):
         search_directions(catalog("Nil3").constants, lattice=4)
+
+
+def test_search_rejects_huge_lattice_before_allocating(monkeypatch):
+    def no_lattice(n):
+        raise AssertionError("lattice allocated")
+
+    monkeypatch.setattr(foliation, "_lattice", no_lattice)
+    with pytest.raises(ValueError, match="at most 1000000"):
+        search_directions(catalog("Nil3").constants, lattice=1_000_001)
 
 
 def test_search_deterministic():
@@ -333,3 +346,60 @@ def test_search_after_orthonormalize_keeps_type_ii_foliation():
     assert 1 <= len(rep.directions) <= 2
     for cand in rep.directions:
         assert cand.total_residual_sq < 1e-14
+
+
+# ------------------------------------------- frame-free residual properties
+
+_CATALOG_ENTRIES = [
+    ("R3", None), ("Nil3", None), ("H2xR", None), ("G4", None), ("H3", None),
+    ("Sol3", 0.5), ("Sol3", 1.0), ("Sol3", 2.0), ("G7", 0.0), ("G7", 1.0),
+    ("G7", 2.0), ("SL2R~", None), ("SU2", None),
+]
+
+
+@st.composite
+def metric_algebras_and_directions(draw):
+    """A catalog bracket in a random well-conditioned basis, orthonormalized
+    against a random metric, with a random unit direction."""
+    name, alpha = draw(st.sampled_from(_CATALOG_ENTRIES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sc = change_basis(catalog(name, alpha).constants, random_gl(rng))
+    sc = orthonormalize(sc, MetricSpec(random_spd(rng)))
+    u = rng.standard_normal(3)
+    return sc, u / np.linalg.norm(u)
+
+
+_PROPERTY_SETTINGS = settings(
+    max_examples=300, deadline=None, derandomize=True, database=None
+)
+
+
+@_PROPERTY_SETTINGS
+@given(metric_algebras_and_directions())
+def test_quadratic_form_matches_residuals(case):
+    sc, u = case
+    gamma = connection(sc).gamma
+    m = foliation._cubic_monomials(u[None])[0]
+    form = float(m @ foliation._quadratic_form(gamma) @ m)
+    geo, conf = residuals(sc, u)
+    scale_sq = max(float(np.sum(sc.c * sc.c)), 1.0)
+    assert abs(form - (geo * geo + conf * conf)) <= 1e-12 * scale_sq
+
+
+@_PROPERTY_SETTINGS
+@given(metric_algebras_and_directions())
+def test_tangent_jacobian_matches_central_difference(case):
+    sc, u = case
+    gamma = connection(sc).gamma
+    jac = foliation._tangent_jacobian(gamma, u)
+    assert np.abs(jac @ u).max() <= 1e-12 * max(np.abs(jac).max(), 1.0)
+    step = 1e-5
+    for tangent in orthonormal_frame(u):
+        ahead = np.cos(step) * u + np.sin(step) * tangent
+        behind = np.cos(step) * u - np.sin(step) * tangent
+        central = (
+            foliation._residual_vector(gamma, ahead)
+            - foliation._residual_vector(gamma, behind)
+        ) / (2.0 * np.sin(step))
+        analytic = jac @ tangent
+        assert np.abs(central - analytic).max() <= 1e-6 * np.abs(jac).max()
