@@ -8,99 +8,18 @@ which groups admit harmonic morphisms onto surfaces (every type except IV
 and VI does, for a suitable metric).
 """
 
-from .algebra import (
-    DIM,
-    JACOBI_TOL,
-    CatalogEntry,
-    MetricSpec,
-    NotLieAlgebraError,
-    StructureConstants,
-    ad_matrix,
-    bracket,
-    catalog,
-    catalog_info,
-    catalog_names,
-    change_basis,
-    constants_from_brackets,
-    jacobi_residual,
-    killing_form,
-    orthonormal_frame,
-    orthonormalize,
-    trace_form,
-)
-from .bianchi import (
-    BianchiType,
-    MilnorDecomposition,
-    classify,
-    milnor_decompose,
-    same_type,
-)
-from .geometry import (
-    ConnectionCoefficients,
-    CurvatureReport,
-    connection,
-    curvature,
-    sectional,
-)
-from .foliation import (
-    AdaptedBracketParams,
-    FoliationCandidate,
-    FoliationFamily,
-    FoliationReport,
-    adapt_basis,
-    adapted_constants,
-    admits_harmonic_morphism,
-    classify_family,
-    enumerate_families,
-    jacobi_constraints,
-    random_metrics,
-    residuals,
-    search_directions,
-)
+from . import algebra, bianchi, foliation, geometry
+from .algebra import *
+from .bianchi import *
+from .foliation import *
+from .geometry import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DIM",
-    "JACOBI_TOL",
-    "CatalogEntry",
-    "MetricSpec",
-    "NotLieAlgebraError",
-    "StructureConstants",
-    "ad_matrix",
-    "bracket",
-    "catalog",
-    "catalog_info",
-    "catalog_names",
-    "change_basis",
-    "constants_from_brackets",
-    "jacobi_residual",
-    "killing_form",
-    "orthonormal_frame",
-    "orthonormalize",
-    "trace_form",
-    "BianchiType",
-    "MilnorDecomposition",
-    "classify",
-    "milnor_decompose",
-    "same_type",
-    "ConnectionCoefficients",
-    "CurvatureReport",
-    "connection",
-    "curvature",
-    "sectional",
-    "AdaptedBracketParams",
-    "FoliationCandidate",
-    "FoliationFamily",
-    "FoliationReport",
-    "adapt_basis",
-    "adapted_constants",
-    "admits_harmonic_morphism",
-    "classify_family",
-    "enumerate_families",
-    "jacobi_constraints",
-    "random_metrics",
-    "residuals",
-    "search_directions",
+    *algebra.__all__,
+    *bianchi.__all__,
+    *geometry.__all__,
+    *foliation.__all__,
     "__version__",
 ]

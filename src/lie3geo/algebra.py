@@ -117,12 +117,15 @@ class MetricSpec:
 
 @dataclass(frozen=True, eq=False)
 class CatalogEntry:
-    """One model algebra: name, optional parameter, constants, metric."""
+    """One model algebra: name, optional parameter, constants, metric, and
+    its Bianchi type as a ``(tag, param)`` pair (param None except for VI
+    and VII, canonicalized as :class:`lie3geo.bianchi.BianchiType` does)."""
 
     name: str
     alpha: float | None
     constants: StructureConstants
     metric: MetricSpec
+    bianchi: tuple[str, float | None]
 
 
 def bracket(sc: StructureConstants, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -225,11 +228,13 @@ def constants_from_brackets(
 
 
 class _CatalogSpec:
-    def __init__(self, name, alpha_rule, brackets_text, build):
+    def __init__(self, name, alpha_rule, brackets_text, build, tag, param=None):
         self.name = name
         self.alpha_rule = alpha_rule  # None | "alpha > 0" | "alpha real"
         self.brackets_text = brackets_text
         self.build = build
+        self.tag = tag  # Bianchi type
+        self.param = param  # None | alpha -> canonical type parameter
 
 
 def _build_su2():
@@ -244,49 +249,69 @@ def _build_su2():
 _CATALOG: dict[str, _CatalogSpec] = {}
 for _spec in (
     _CatalogSpec(
-        "R3", None, "[X,Y] = [Y,Z] = [Z,X] = 0", lambda a: constants_from_brackets()
+        "R3",
+        None,
+        "[X,Y] = [Y,Z] = [Z,X] = 0",
+        lambda a: constants_from_brackets(),
+        "I",
     ),
     _CatalogSpec(
-        "Nil3", None, "[X,Y] = Z", lambda a: constants_from_brackets(xy=(0, 0, 1))
+        "Nil3",
+        None,
+        "[X,Y] = Z",
+        lambda a: constants_from_brackets(xy=(0, 0, 1)),
+        "II",
     ),
     _CatalogSpec(
-        "H2xR", None, "[Y,X] = X", lambda a: constants_from_brackets(xy=(-1, 0, 0))
+        "H2xR",
+        None,
+        "[Y,X] = X",
+        lambda a: constants_from_brackets(xy=(-1, 0, 0)),
+        "III",
     ),
     _CatalogSpec(
         "G4",
         None,
         "[Z,X] = X, [Z,Y] = X + Y",
         lambda a: constants_from_brackets(zx=(1, 0, 0), zy=(1, 1, 0)),
+        "IV",
     ),
     _CatalogSpec(
         "H3",
         None,
         "[Z,X] = X, [Z,Y] = Y",
         lambda a: constants_from_brackets(zx=(1, 0, 0), zy=(0, 1, 0)),
+        "V",
     ),
     _CatalogSpec(
         "Sol3",
         "alpha > 0",
         "[Z,X] = alpha*X, [Z,Y] = -Y",
         lambda a: constants_from_brackets(zx=(a, 0, 0), zy=(0, -1, 0)),
+        "VI",
+        lambda a: max(a, 1.0 / a),
     ),
     _CatalogSpec(
         "G7",
         "alpha real",
         "[Z,X] = alpha*X - Y, [Z,Y] = X + alpha*Y",
         lambda a: constants_from_brackets(zx=(a, -1, 0), zy=(1, a, 0)),
+        "VII",
+        abs,
     ),
     _CatalogSpec(
         "SL2R~",
         None,
         "[X,Y] = -2Z, [Z,X] = 2Y, [Y,Z] = 2X",
         lambda a: constants_from_brackets(xy=(0, 0, -2), zx=(0, 2, 0), zy=(-2, 0, 0)),
+        "VIII",
     ),
     _CatalogSpec(
         "SU2",
         None,
         "[X,Y] = 2Z, [Y,Z] = 2X, [Z,X] = 2Y",
         lambda a: _build_su2(),
+        "IX",
     ),
 ):
     _CATALOG[_spec.name] = _spec
@@ -344,4 +369,5 @@ def catalog(name: str, alpha: float | None = None) -> CatalogEntry:
         alpha=value,
         constants=spec.build(value),
         metric=MetricSpec.identity(),
+        bianchi=(spec.tag, None if spec.param is None else spec.param(value)),
     )

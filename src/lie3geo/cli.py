@@ -28,6 +28,7 @@ exact negatives is rejected.  Exit codes: 0 success, 1 invalid input,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -49,12 +50,11 @@ from .bianchi import BianchiType, classify, same_type
 from .foliation import (
     LATTICE_DEFAULT,
     ACCEPT_RESIDUAL_SQ,
-    adapt_basis,
     adapted_constants,
+    admits_harmonic_morphism,
     classify_family,
     enumerate_families,
     jacobi_constraints,
-    random_metrics,
     residuals,
     search_directions,
 )
@@ -195,13 +195,16 @@ def _load_json_file(path: str):
         return json.load(fh)
 
 
+def _with_alpha(name: str, alpha: float | None) -> str:
+    return name if alpha is None else f"{name}(alpha={alpha:g})"
+
+
 def _resolve_algebra(args) -> tuple[str | None, StructureConstants, MetricSpec]:
     """Shared input plumbing for classify/curvature/foliations."""
     if args.group is not None:
         entry = catalog(args.group, args.alpha)
-        name, sc, metric = entry.name, entry.constants, entry.metric
-        if entry.alpha is not None:
-            name = f"{name}(alpha={entry.alpha:g})"
+        name = _with_alpha(entry.name, entry.alpha)
+        sc, metric = entry.constants, entry.metric
     else:
         if args.alpha is not None:
             raise ValueError("--alpha is only meaningful with --group")
@@ -288,39 +291,26 @@ def cmd_curvature(args) -> int:
 def cmd_foliations(args) -> int:
     name, sc, _ = _resolve_algebra(args)
     rep = search_directions(sc, lattice=args.lattice, tol=args.tol)
-    directions = []
-    for cand in rep.directions:
-        params = adapt_basis(sc, cand.direction)
-        # Coefficients forced to zero by the foliation conditions carry noise
-        # on the order of the measured residuals, so the zero threshold for
-        # the family case analysis scales with them.
-        noise = max(cand.geodesic_residual, cand.conformal_residual)
-        family_type = classify_family(params, tol=max(1e-9, 10.0 * noise))
-        directions.append(
+    if args.json:
+        directions = [
             {
                 "direction": cand.direction.tolist(),
                 "geodesic_residual": cand.geodesic_residual,
                 "conformal_residual": cand.conformal_residual,
-                "adapted": {
-                    "a": params.a,
-                    "b": params.b,
-                    "x": params.x,
-                    "y": params.y,
-                    "z": params.z,
-                },
-                "family_type": family_type.tag,
-                "family_alpha": family_type.param,
+                "adapted": dataclasses.asdict(cand.adapted),
+                "family_type": cand.family.tag,
+                "family_alpha": cand.family.param,
             }
-        )
-    doc = {
-        "name": name,
-        "constant_curvature": rep.constant_curvature,
-        "admits": rep.admits,
-        "lattice_size": rep.lattice_size,
-        "lattice_min_residual": rep.lattice_min_residual,
-        "directions": directions,
-    }
-    if args.json:
+            for cand in rep.directions
+        ]
+        doc = {
+            "name": name,
+            "constant_curvature": rep.constant_curvature,
+            "admits": rep.admits,
+            "lattice_size": rep.lattice_size,
+            "lattice_min_residual": rep.lattice_min_residual,
+            "directions": directions,
+        }
         sys.stdout.write(render_json(doc))
         return 0
     if name:
@@ -342,60 +332,49 @@ def cmd_foliations(args) -> int:
             f"{_fmt(rep.lattice_min_residual)}"
         )
         return 0
-    count = len(directions)
+    count = len(rep.directions)
     print(f"{count} direction{'s' if count != 1 else ''} found; admits harmonic morphisms")
-    for item in directions:
-        ad = item["adapted"]
-        print(f"  direction {_fmt_vec(item['direction'])}")
+    for cand in rep.directions:
+        print(f"  direction {_fmt_vec(cand.direction)}")
         print(
-            f"    residuals: geodesic {_fmt(item['geodesic_residual'])}, "
-            f"conformal {_fmt(item['conformal_residual'])}"
+            f"    residuals: geodesic {_fmt(cand.geodesic_residual)}, "
+            f"conformal {_fmt(cand.conformal_residual)}"
         )
-        print(
-            "    adapted (a, b, x, y, z): "
-            + _fmt_vec([ad["a"], ad["b"], ad["x"], ad["y"], ad["z"]])
-        )
-        family = BianchiType(item["family_type"], item["family_alpha"])
-        print(f"    family type: {family}")
+        print(f"    adapted (a, b, x, y, z): {_fmt_vec(cand.adapted.as_tuple())}")
+        print(f"    family type: {cand.family}")
     return 0
 
 
-_POSITIVE_ROWS = (
-    ("I", "R3", None),
-    ("II", "Nil3", None),
-    ("III", "H2xR", None),
-    ("V", "H3", None),
-    ("VII(alpha=0)", "G7", 0.0),
-    ("VII(alpha=1)", "G7", 1.0),
-    ("VII(alpha=2)", "G7", 2.0),
-    ("VIII", "SL2R~", None),
-    ("IX", "SU2", None),
-)
-
-_NEGATIVE_ROWS = (
-    ("IV", "G4", None),
-    ("VI(alpha=0.5)", "Sol3", 0.5),
-    ("VI(alpha=1)", "Sol3", 1.0),
-    ("VI(alpha=2)", "Sol3", 2.0),
-)
-
+# (group, alpha) of every catalog row that verify-paper checks; the expected
+# Bianchi types come from the catalog itself.
 _CLASSIFICATION_ROWS = (
-    ("R3", None, "I", None),
-    ("Nil3", None, "II", None),
-    ("H2xR", None, "III", None),
-    ("G4", None, "IV", None),
-    ("H3", None, "V", None),
-    ("Sol3", 0.5, "VI", 2.0),
-    ("Sol3", 1.0, "VI", 1.0),
-    ("Sol3", 2.0, "VI", 2.0),
-    ("G7", 0.0, "VII", 0.0),
-    ("G7", 1.0, "VII", 1.0),
-    ("G7", 2.0, "VII", 2.0),
-    ("SL2R~", None, "VIII", None),
-    ("SU2", None, "IX", None),
+    ("R3", None),
+    ("Nil3", None),
+    ("H2xR", None),
+    ("G4", None),
+    ("H3", None),
+    ("Sol3", 0.5),
+    ("Sol3", 1.0),
+    ("Sol3", 2.0),
+    ("G7", 0.0),
+    ("G7", 1.0),
+    ("G7", 2.0),
+    ("SL2R~", None),
+    ("SU2", None),
 )
 
 _FAMILY_UNION = frozenset({"I", "II", "III", "V", "VII", "VIII", "IX"})
+
+
+def _existence_rows(admits: bool) -> list[tuple[str, CatalogEntry]]:
+    """(label, entry) of the rows whose type admits, or fails to admit, a
+    conformal foliation by geodesics, as the classification theorem says."""
+    entries = [catalog(group, alpha) for group, alpha in _CLASSIFICATION_ROWS]
+    return [
+        (f"{_with_alpha(e.bianchi[0], e.alpha)} [{e.name}]", e)
+        for e in entries
+        if (e.bianchi[0] in _FAMILY_UNION) == admits
+    ]
 
 
 def _verify_families(seed: int) -> dict:
@@ -436,8 +415,7 @@ def _verify_families(seed: int) -> dict:
 
 def _verify_positives(lattice: int) -> dict:
     checks = []
-    for label, group, alpha in _POSITIVE_ROWS:
-        entry = catalog(group, alpha)
+    for label, entry in _existence_rows(admits=True):
         rep = search_directions(entry.constants, lattice=lattice)
         if rep.constant_curvature:
             geo, conf = residuals(entry.constants, np.array([0.0, 0.0, 1.0]))
@@ -449,18 +427,13 @@ def _verify_positives(lattice: int) -> dict:
                 c.total_residual_sq < ACCEPT_RESIDUAL_SQ for c in rep.directions
             )
             best = min((c.total_residual_sq for c in rep.directions), default=np.inf)
-            expected_tag = label.split("(")[0]
-            tags = set()
-            for cand in rep.directions:
-                params = adapt_basis(entry.constants, cand.direction)
-                noise = max(cand.geodesic_residual, cand.conformal_residual)
-                tags.add(classify_family(params, tol=max(1e-9, 10.0 * noise)).tag)
-            ok = ok and tags == {expected_tag}
+            tags = {cand.family.tag for cand in rep.directions}
+            ok = ok and tags == {entry.bianchi[0]}
             detail = (
                 f"{len(rep.directions)} direction(s); best residual {best:.3e}; "
                 f"family type {'/'.join(sorted(tags)) or 'none'}"
             )
-        checks.append({"label": f"{label} [{group}]", "ok": bool(ok), "detail": detail})
+        checks.append({"label": label, "ok": bool(ok), "detail": detail})
     return _section("existence positives", checks)
 
 
@@ -471,23 +444,19 @@ def _verify_negatives(samples: int, seed: int, lattice: int) -> dict:
             "status": "SKIPPED",
             "checks": [],
         }
-    metrics = random_metrics(samples, seed=seed)
     checks = []
-    for label, group, alpha in _NEGATIVE_ROWS:
-        entry = catalog(group, alpha)
-        hits = 0
-        if search_directions(entry.constants, lattice=lattice).admits:
-            hits += 1
-        for metric in metrics:
-            sc = orthonormalize(entry.constants, metric)
-            if search_directions(sc, lattice=lattice).admits:
-                hits += 1
+    for label, entry in _existence_rows(admits=False):
+        identity, sampled = admits_harmonic_morphism(
+            entry.constants, trials=samples, seed=seed, lattice=lattice
+        )
+        hits = {"the identity metric": identity, "a sampled metric": sampled}
+        admitting = " and ".join(which for which, hit in hits.items() if hit)
         checks.append(
             {
-                "label": f"{label} [{group}]",
-                "ok": hits == 0,
+                "label": label,
+                "ok": not admitting,
                 "detail": f"identity + {samples} sampled metrics, "
-                f"{hits} admitting",
+                f"{admitting or 0} admitting",
             }
         )
     return _section("non-existence sampling", checks)
@@ -496,15 +465,14 @@ def _verify_negatives(samples: int, seed: int, lattice: int) -> dict:
 def _verify_classifications(overrides) -> dict:
     overrides = overrides or {}
     checks = []
-    for group, alpha, tag, param in _CLASSIFICATION_ROWS:
-        constants = overrides.get(group) or catalog(group, alpha).constants
-        got = classify(constants)
-        expected = BianchiType(tag, param)
+    for group, alpha in _CLASSIFICATION_ROWS:
+        entry = catalog(group, alpha)
+        got = classify(overrides.get(group) or entry.constants)
+        expected = BianchiType(*entry.bianchi)
         ok = same_type(got, expected)
-        label = group if alpha is None else f"{group}(alpha={alpha:g})"
         checks.append(
             {
-                "label": label,
+                "label": _with_alpha(group, alpha),
                 "ok": bool(ok),
                 "detail": f"classified {got}, expected {expected}",
             }

@@ -32,6 +32,11 @@ analytic Jacobian on the sphere; results are antipodally deduplicated.
 Non-constant-curvature metrics can carry at most two such directions, and at
 most one when the Ricci spectrum has exactly two distinct eigenvalues, so
 short direction lists are expected.
+
+Each direction found carries the adapted bracket coefficients read off along
+it (:func:`adapt_basis`) and the Bianchi type of their family
+(:func:`classify_family`); a direction that ``adapt_basis`` rejects makes
+the search raise its ``ValueError`` instead of reporting a false positive.
 """
 
 from __future__ import annotations
@@ -132,11 +137,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FoliationCandidate:
-    """One unit direction spanning a conformal foliation by geodesics."""
+    """One unit direction spanning a conformal foliation by geodesics, with
+    the adapted bracket coefficients along it and their family's type."""
 
     direction: np.ndarray
     geodesic_residual: float
     conformal_residual: float
+    adapted: AdaptedBracketParams
+    family: BianchiType
 
     def __post_init__(self):
         object.__setattr__(self, "direction", _readonly(self.direction))
@@ -308,8 +316,11 @@ def residuals(sc: StructureConstants, u: np.ndarray) -> tuple[float, float]:
     return float(np.linalg.norm(v[:3])), float(np.linalg.norm(v[3:]))
 
 
-def _refine(gamma: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, float]:
-    """Damped Gauss-Newton polish of the residual vector on the sphere."""
+def _refine(gamma: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Gauss-Newton polish of the residual vector on the sphere.
+
+    Returns the polished direction and its residual vector.
+    """
     u = np.asarray(start, dtype=float)
     u = u / np.linalg.norm(u)
     v = _residual_vector(gamma, u)
@@ -339,7 +350,7 @@ def _refine(gamma: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, float]:
             scale *= 0.5
         if not moved or scale * float(np.linalg.norm(step)) < 1e-12:
             break
-    return u, r
+    return u, v
 
 
 def _canonical_sign(u: np.ndarray) -> np.ndarray:
@@ -362,8 +373,10 @@ def search_directions(
     ``TOPK_REFINE`` overall, one per angular basin) are refined; refined
     points with squared residual below ``ACCEPT_RESIDUAL_SQ`` are
     antipodally canonicalized, deduplicated at ``CLUSTER_ANGLE``, and
-    returned sorted by direction components.  The whole pipeline is
-    deterministic.
+    returned sorted by direction components.  Each candidate carries its
+    :func:`adapt_basis` coefficients and their :func:`classify_family` type;
+    if ``adapt_basis`` rejects an accepted direction, its ``ValueError``
+    propagates.  The whole pipeline is deterministic.
     """
     residual = jacobi_residual(sc)
     if residual > tol:
@@ -406,25 +419,37 @@ def search_directions(
         if all(abs(points[idx] @ points[j]) < cos_pre for j in starts):
             starts.append(int(idx))
 
-    found: list[tuple[np.ndarray, float]] = []
+    found: list[tuple[np.ndarray, float, np.ndarray]] = []
     for idx in starts:
-        u_ref, r_ref = _refine(gamma, points[idx])
+        u_ref, v_ref = _refine(gamma, points[idx])
+        r_ref = float(v_ref @ v_ref)
         if r_ref < ACCEPT_RESIDUAL_SQ:
-            found.append((_canonical_sign(u_ref), r_ref))
+            # u -> -u leaves both residual norms exactly unchanged
+            found.append((_canonical_sign(u_ref), r_ref, v_ref))
     found.sort(key=lambda item: (item[1], item[0][0], item[0][1], item[0][2]))
 
     cos_cluster = np.cos(CLUSTER_ANGLE)
-    kept: list[np.ndarray] = []
-    for u_ref, _ in found:
-        if all(abs(u_ref @ other) < cos_cluster for other in kept):
-            kept.append(u_ref)
+    kept: list[tuple[np.ndarray, np.ndarray]] = []
+    for u_ref, _, v_ref in found:
+        if all(abs(u_ref @ other) < cos_cluster for other, _ in kept):
+            kept.append((u_ref, v_ref))
 
     candidates = []
-    for u_ref in sorted(kept, key=tuple):
-        geo, conf = residuals(sc, u_ref)
+    for u_ref, v_ref in sorted(kept, key=lambda item: tuple(item[0])):
+        geo = float(np.linalg.norm(v_ref[:3]))
+        conf = float(np.linalg.norm(v_ref[3:]))
+        adapted = adapt_basis(sc, u_ref)
+        # Coefficients forced to zero by the foliation conditions carry noise
+        # on the order of the measured residuals, so the zero threshold for
+        # the family case analysis scales with them.
+        family = classify_family(adapted, tol=max(1e-9, 10.0 * max(geo, conf)))
         candidates.append(
             FoliationCandidate(
-                direction=u_ref, geodesic_residual=geo, conformal_residual=conf
+                direction=u_ref,
+                geodesic_residual=geo,
+                conformal_residual=conf,
+                adapted=adapted,
+                family=family,
             )
         )
     return FoliationReport(

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -341,7 +342,7 @@ def test_foliations_json_matches_golden(capsys):
     """
     golden = json.loads(_GOLDEN.read_text())
     assert [(g["group"], g["alpha"]) for g in golden] == [
-        (group, alpha) for group, alpha, _, _ in cli._CLASSIFICATION_ROWS
+        (group, alpha) for group, alpha in cli._CLASSIFICATION_ROWS
     ]
     for row in golden:
         argv = ["--json", "foliations", "--group", row["group"]]
@@ -350,6 +351,45 @@ def test_foliations_json_matches_golden(capsys):
         code, out, _ = run(capsys, argv)
         assert code == 0
         _assert_matches_golden(json.loads(out), row["output"])
+
+
+_VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_paper_golden.json"
+_NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+
+
+def _assert_detail_matches(got, want):
+    assert _NUMBER.split(got) == _NUMBER.split(want), (got, want)
+    for g, w in zip(_NUMBER.findall(got), _NUMBER.findall(want)):
+        assert abs(float(g) - float(w)) <= 1e-12, (got, want)
+
+
+def test_verify_paper_json_matches_golden(capsys):
+    """``--json verify-paper --samples 5 --seed 42`` against a recorded run.
+
+    The file was recorded while the CLI still adapted and classified each
+    found direction itself and sampled the non-existence metrics in its own
+    loop.  Section names, statuses, labels and verdicts must match exactly,
+    and so must each detail string apart from the numbers in it, which match
+    within 1e-12 as in the foliations golden file.
+    """
+    want = json.loads(_VERIFY_GOLDEN.read_text())
+    code, out, _ = run(
+        capsys, ["--json", "verify-paper", "--samples", "5", "--seed", "42"]
+    )
+    assert code == 0
+    got = json.loads(out)
+    assert sorted(got) == sorted(want)
+    for key in ("samples", "seed", "lattice", "overall"):
+        assert got[key] == want[key], key
+    assert [(s["name"], s["status"]) for s in got["sections"]] == [
+        (s["name"], s["status"]) for s in want["sections"]
+    ]
+    for got_section, want_section in zip(got["sections"], want["sections"]):
+        assert [(c["label"], c["ok"]) for c in got_section["checks"]] == [
+            (c["label"], c["ok"]) for c in want_section["checks"]
+        ]
+        for got_check, want_check in zip(got_section["checks"], want_section["checks"]):
+            _assert_detail_matches(got_check["detail"], want_check["detail"])
 
 
 # ------------------------------------------------------- output conventions

@@ -403,3 +403,16 @@ def test_tangent_jacobian_matches_central_difference(case):
         ) / (2.0 * np.sin(step))
         analytic = jac @ tangent
         assert np.abs(central - analytic).max() <= 1e-6 * np.abs(jac).max()
+
+
+@_PROPERTY_SETTINGS
+@given(metric_algebras_and_directions())
+def test_candidates_carry_adapted_family(case):
+    sc, _ = case
+    for cand in search_directions(sc).directions:
+        assert cand.adapted == adapt_basis(sc, cand.direction)
+        noise = max(cand.geodesic_residual, cand.conformal_residual)
+        assert cand.family == classify_family(
+            cand.adapted, tol=max(1e-9, 10.0 * noise)
+        )
+        assert same_type(cand.family, classify(sc), tol=1e-6)
