@@ -417,14 +417,15 @@ def _verify_positives(lattice: int) -> dict:
     checks = []
     for label, entry in _existence_rows(admits=True):
         rep = search_directions(entry.constants, lattice=lattice)
+        limit = ACCEPT_RESIDUAL_SQ * float(np.sum(entry.constants.c**2))
         if rep.constant_curvature:
             geo, conf = residuals(entry.constants, np.array([0.0, 0.0, 1.0]))
             total = geo * geo + conf * conf
-            ok = total < ACCEPT_RESIDUAL_SQ
+            ok = total <= limit
             detail = f"constant curvature; certificate residual {total:.3e}"
         else:
             ok = rep.admits and all(
-                c.total_residual_sq < ACCEPT_RESIDUAL_SQ for c in rep.directions
+                c.total_residual_sq <= limit for c in rep.directions
             )
             best = min((c.total_residual_sq for c in rep.directions), default=np.inf)
             tags = {cand.family.tag for cand in rep.directions}

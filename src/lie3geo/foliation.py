@@ -22,16 +22,24 @@ geodesics is left-invariant, so the group admits one iff some unit direction
 zeroes both residuals; constant-curvature metrics admit a continuum of them
 (not all left-invariant) and are handled as a special case.
 
-The search scans a deterministic Fibonacci lattice on the unit sphere.
-Homogenised, ``r`` is a quadratic form ``m^T Q m`` in the ten cubic
-monomials ``m`` of ``u``, with ``Q`` built exactly from ``Gamma``, so the
-scan is one product with the cached monomial matrix of the lattice.
-Candidate minima are then polished by a damped Gauss-Newton iteration on the
-12-vector ``(du, sqrt(2) S0)``, whose squared norm is ``r``, using its
-analytic Jacobian on the sphere; results are antipodally deduplicated.
+The search is exact.  In Milnor's ``(n, a)`` decomposition of the brackets,
+``nabla_u u = u x n u + a - (a.u) u``, so away from constant curvature every
+foliation direction lies on a few known great circles: the three coordinate
+planes of the eigenframe of ``n`` and, when ``a != 0``, the plane orthogonal
+to ``a`` (:func:`_geodesic_planes`).  On each circle ``r`` is a
+trigonometric polynomial of degree 3 in ``2t``; eight samples give it
+exactly, and the roots of its derivative are every critical point.  Those
+whose residual is at most ``ACCEPT_RESIDUAL_SQ * |c|_F^2`` are kept,
+antipodally deduplicated.
 Non-constant-curvature metrics can carry at most two such directions, and at
 most one when the Ricci spectrum has exactly two distinct eigenvalues, so
 short direction lists are expected.
+
+A deterministic Fibonacci lattice on the unit sphere certifies the result:
+homogenised, ``r`` is a quadratic form ``m^T Q m`` in the ten cubic monomials
+``m`` of ``u``, with ``Q`` built exactly from ``Gamma``, so the scan is one
+product with the cached monomial matrix of the lattice, and its least value
+is reported as ``lattice_min_residual``.
 
 Each direction found carries the adapted bracket coefficients read off along
 it (:func:`adapt_basis`) and the Bianchi type of their family
@@ -58,13 +66,12 @@ from .algebra import (
     orthonormal_frame,
     orthonormalize,
 )
-from .bianchi import BianchiType
+from .bianchi import BianchiType, MilnorDecomposition, milnor_decompose
 from .geometry import connection, curvature
 
 __all__ = [
     "LATTICE_DEFAULT",
     "ACCEPT_RESIDUAL_SQ",
-    "COARSE_FILTER",
     "CLUSTER_ANGLE",
     "FoliationCandidate",
     "FoliationReport",
@@ -83,45 +90,13 @@ __all__ = [
 
 LATTICE_DEFAULT = 20000
 
-# A refined direction is accepted when its squared total residual
-# (geodesic^2 + conformal^2) falls below this.
+# A direction is accepted when its squared total residual (geodesic^2 +
+# conformal^2) is at most this times |c|_F^2; both sides scale like |c|^2.
 ACCEPT_RESIDUAL_SQ = 1e-14
-
-# Lattice points below this squared residual are always refined.
-COARSE_FILTER = 1e-4
-
-# The best this many lattice points are refined regardless of the coarse
-# filter, so basins whose lattice samples sit above the filter still get
-# polished.
-TOPK_REFINE = 32
-
-# The top-K supplement only runs when the lattice minimum is small enough to
-# plausibly hide a true zero.  Near a zero of the residual vector v the
-# squared residual grows like |J|^2 d^2 with |J| a few times the bracket
-# norm and d the lattice covering radius (~0.013 rad at 20000 points), so a
-# genuine zero always drags some lattice value below a small multiple of
-# |c|^2; minima far above that cannot be polished to zero and are skipped.
-_TOPK_TRIGGER = 3e-2
-
-# Gauss-Newton converges superlinearly onto an actual zero, so a polish that
-# is still above this squared residual after this many iterations is circling
-# a positive-valued local minimum and is abandoned.
-_STALL_ITER = 10
-_STALL_RESIDUAL_SQ = 1e-8
-
-# Hard cap on refinement starts (protects against near-degenerate metrics
-# whose residual landscape is globally tiny).
-MAX_CANDIDATES = 512
-
-# Candidate starts closer than this (radians, antipodally identified) are
-# considered the same basin and only the best is refined.
-PRE_CLUSTER_ANGLE = 0.05
 
 # Accepted directions closer than this (radians, antipodally identified)
 # merge into one.
 CLUSTER_ANGLE = 1e-4
-
-NEWTON_MAX_ITER = 50
 
 # search_directions refuses larger lattices before allocating anything.
 _LATTICE_MAX = 1_000_000
@@ -270,36 +245,19 @@ def _quadratic_form(gamma: np.ndarray) -> np.ndarray:
 
 
 def _residual_vector(gamma: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The 12-vector (du, sqrt(2) S0) whose squared norm is r(u), u unit."""
+    """The 12-vector (du, sqrt(2) S0) whose squared norm is r(u), u unit.
+
+    ``u`` may be a stack of directions, shape (..., 3); the result then has
+    shape (..., 12).
+    """
     # t[i, k] = Gamma[i, j, k] u_j, the matrix of h -> nabla_h u
-    t = np.einsum("ijk,j->ik", gamma, u)
-    du = u @ t
-    a = t - np.outer(u, du)
-    s0 = 0.5 * (a + a.T) - (0.5 * np.trace(a)) * (_EYE - np.outer(u, u))
-    return np.concatenate((du, _SQRT2 * s0.ravel()))
-
-
-def _tangent_jacobian(gamma: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """12x3 derivative of :func:`_residual_vector` along the sphere at u."""
-    t = np.einsum("ijk,j->ik", gamma, u)
-    du = u @ t
-    a = t - np.outer(u, du)
-    tangent = _EYE - np.outer(u, u)
-    # d du_k / d u_j = T[j, k] + u_i Gamma[i, j, k]
-    d_du = (t + np.einsum("i,ijk->jk", u, gamma)).T
-    # d A[i, k] / d u_j, indexed [i, k, j]
-    d_a = (
-        np.einsum("ijk->ikj", gamma)
-        - np.einsum("ij,k->ikj", _EYE, du)
-        - np.einsum("i,kj->ikj", u, d_du)
-    )
-    d_tangent = -np.einsum("ij,k->ikj", _EYE, u) - np.einsum("i,kj->ikj", u, _EYE)
-    d_s0 = 0.5 * (d_a + d_a.transpose(1, 0, 2)) - 0.5 * (
-        np.einsum("j,ik->ikj", np.einsum("iij->j", d_a), tangent)
-        + np.trace(a) * d_tangent
-    )
-    jac = np.vstack((d_du, _SQRT2 * d_s0.reshape(9, 3)))
-    return jac @ tangent
+    t = np.einsum("ijk,...j->...ik", gamma, u)
+    du = (u[..., None, :] @ t)[..., 0, :]
+    a = t - u[..., :, None] * du[..., None, :]
+    half_trace = 0.5 * np.trace(a, axis1=-2, axis2=-1)[..., None, None]
+    tangent = _EYE - u[..., :, None] * u[..., None, :]
+    s0 = 0.5 * (a + np.swapaxes(a, -1, -2)) - half_trace * tangent
+    return np.concatenate((du, _SQRT2 * s0.reshape(u.shape[:-1] + (9,))), axis=-1)
 
 
 def residuals(sc: StructureConstants, u: np.ndarray) -> tuple[float, float]:
@@ -316,41 +274,65 @@ def residuals(sc: StructureConstants, u: np.ndarray) -> tuple[float, float]:
     return float(np.linalg.norm(v[:3])), float(np.linalg.norm(v[3:]))
 
 
-def _refine(gamma: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Gauss-Newton polish of the residual vector on the sphere.
+def _geodesic_planes(dec: MilnorDecomposition) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Orthonormal pairs (p, q) whose great circles hold every foliation
+    direction of a metric that is not of constant curvature.
 
-    Returns the polished direction and its residual vector.
+    In Milnor's decomposition (:func:`~lie3geo.bianchi.milnor_decompose`),
+    ``nabla_u u = u x n u + a - (a.u) u``.  When ``a = 0`` the geodesic
+    directions are the eigenvectors of ``n``, and each of them, every vector
+    of a repeated eigenspace included, lies in a coordinate plane of the
+    ``eigh`` frame of ``n``.  When ``a != 0``, the adapted brackets along a
+    foliation direction ``u`` have ``tr ad_u = 2 a.u``, and the Jacobi
+    constraints make ``a.u != 0`` force the constant-curvature family
+    ``x = y = z = 0``; so ``u`` is orthogonal to ``a``.  As ``n a = 0``, that
+    plane is spanned by each eigenvector ``e`` of ``n`` orthogonal to ``a``
+    and ``a x e``.  It is entered once per eigenvector: next to type II a
+    type III algebra has ``|a| << |c|`` and two nearly equal eigenvalues of
+    ``n``, so only the circle through the well separated eigenvector is
+    accurate.
     """
-    u = np.asarray(start, dtype=float)
-    u = u / np.linalg.norm(u)
-    v = _residual_vector(gamma, u)
-    r = float(v @ v)
-    for it in range(NEWTON_MAX_ITER):
-        if r < 1e-30:
-            break
-        if it >= _STALL_ITER and r > _STALL_RESIDUAL_SQ:
-            break
-        jac = _tangent_jacobian(gamma, u)
-        normal = jac.T @ jac
-        normal += (1e-12 * (1.0 + abs(np.trace(normal)))) * _EYE
-        # the Jacobian annihilates u; this pins the step to the tangent plane
-        normal += np.outer(u, u)
-        step = -np.linalg.solve(normal, jac.T @ v)
-        moved = False
-        scale = 1.0
-        for _ in range(25):
-            cand = u + scale * step
-            cand = cand / np.linalg.norm(cand)
-            vc = _residual_vector(gamma, cand)
-            rc = float(vc @ vc)
-            if rc < r:
-                u, v, r = cand, vc, rc
-                moved = True
-                break
-            scale *= 0.5
-        if not moved or scale * float(np.linalg.norm(step)) < 1e-12:
-            break
-    return u, v
+    frame = np.linalg.eigh(dec.n)[1]
+    planes = [(frame[:, i], frame[:, j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+    for e in frame.T:
+        q = np.cross(dec.a, e)
+        # round-off leaves a x e off orthogonal when e is nearly parallel to a
+        q -= (q @ e) * e
+        if np.any(q):
+            planes.append((e, q / np.linalg.norm(q)))
+    return planes
+
+
+# Eight sample angles per great circle determine r on it exactly (below).
+_CIRCLE_T = _readonly(np.pi * np.arange(8) / 8.0)
+
+
+def _circle_minima(
+    gamma: np.ndarray, planes: list[tuple[np.ndarray, np.ndarray]]
+) -> np.ndarray:
+    """Unit directions (rows) at the critical points of r on each great circle.
+
+    On ``u(t) = cos t p + sin t q`` the sextic ``r`` is even in ``u``, so it
+    is a trigonometric polynomial ``sum_{|k|<=3} C_k e^{2ikt}``, and its
+    samples at ``t = k pi/8`` give ``C_0 .. C_3`` exactly through the real
+    FFT.  ``dr/dt`` vanishes where ``sum_k k C_k z^(k+3)`` does, a degree-6
+    polynomial in ``z = e^{2it}``.  Every root gives ``t = angle(z)/2``; roots
+    off the unit circle give extra directions, which the caller's residual
+    check rejects.
+    """
+    p, q = (np.array(side) for side in zip(*planes))
+    cos, sin = np.cos(_CIRCLE_T)[:, None, None], np.sin(_CIRCLE_T)[:, None, None]
+    v = _residual_vector(gamma, cos * p + sin * q)
+    half = np.fft.rfft(np.einsum("tci,tci->ct", v, v), axis=1)[:, :4] / 8.0
+    # C_3 .. C_1, C_0, C_-1 .. C_-3, with C_-k = conj(C_k)
+    coeffs = np.concatenate((half[:, :0:-1], np.conj(half)), axis=1)
+    coeffs *= np.arange(3, -4, -1)
+    found = []
+    for p_c, q_c, poly in zip(p, q, coeffs):
+        # np.roots drops a vanishing leading coefficient (Nil3 has one)
+        t = 0.5 * np.angle(np.roots(poly))[:, None]
+        found.append(np.cos(t) * p_c + np.sin(t) * q_c)
+    return np.concatenate(found)
 
 
 def _canonical_sign(u: np.ndarray) -> np.ndarray:
@@ -369,14 +351,16 @@ def search_directions(
     ``tol``, and ``lattice`` must lie in [16, 1000000] (larger lattices are
     refused before anything is allocated).  Constant-curvature metrics are
     detected first and reported with an empty direction list.  Otherwise
-    all lattice points under ``COARSE_FILTER`` (plus the best
-    ``TOPK_REFINE`` overall, one per angular basin) are refined; refined
-    points with squared residual below ``ACCEPT_RESIDUAL_SQ`` are
-    antipodally canonicalized, deduplicated at ``CLUSTER_ANGLE``, and
-    returned sorted by direction components.  Each candidate carries its
-    :func:`adapt_basis` coefficients and their :func:`classify_family` type;
-    if ``adapt_basis`` rejects an accepted direction, its ``ValueError``
-    propagates.  The whole pipeline is deterministic.
+    the critical points of the residual on the great circles of
+    :func:`_geodesic_planes` are enumerated exactly; those with squared
+    residual at most ``ACCEPT_RESIDUAL_SQ * |c|_F^2`` are antipodally
+    canonicalized, deduplicated at ``CLUSTER_ANGLE``, and returned sorted
+    by direction components.  The lattice scan only certifies the result:
+    ``lattice_min_residual`` is the least squared residual over ``lattice``
+    Fibonacci points.  Each candidate carries its :func:`adapt_basis`
+    coefficients and their :func:`classify_family` type; if ``adapt_basis``
+    rejects an accepted direction, its ``ValueError`` propagates.  The whole
+    pipeline is deterministic.
     """
     residual = jacobi_residual(sc)
     if residual > tol:
@@ -403,29 +387,15 @@ def search_directions(
     floor = _residual_vector(gamma, points[np.argmin(r)])
     lattice_min = float(floor @ floor)
 
-    pool = np.flatnonzero(r < COARSE_FILTER)
-    scale_sq = max(float(np.sum(sc.c * sc.c)), 1.0)
-    if lattice_min <= _TOPK_TRIGGER * scale_sq:
-        k = min(TOPK_REFINE, lattice)
-        top = np.argpartition(r, k - 1)[:k]
-        pool = np.union1d(pool, top)
-    if pool.size > MAX_CANDIDATES:
-        pool = pool[np.argsort(r[pool], kind="stable")[:MAX_CANDIDATES]]
-    order = pool[np.lexsort((pool, r[pool]))]
-
-    cos_pre = np.cos(PRE_CLUSTER_ANGLE)
-    starts: list[int] = []
-    for idx in order:
-        if all(abs(points[idx] @ points[j]) < cos_pre for j in starts):
-            starts.append(int(idx))
-
+    scale_sq = float(np.sum(sc.c * sc.c))
+    dec = milnor_decompose(sc)
     found: list[tuple[np.ndarray, float, np.ndarray]] = []
-    for idx in starts:
-        u_ref, v_ref = _refine(gamma, points[idx])
-        r_ref = float(v_ref @ v_ref)
-        if r_ref < ACCEPT_RESIDUAL_SQ:
+    critical = _circle_minima(gamma, _geodesic_planes(dec))
+    for u, v in zip(critical, _residual_vector(gamma, critical)):
+        r_u = float(v @ v)
+        if r_u <= ACCEPT_RESIDUAL_SQ * scale_sq:
             # u -> -u leaves both residual norms exactly unchanged
-            found.append((_canonical_sign(u_ref), r_ref, v_ref))
+            found.append((_canonical_sign(u), r_u, v))
     found.sort(key=lambda item: (item[1], item[0][0], item[0][1], item[0][2]))
 
     cos_cluster = np.cos(CLUSTER_ANGLE)
@@ -440,9 +410,12 @@ def search_directions(
         conf = float(np.linalg.norm(v_ref[3:]))
         adapted = adapt_basis(sc, u_ref)
         # Coefficients forced to zero by the foliation conditions carry noise
-        # on the order of the measured residuals, so the zero threshold for
-        # the family case analysis scales with them.
-        family = classify_family(adapted, tol=max(1e-9, 10.0 * max(geo, conf)))
+        # on the order of the measured residuals, so the family case analysis
+        # runs on the coefficients over |c|_F with a zero threshold that
+        # scales with the residuals over |c|_F.
+        norm = np.sqrt(scale_sq)
+        unit = AdaptedBracketParams(*(x / norm for x in adapted.as_tuple()))
+        family = classify_family(unit, tol=max(1e-9, 10.0 * max(geo, conf) / norm))
         candidates.append(
             FoliationCandidate(
                 direction=u_ref,
@@ -470,10 +443,14 @@ def adapt_basis(
     with Z = u.  Raises ValueError("foliation conditions violated ...")
     when the residuals exceed ``tol`` or the rewritten bracket table fails
     to take the adapted shape, which would mark a search false positive.
+    ``tol`` is relative: residuals and table entries scale like |c|_F and
+    are compared with ``tol * |c|_F``, the quadratic Jacobi constraints
+    with ``tol * |c|_F^2``.
     """
     u = np.asarray(u, dtype=float)
+    scale = float(np.linalg.norm(sc.c))
     geo, conf = residuals(sc, u)
-    if geo > tol or conf > tol:
+    if geo > tol * scale or conf > tol * scale:
         raise ValueError(
             "foliation conditions violated along the given direction "
             f"(geodesic residual {geo:.3e}, conformal residual {conf:.3e})"
@@ -486,7 +463,7 @@ def adapt_basis(
         abs(table[2, 0, 0] - table[2, 1, 1]),
         abs(table[2, 0, 1] + table[2, 1, 0]),
     )
-    if max(deviations) > tol:
+    if max(deviations) > tol * scale:
         raise ValueError(
             "foliation conditions violated: bracket table does not take the "
             f"adapted form (max deviation {max(deviations):.3e})"
@@ -499,7 +476,7 @@ def adapt_basis(
         z=float(table[0, 1, 2]),
     )
     worst = jacobi_constraints(params)
-    if worst > max(tol, 10.0 * jacobi_residual(sc)):
+    if worst > max(tol * scale * scale, 10.0 * jacobi_residual(sc)):
         raise ValueError(
             f"foliation conditions violated: Jacobi constraints leak {worst:.3e}"
         )

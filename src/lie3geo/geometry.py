@@ -32,11 +32,13 @@ __all__ = [
     "sectional",
 ]
 
+# Both tolerances are relative to |c|_F^2, the scale of every curvature.
+
 # Maximum entrywise deviation of the Riemann tensor from the constant
 # curvature model tensor before the constant flag is dropped.
 CONSTANT_CURVATURE_TOL = 1e-9
 
-# Ricci eigenvalues closer than this (absolute) merge into one spectral line.
+# Ricci eigenvalues closer than this merge into one spectral line.
 SPECTRUM_MERGE_TOL = 1e-7
 
 
@@ -67,8 +69,8 @@ class CurvatureReport:
     ``riemann[i,j,k,l] = <R(e_i, e_j) e_k, e_l>``;
     ``sectional_basis`` holds (K(e0,e1), K(e0,e2), K(e1,e2));
     ``constant_curvature`` is the common sectional curvature when the whole
-    tensor matches the constant model within ``CONSTANT_CURVATURE_TOL``,
-    else None; ``ricci_spectrum`` is an ascending tuple of
+    tensor matches the constant model within ``CONSTANT_CURVATURE_TOL``
+    times ``|c|_F^2``, else None; ``ricci_spectrum`` is an ascending tuple of
     (eigenvalue, multiplicity) pairs.
     """
 
@@ -95,10 +97,10 @@ def connection(sc: StructureConstants) -> ConnectionCoefficients:
     return ConnectionCoefficients(gamma=gamma)
 
 
-def _merge_spectrum(values: np.ndarray) -> tuple[tuple[float, int], ...]:
+def _merge_spectrum(values: np.ndarray, tol: float) -> tuple[tuple[float, int], ...]:
     groups: list[list[float]] = []
     for v in np.sort(values):
-        if groups and v - groups[-1][-1] <= SPECTRUM_MERGE_TOL:
+        if groups and v - groups[-1][-1] <= tol:
             groups[-1].append(float(v))
         else:
             groups.append([float(v)])
@@ -126,9 +128,12 @@ def curvature(sc: StructureConstants) -> CurvatureReport:
     model = k_fit * (
         np.einsum("il,jk->ijkl", eye, eye) - np.einsum("ik,jl->ijkl", eye, eye)
     )
+    scale_sq = float(np.sum(c * c))
     deviation = float(np.abs(riemann - model).max())
-    constant = k_fit if deviation <= CONSTANT_CURVATURE_TOL else None
-    spectrum = _merge_spectrum(np.linalg.eigvalsh(ricci))
+    constant = k_fit if deviation <= CONSTANT_CURVATURE_TOL * scale_sq else None
+    spectrum = _merge_spectrum(
+        np.linalg.eigvalsh(ricci), SPECTRUM_MERGE_TOL * scale_sq
+    )
     return CurvatureReport(
         riemann=riemann,
         ricci=ricci,

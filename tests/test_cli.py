@@ -288,6 +288,18 @@ def test_foliations_positive_human(capsys):
     assert "family type: VIII" in out
 
 
+@pytest.mark.parametrize("group", [["Sol3", "--alpha", "1"], ["G4"]])
+def test_foliations_large_metric_scale_does_not_admit(capsys, tmp_path, group):
+    mpath = write_doc(tmp_path, (1e10 * np.eye(3)).tolist(), name="metric.json")
+    code, out, _ = run(
+        capsys, ["--json", "foliations", "--group", *group, "--metric", mpath]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["constant_curvature"] is False
+    assert doc["admits"] is False
+
+
 @pytest.mark.parametrize(
     "argv",
     [
