@@ -47,10 +47,13 @@ _UNIMODULAR_TOL = 1e-9
 _EIGEN_ZERO_TOL = 1e-8
 
 # Split/double decision for ad_w|u runs on the characteristic discriminant
-# (trace/2)^2 - det, measured against ||M||_F^2.  A threshold on the raw
-# eigenvalue gap is useless here: a defective (Jordan) block perturbed at
-# machine precision eps splits its eigenvalues by about sqrt(eps), far above
-# any eps-sized gap tolerance, while the discriminant itself stays at eps.
+# (trace/2)^2 - det, measured against (trace/2)^2, which is 1 because w is
+# scaled so that tau(w) = tr M = 2.  A threshold on the raw eigenvalue gap is
+# useless here: a defective (Jordan) block perturbed at machine precision eps
+# splits its eigenvalues by about sqrt(eps), far above any eps-sized gap
+# tolerance, while the discriminant itself stays at eps.  ||M||_F^2 is no
+# scale for it either: next to type II, M is far from normal and ||M||_F^2
+# grows without bound while the split eigenvalues stay at 0 and 2.
 _DISC_TOL = 1e-6
 
 # A double-eigenvalue M further than this (relative) from a scalar matrix is
@@ -164,7 +167,7 @@ def _classify_nonunimodular(sc: StructureConstants, a: np.ndarray) -> BianchiTyp
     half = 0.5 * trace
     disc = half * half - det
     scale_sq = max(float(np.sum(m * m)), 1e-300)
-    if abs(disc) <= _DISC_TOL * scale_sq:
+    if abs(disc) <= _DISC_TOL * half * half:
         # Double eigenvalue: scalar action is type V, a Jordan block is IV.
         deviation = float(np.linalg.norm(m - half * np.eye(2)))
         if deviation > _SCALAR_DEV_TOL * np.sqrt(scale_sq):

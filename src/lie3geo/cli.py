@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -555,7 +556,9 @@ def _add_input_flags(sub: argparse.ArgumentParser):
     )
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of :func:`main`, built once and then reused."""
     parser = _Parser(
         prog="lie3geo",
         description="Left-invariant geometry of 3D Lie groups: Bianchi types, "

@@ -28,18 +28,20 @@ foliation direction lies on a few known great circles: the three coordinate
 planes of the eigenframe of ``n`` and, when ``a != 0``, the plane orthogonal
 to ``a`` (:func:`_geodesic_planes`).  On each circle ``r`` is a
 trigonometric polynomial of degree 3 in ``2t``; eight samples give it
-exactly, and the roots of its derivative are every critical point.  Those
-whose residual is at most ``ACCEPT_RESIDUAL_SQ * |c|_F^2`` are kept,
-antipodally deduplicated.
+exactly, and the roots of its derivative are every critical point, found for
+all circles by one batched eigenvalue solve.  Those whose residual is at
+most ``ACCEPT_RESIDUAL_SQ * |c|_F^2`` are kept, antipodally deduplicated.
 Non-constant-curvature metrics can carry at most two such directions, and at
 most one when the Ricci spectrum has exactly two distinct eigenvalues, so
 short direction lists are expected.
 
 A deterministic Fibonacci lattice on the unit sphere certifies the result:
 homogenised, ``r`` is a quadratic form ``m^T Q m`` in the ten cubic monomials
-``m`` of ``u``, with ``Q`` built exactly from ``Gamma``, so the scan is one
-product with the cached monomial matrix of the lattice, and its least value
-is reported as ``lattice_min_residual``.
+``m`` of ``u``, with ``Q`` built exactly from ``Gamma``.  As a sextic in
+``u``, ``r`` has 28 monomials; a fixed 0/1 fold matrix sums ``Q`` into their
+28 weights ``w``, so the scan is one product ``w @ table`` with the cached
+(28, n) table of the lattice's sextic monomials.  The least value, re-read
+as a sum of squares at its point, is reported as ``lattice_min_residual``.
 
 Each direction found carries the adapted bracket coefficients read off along
 it (:func:`adapt_basis`) and the Bianchi type of their family
@@ -67,7 +69,7 @@ from .algebra import (
     orthonormalize,
 )
 from .bianchi import BianchiType, MilnorDecomposition, milnor_decompose
-from .geometry import connection, curvature
+from .geometry import _curvature, connection
 
 __all__ = [
     "LATTICE_DEFAULT",
@@ -188,18 +190,33 @@ class FoliationFamily:
 
 @lru_cache(maxsize=4)
 def _lattice(n: int):
-    """Deterministic Fibonacci lattice on the sphere, with its cubic monomials."""
+    """Deterministic Fibonacci lattice on the sphere, with its sextic table.
+
+    Returns the points, shape (n, 3), and the read-only (28, n) table whose
+    row ``s`` holds the sextic monomial ``_SEXTIC[s]`` at every point.  Each
+    row is written in place as the product of the two cubic rows of
+    ``_SEXTIC_PAIRS[s]``.  The (10, n) cubic rows are a temporary, and no
+    gathered (n, 28, 6) array is made: either would raise the peak memory of
+    large lattices.
+    """
     i = np.arange(n, dtype=float)
     z = 1.0 - (2.0 * i + 1.0) / n
     golden = (1.0 + np.sqrt(5.0)) / 2.0
     phi = (2.0 * np.pi) * np.mod(i / golden, 1.0)
     rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    points = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
-    return _readonly(points), _readonly(_cubic_monomials(points))
+    points = _readonly(np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1))
+    cubic = _cubic_rows(points.T)
+    table = np.empty((len(_SEXTIC), n))
+    for row, (a, b) in zip(table, _SEXTIC_PAIRS):
+        np.multiply(cubic[a], cubic[b], out=row)
+    table.setflags(write=False)
+    return points, table
 
 
-# Index triples (a <= b <= c) of the ten cubic monomials u_a u_b u_c.
-_CUBIC = np.array(list(combinations_with_replacement(range(3), 3)))
+# Index triples (a <= b <= c) of the ten cubic monomials u_a u_b u_c, and
+# index sextuples of the 28 sextic monomials.
+_CUBIC = tuple(combinations_with_replacement(range(3), 3))
+_SEXTIC = tuple(combinations_with_replacement(range(3), 6))
 
 
 def _cubic_sum() -> np.ndarray:
@@ -209,19 +226,40 @@ def _cubic_sum() -> np.ndarray:
     """
     fold = np.zeros((3, 3, 3, len(_CUBIC)))
     for abc in np.ndindex(3, 3, 3):
-        fold[abc][_CUBIC.tolist().index(sorted(abc))] = 1.0
+        fold[abc][_CUBIC.index(tuple(sorted(abc)))] = 1.0
     return _readonly(fold)
 
 
+def _sextic_fold() -> tuple[np.ndarray, np.ndarray]:
+    """The (28, 100) 0/1 matrix with fold[s, 10 a + b] = 1 when cubic
+    monomials a and b multiply to sextic monomial s, so that
+    ``fold @ Q.ravel()`` are the sextic weights of ``m^T Q m``; and, for each
+    sextic monomial, the first pair (a, b) that builds it."""
+    index = {sextic: s for s, sextic in enumerate(_SEXTIC)}
+    # target[10 a + b] is the sextic monomial of cubic monomials a and b
+    target = [index[tuple(sorted(a + b))] for a in _CUBIC for b in _CUBIC]
+    fold = np.zeros((len(_SEXTIC), len(target)))
+    fold[target, np.arange(len(target))] = 1.0
+    pairs = np.array([divmod(target.index(s), len(_CUBIC)) for s in range(len(_SEXTIC))])
+    pairs.setflags(write=False)
+    return _readonly(fold), pairs
+
+
 _CUBIC_SUM = _cubic_sum()
+_SEXTIC_FOLD, _SEXTIC_PAIRS = _sextic_fold()
 
 _EYE = np.eye(3)
 _SQRT2 = np.sqrt(2.0)
 
 
-def _cubic_monomials(points: np.ndarray) -> np.ndarray:
-    """Rows of the ten cubic monomials of each point."""
-    return np.prod(points[:, _CUBIC], axis=2)
+def _cubic_rows(x: np.ndarray) -> np.ndarray:
+    """The ten cubic monomials of the columns of ``x`` (shape (3, n)), one
+    row per monomial: shape (10, n)."""
+    rows = np.empty((len(_CUBIC), x.shape[1]))
+    for row, (a, b, c) in zip(rows, _CUBIC):
+        np.multiply(x[a], x[b], out=row)
+        row *= x[c]
+    return rows
 
 
 def _quadratic_form(gamma: np.ndarray) -> np.ndarray:
@@ -294,12 +332,13 @@ def _geodesic_planes(dec: MilnorDecomposition) -> list[tuple[np.ndarray, np.ndar
     """
     frame = np.linalg.eigh(dec.n)[1]
     planes = [(frame[:, i], frame[:, j]) for i, j in ((0, 1), (0, 2), (1, 2))]
-    for e in frame.T:
-        q = np.cross(dec.a, e)
-        # round-off leaves a x e off orthogonal when e is nearly parallel to a
-        q -= (q @ e) * e
-        if np.any(q):
-            planes.append((e, q / np.linalg.norm(q)))
+    # row i is a x e_i; round-off leaves it off orthogonal to e_i when e_i is
+    # nearly parallel to a
+    q = np.cross(dec.a, frame.T)
+    q -= np.vecdot(q, frame.T)[:, None] * frame.T
+    for e, q_e in zip(frame.T, q):
+        if np.any(q_e):
+            planes.append((e, q_e / np.linalg.norm(q_e)))
     return planes
 
 
@@ -313,26 +352,63 @@ def _circle_minima(
     """Unit directions (rows) at the critical points of r on each great circle.
 
     On ``u(t) = cos t p + sin t q`` the sextic ``r`` is even in ``u``, so it
-    is a trigonometric polynomial ``sum_{|k|<=3} C_k e^{2ikt}``, and its
-    samples at ``t = k pi/8`` give ``C_0 .. C_3`` exactly through the real
-    FFT.  ``dr/dt`` vanishes where ``sum_k k C_k z^(k+3)`` does, a degree-6
-    polynomial in ``z = e^{2it}``.  Every root gives ``t = angle(z)/2``; roots
-    off the unit circle give extra directions, which the caller's residual
-    check rejects.
+    is a trigonometric polynomial ``sum_{|k|<=3} C_k e^{2ikt}``, and
+    ``dr/dt`` vanishes where the degree-6 polynomial of
+    :func:`_circle_polynomials` in ``z = e^{2it}`` does.  Every root gives
+    ``t = angle(z)/2``; roots off the unit circle give extra directions,
+    which the caller's residual check rejects.
     """
     p, q = (np.array(side) for side in zip(*planes))
+    which, z = _polynomial_roots(_circle_polynomials(gamma, p, q))
+    t = 0.5 * np.angle(z)[:, None]
+    return np.cos(t) * p[which] + np.sin(t) * q[which]
+
+
+def _circle_polynomials(gamma: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row c holds ``sum_k k C_k z^(k+3)``, highest power first, for the
+    circle through ``p[c]`` and ``q[c]``.
+
+    The samples of ``r`` at ``t = k pi/8`` give ``C_0 .. C_3`` exactly
+    through the real FFT, and ``C_-k = conj(C_k)``, so coefficient ``j`` of
+    each row is minus the conjugate of coefficient ``6 - j``.
+    """
     cos, sin = np.cos(_CIRCLE_T)[:, None, None], np.sin(_CIRCLE_T)[:, None, None]
     v = _residual_vector(gamma, cos * p + sin * q)
     half = np.fft.rfft(np.einsum("tci,tci->ct", v, v), axis=1)[:, :4] / 8.0
-    # C_3 .. C_1, C_0, C_-1 .. C_-3, with C_-k = conj(C_k)
+    # C_3 .. C_1, C_0, C_-1 .. C_-3
     coeffs = np.concatenate((half[:, :0:-1], np.conj(half)), axis=1)
     coeffs *= np.arange(3, -4, -1)
-    found = []
-    for p_c, q_c, poly in zip(p, q, coeffs):
-        # np.roots drops a vanishing leading coefficient (Nil3 has one)
-        t = 0.5 * np.angle(np.roots(poly))[:, None]
-        found.append(np.cos(t) * p_c + np.sin(t) * q_c)
-    return np.concatenate(found)
+    return coeffs
+
+
+def _polynomial_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of every row of :func:`_circle_polynomials`, as ``np.roots``
+    gives them row by row: ``(row, root)`` pairs, flattened in row order.
+
+    By the conjugate symmetry of the rows, a row whose ``lead`` leading
+    coefficients vanish (``C_3 = 0`` on Nil3) loses as many trailing ones:
+    its polynomial has degree ``6 - 2 lead`` and ``lead`` roots ``z = 0``.  A
+    zero row has no roots.  Rows of one degree share one eigenvalue solve of
+    their stacked companion matrices.
+    """
+    nonzero = coeffs != 0
+    lead = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), 3)
+    owners, roots = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
+    for k in range(3):
+        rows = np.flatnonzero(lead == k)
+        if not len(rows):
+            continue
+        poly = coeffs[rows, k : 7 - k]
+        degree = poly.shape[1] - 1
+        companion = np.zeros((len(rows), degree, degree), dtype=complex)
+        companion[:, 0] = -poly[:, 1:] / poly[:, :1]
+        companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
+        z = np.linalg.eigvals(companion)
+        roots.append(np.concatenate((z, np.zeros((len(rows), k))), axis=1).ravel())
+        owners.append(np.repeat(rows, degree + k))
+    which = np.concatenate(owners)
+    order = np.argsort(which, kind="stable")
+    return which[order], np.concatenate(roots)[order]
 
 
 def _canonical_sign(u: np.ndarray) -> np.ndarray:
@@ -372,7 +448,8 @@ def search_directions(
         raise ValueError("lattice size must be at least 16")
     if lattice > _LATTICE_MAX:
         raise ValueError(f"lattice size must be at most {_LATTICE_MAX}")
-    if curvature(sc).constant_curvature is not None:
+    gamma = connection(sc).gamma
+    if _curvature(sc, gamma).constant_curvature is not None:
         return FoliationReport(
             constant_curvature=True,
             directions=(),
@@ -380,22 +457,21 @@ def search_directions(
             lattice_min_residual=None,
             lattice_size=lattice,
         )
-    gamma = connection(sc).gamma
-    points, monomials = _lattice(lattice)
-    r = np.einsum("ni,ni->n", monomials @ _quadratic_form(gamma), monomials)
+    points, table = _lattice(lattice)
+    r = (_SEXTIC_FOLD @ _quadratic_form(gamma).ravel()) @ table
     # Q is indefinite, so the floor is re-read as a sum of squares
     floor = _residual_vector(gamma, points[np.argmin(r)])
     lattice_min = float(floor @ floor)
 
     scale_sq = float(np.sum(sc.c * sc.c))
-    dec = milnor_decompose(sc)
-    found: list[tuple[np.ndarray, float, np.ndarray]] = []
-    critical = _circle_minima(gamma, _geodesic_planes(dec))
-    for u, v in zip(critical, _residual_vector(gamma, critical)):
-        r_u = float(v @ v)
-        if r_u <= ACCEPT_RESIDUAL_SQ * scale_sq:
-            # u -> -u leaves both residual norms exactly unchanged
-            found.append((_canonical_sign(u), r_u, v))
+    critical = _circle_minima(gamma, _geodesic_planes(milnor_decompose(sc)))
+    v = _residual_vector(gamma, critical)
+    r_critical = np.vecdot(v, v)
+    found: list[tuple[np.ndarray, float, np.ndarray]] = [
+        # u -> -u leaves both residual norms exactly unchanged
+        (_canonical_sign(critical[k]), float(r_critical[k]), v[k])
+        for k in np.flatnonzero(r_critical <= ACCEPT_RESIDUAL_SQ * scale_sq)
+    ]
     found.sort(key=lambda item: (item[1], item[0][0], item[0][1], item[0][2]))
 
     cos_cluster = np.cos(CLUSTER_ANGLE)

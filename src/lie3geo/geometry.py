@@ -109,8 +109,12 @@ def _merge_spectrum(values: np.ndarray, tol: float) -> tuple[tuple[float, int], 
 
 def curvature(sc: StructureConstants) -> CurvatureReport:
     """Full curvature report for the orthonormal-basis constants."""
+    return _curvature(sc, connection(sc).gamma)
+
+
+def _curvature(sc: StructureConstants, g: np.ndarray) -> CurvatureReport:
+    """:func:`curvature` from the connection table ``g`` of ``sc``."""
     c = sc.c
-    g = connection(sc).gamma
     riemann = (
         np.einsum("jkm,iml->ijkl", g, g)
         - np.einsum("ikm,jml->ijkl", g, g)

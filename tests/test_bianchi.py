@@ -189,3 +189,30 @@ def test_classify_respects_tolerance_argument():
     with pytest.raises(NotLieAlgebraError):
         classify(sc, tol=1e-15)
     assert classify(sc).tag == "II"
+
+
+def _next_to_type_ii(rng, eps):
+    """Type III with [X,Y] = x X + y Y + Z, x and y of size eps, in a random
+    basis: |a| is of size eps, and ad_w on ker(tau) is far from normal."""
+    x, y = eps * rng.standard_normal(2)
+    return change_basis(constants_from_brackets(xy=(x, y, 1.0)), random_gl(rng))
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+def test_type_iii_next_to_type_ii_stays_iii(eps):
+    # ad_w|u has the split eigenvalues 0 and 2 however small eps is; the
+    # discriminant test used to read the large ||M||_F^2 as a Jordan block
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        got = classify(_next_to_type_ii(rng, eps))
+        assert got.tag == "III", (eps, str(got))
+
+
+def test_next_to_type_ii_never_types_iv_or_vi():
+    # down to eps = 1e-7; at 1e-8, |a| is twice the unimodular threshold and
+    # the split rests on det(n on a-perp) ~ |a|^2, which is round-off there
+    rng = np.random.default_rng(6)
+    for eps in 10.0 ** -np.arange(2.0, 8.0):
+        for _ in range(100):
+            got = classify(_next_to_type_ii(rng, eps))
+            assert got.tag not in {"IV", "VI"}, (eps, str(got))

@@ -381,7 +381,7 @@ _PROPERTY_SETTINGS = settings(
 def test_quadratic_form_matches_residuals(case):
     sc, u = case
     gamma = connection(sc).gamma
-    m = foliation._cubic_monomials(u[None])[0]
+    m = foliation._cubic_rows(u[:, None])[:, 0]
     form = float(m @ foliation._quadratic_form(gamma) @ m)
     geo, conf = residuals(sc, u)
     scale_sq = max(float(np.sum(sc.c * sc.c)), 1.0)
@@ -496,3 +496,89 @@ def test_catalog_verdicts_invariant_under_metric_scale():
         for k in range(-12, 13, 2):
             got = verdict(_scaled_metric(name, alpha, 10.0**k))
             assert got == want, (name, alpha, k)
+
+
+# ------------------------------------------------ batched search kernels
+
+
+@_PROPERTY_SETTINGS
+@given(metric_algebras_and_directions())
+def test_sextic_weights_reproduce_quadratic_form(case):
+    sc, u = case
+    q = foliation._quadratic_form(connection(sc).gamma)
+    m = foliation._cubic_rows(u[:, None])[:, 0]
+    sextic = np.prod(u[np.array(foliation._SEXTIC)], axis=1)
+    weights = foliation._SEXTIC_FOLD @ q.ravel()
+    scale_sq = max(float(np.sum(sc.c * sc.c)), 1.0)
+    assert abs(weights @ sextic - m @ q @ m) <= 1e-12 * scale_sq
+
+
+def test_lattice_table_holds_sextic_monomials_read_only():
+    points, table = foliation._lattice(100)
+    assert table.shape == (28, 100)
+    assert not table.flags.writeable and not points.flags.writeable
+    want = np.prod(points[:, np.array(foliation._SEXTIC)], axis=2).T
+    assert np.max(np.abs(table - want)) <= 1e-15
+
+
+def _assert_same_sets(got, want, tol):
+    """Equal as multisets of rows (complex numbers or directions) within tol."""
+    got, want = np.atleast_2d(got.T).T, np.atleast_2d(want.T).T
+    assert len(got) == len(want)
+    if not len(want):
+        return
+    gap = np.linalg.norm(got[:, None] - want[None], axis=2)
+    scale = np.maximum(np.linalg.norm(want, axis=1), 1.0)
+    assert np.all(gap.min(axis=0) <= tol * scale)
+    assert np.all(gap.min(axis=1) <= tol * np.maximum(np.linalg.norm(got, axis=1), 1.0))
+
+
+@st.composite
+def circle_polynomials(draw):
+    """Rows shaped like foliation._circle_polynomials, some with vanishing
+    leading coefficients (and as many trailing ones), or all zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for lead in draw(st.lists(st.integers(0, 3), min_size=1, max_size=8)):
+        c = rng.standard_normal(3) + 1j * rng.standard_normal(3)  # C_3 .. C_1
+        c[:lead] = 0.0
+        weighted = c * np.array([3.0, 2.0, 1.0])
+        rows.append(np.concatenate((weighted, [0.0], -np.conj(weighted[::-1]))))
+    return np.array(rows)
+
+
+@_PROPERTY_SETTINGS
+@given(circle_polynomials())
+def test_batched_roots_match_np_roots(coeffs):
+    which, z = foliation._polynomial_roots(coeffs)
+    assert np.all(np.diff(which) >= 0)
+    for row, poly in enumerate(coeffs):
+        _assert_same_sets(z[which == row], np.roots(poly), 1e-12)
+
+
+def _assert_circle_minima_match_np_roots(sc):
+    gamma = connection(sc).gamma
+    planes = foliation._geodesic_planes(milnor_decompose(sc))
+    p, q = (np.array(side) for side in zip(*planes))
+    want = []
+    for p_c, q_c, poly in zip(p, q, foliation._circle_polynomials(gamma, p, q)):
+        t = 0.5 * np.angle(np.roots(poly))[:, None]
+        want.append(np.cos(t) * p_c + np.sin(t) * q_c)
+    got = foliation._circle_minima(gamma, planes)
+    _assert_same_sets(got, np.concatenate(want), 1e-12)
+
+
+@_PROPERTY_SETTINGS
+@given(metric_algebras_and_directions())
+def test_circle_minima_match_np_roots(case):
+    _assert_circle_minima_match_np_roots(case[0])
+
+
+@pytest.mark.parametrize("name", ["Nil3", "H2xR", "SL2R~"])
+def test_circle_minima_match_np_roots_where_c3_vanishes(name):
+    sc = catalog(name).constants
+    planes = foliation._geodesic_planes(milnor_decompose(sc))
+    p, q = (np.array(side) for side in zip(*planes))
+    coeffs = foliation._circle_polynomials(connection(sc).gamma, p, q)
+    assert np.any((coeffs[:, 0] == 0) & np.any(coeffs != 0, axis=1))
+    _assert_circle_minima_match_np_roots(sc)
