@@ -7,8 +7,10 @@ a symmetric matrix ``n`` and a vector ``a``:
 
 ``a`` vanishes exactly for unimodular algebras, where the sign pattern of
 the eigenvalues of ``n`` decides the type.  Otherwise the kernel of the
-trace functional tau is a 2D abelian ideal; the eigenvalue configuration of
-ad_w restricted to it (with w normalized so tau(w) = 2) decides the type.
+trace functional tau is a 2D abelian ideal.  Type III is the only
+non-unimodular type with a nonzero centre and is recognised by that first;
+otherwise the eigenvalue configuration of ad_w restricted to the ideal (with
+w normalized so tau(w) = 2) decides the type.
 """
 
 from __future__ import annotations
@@ -128,6 +130,18 @@ def milnor_decompose(sc: StructureConstants) -> MilnorDecomposition:
     return MilnorDecomposition(n=n, a=a)
 
 
+def _centre(sc: StructureConstants) -> tuple[float, np.ndarray]:
+    """How close the algebra is to having a centre, and its best direction.
+
+    Returns ``sigma_min / sigma_max`` of the linear map ``u -> c[u]`` (that
+    is, ``u -> ad_u``) and the unit right singular vector of ``sigma_min``,
+    which spans the centre when the ratio is zero.  The brackets must not
+    all vanish.
+    """
+    _, sigma, vt = np.linalg.svd(sc.c.reshape(3, 9).T)
+    return float(sigma[-1] / sigma[0]), vt[-1]
+
+
 def _classify_unimodular(n: np.ndarray) -> BianchiType:
     eigenvalues = np.linalg.eigvalsh(n)
     scale = float(np.linalg.norm(n))
@@ -154,6 +168,10 @@ def _classify_unimodular(n: np.ndarray) -> BianchiType:
 
 
 def _classify_nonunimodular(sc: StructureConstants, a: np.ndarray) -> BianchiType:
+    # III is the only non-unimodular type with a centre.  Next to type II its
+    # discriminant rests on round-off, while the centre stays exact.
+    if _centre(sc)[0] <= _EIGEN_ZERO_TOL:
+        return BianchiType("III")
     # u = ker(tau) is the Euclidean orthogonal complement of a; restrict
     # ad_w to it with w scaled so that tau(w) = 2.
     unit = a / np.linalg.norm(a)
@@ -199,8 +217,7 @@ def classify(sc: StructureConstants, tol: float = JACOBI_TOL) -> BianchiType:
             f"not a Lie algebra: Jacobi residual {residual:.3e} exceeds {tol:.3e}"
         )
     dec = milnor_decompose(sc)
-    bracket_scale = max(float(np.linalg.norm(sc.c)), 1.0)
-    if float(np.linalg.norm(dec.a)) <= _UNIMODULAR_TOL * bracket_scale:
+    if float(np.linalg.norm(dec.a)) <= _UNIMODULAR_TOL * float(np.linalg.norm(sc.c)):
         return _classify_unimodular(dec.n)
     return _classify_nonunimodular(sc, dec.a)
 

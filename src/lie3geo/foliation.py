@@ -23,17 +23,26 @@ zeroes both residuals; constant-curvature metrics admit a continuum of them
 (not all left-invariant) and are handled as a special case.
 
 The search is exact.  In Milnor's ``(n, a)`` decomposition of the brackets,
-``nabla_u u = u x n u + a - (a.u) u``, so away from constant curvature every
-foliation direction lies on a few known great circles: the three coordinate
-planes of the eigenframe of ``n`` and, when ``a != 0``, the plane orthogonal
-to ``a`` (:func:`_geodesic_planes`).  On each circle ``r`` is a
-trigonometric polynomial of degree 3 in ``2t``; eight samples give it
-exactly, and the roots of its derivative are every critical point, found for
-all circles by one batched eigenvalue solve.  Those whose residual is at
-most ``ACCEPT_RESIDUAL_SQ * |c|_F^2`` are kept, antipodally deduplicated.
-Non-constant-curvature metrics can carry at most two such directions, and at
-most one when the Ricci spectrum has exactly two distinct eigenvalues, so
-short direction lists are expected.
+``nabla_u u = u x n u + a - (a.u) u``, and away from constant curvature the
+adapted-bracket families (:func:`enumerate_families`) put every foliation
+direction at one of four points, all tried at once:
+
+* ``a = 0``: ``u`` is the eigenvector of a simple eigenvalue of ``n``.  The
+  family ``x = y = a = 0`` gives ``n`` the eigenvalues ``(b, b, z)`` along
+  ``(X, Y, Z)``, and Nil3 gives ``(0, 0, z)``; ``eigh`` gives ``Z``
+  directly, and any basis it picks in the double eigenspace fails.
+* ``a != 0``: ``tr ad_u = 2 a.u``, and the Jacobi constraints make
+  ``a.u != 0`` force the constant-curvature family ``x = y = z = 0``; so
+  ``u`` is orthogonal to ``a`` and the adapted ``a`` vanishes.  The algebra
+  is not unimodular, so ``(x, y) != 0``, ``b x = b y = 0`` forces ``b = 0``,
+  and ``u`` is central: the right singular vector of least singular value
+  of ``u -> c[u]``.
+
+The candidates whose squared residual is at most
+``ACCEPT_RESIDUAL_SQ * |c|_F^2`` are kept, antipodally deduplicated; the
+others are rejected by their residual.  Non-constant-curvature metrics can
+carry at most two such directions, and at most one when the Ricci spectrum
+has exactly two distinct eigenvalues, so short direction lists are expected.
 
 A deterministic Fibonacci lattice on the unit sphere certifies the result:
 homogenised, ``r`` is a quadratic form ``m^T Q m`` in the ten cubic monomials
@@ -68,7 +77,7 @@ from .algebra import (
     orthonormal_frame,
     orthonormalize,
 )
-from .bianchi import BianchiType, MilnorDecomposition, milnor_decompose
+from .bianchi import BianchiType, _centre, milnor_decompose
 from .geometry import _curvature, connection
 
 __all__ = [
@@ -305,110 +314,14 @@ def residuals(sc: StructureConstants, u: np.ndarray) -> tuple[float, float]:
     ``u`` spans a conformal foliation by geodesics; both are invariant under
     u -> -u and independent of the horizontal frame choice.
     """
-    u = np.asarray(u, dtype=float)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-10:
-        raise ValueError("direction must be a unit vector")
-    v = _residual_vector(connection(sc).gamma, u)
+    v = _unit_residual_vector(sc, np.asarray(u, dtype=float))
     return float(np.linalg.norm(v[:3])), float(np.linalg.norm(v[3:]))
 
 
-def _geodesic_planes(dec: MilnorDecomposition) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Orthonormal pairs (p, q) whose great circles hold every foliation
-    direction of a metric that is not of constant curvature.
-
-    In Milnor's decomposition (:func:`~lie3geo.bianchi.milnor_decompose`),
-    ``nabla_u u = u x n u + a - (a.u) u``.  When ``a = 0`` the geodesic
-    directions are the eigenvectors of ``n``, and each of them, every vector
-    of a repeated eigenspace included, lies in a coordinate plane of the
-    ``eigh`` frame of ``n``.  When ``a != 0``, the adapted brackets along a
-    foliation direction ``u`` have ``tr ad_u = 2 a.u``, and the Jacobi
-    constraints make ``a.u != 0`` force the constant-curvature family
-    ``x = y = z = 0``; so ``u`` is orthogonal to ``a``.  As ``n a = 0``, that
-    plane is spanned by each eigenvector ``e`` of ``n`` orthogonal to ``a``
-    and ``a x e``.  It is entered once per eigenvector: next to type II a
-    type III algebra has ``|a| << |c|`` and two nearly equal eigenvalues of
-    ``n``, so only the circle through the well separated eigenvector is
-    accurate.
-    """
-    frame = np.linalg.eigh(dec.n)[1]
-    planes = [(frame[:, i], frame[:, j]) for i, j in ((0, 1), (0, 2), (1, 2))]
-    # row i is a x e_i; round-off leaves it off orthogonal to e_i when e_i is
-    # nearly parallel to a
-    q = np.cross(dec.a, frame.T)
-    q -= np.vecdot(q, frame.T)[:, None] * frame.T
-    for e, q_e in zip(frame.T, q):
-        if np.any(q_e):
-            planes.append((e, q_e / np.linalg.norm(q_e)))
-    return planes
-
-
-# Eight sample angles per great circle determine r on it exactly (below).
-_CIRCLE_T = _readonly(np.pi * np.arange(8) / 8.0)
-
-
-def _circle_minima(
-    gamma: np.ndarray, planes: list[tuple[np.ndarray, np.ndarray]]
-) -> np.ndarray:
-    """Unit directions (rows) at the critical points of r on each great circle.
-
-    On ``u(t) = cos t p + sin t q`` the sextic ``r`` is even in ``u``, so it
-    is a trigonometric polynomial ``sum_{|k|<=3} C_k e^{2ikt}``, and
-    ``dr/dt`` vanishes where the degree-6 polynomial of
-    :func:`_circle_polynomials` in ``z = e^{2it}`` does.  Every root gives
-    ``t = angle(z)/2``; roots off the unit circle give extra directions,
-    which the caller's residual check rejects.
-    """
-    p, q = (np.array(side) for side in zip(*planes))
-    which, z = _polynomial_roots(_circle_polynomials(gamma, p, q))
-    t = 0.5 * np.angle(z)[:, None]
-    return np.cos(t) * p[which] + np.sin(t) * q[which]
-
-
-def _circle_polynomials(gamma: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row c holds ``sum_k k C_k z^(k+3)``, highest power first, for the
-    circle through ``p[c]`` and ``q[c]``.
-
-    The samples of ``r`` at ``t = k pi/8`` give ``C_0 .. C_3`` exactly
-    through the real FFT, and ``C_-k = conj(C_k)``, so coefficient ``j`` of
-    each row is minus the conjugate of coefficient ``6 - j``.
-    """
-    cos, sin = np.cos(_CIRCLE_T)[:, None, None], np.sin(_CIRCLE_T)[:, None, None]
-    v = _residual_vector(gamma, cos * p + sin * q)
-    half = np.fft.rfft(np.einsum("tci,tci->ct", v, v), axis=1)[:, :4] / 8.0
-    # C_3 .. C_1, C_0, C_-1 .. C_-3
-    coeffs = np.concatenate((half[:, :0:-1], np.conj(half)), axis=1)
-    coeffs *= np.arange(3, -4, -1)
-    return coeffs
-
-
-def _polynomial_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The roots of every row of :func:`_circle_polynomials`, as ``np.roots``
-    gives them row by row: ``(row, root)`` pairs, flattened in row order.
-
-    By the conjugate symmetry of the rows, a row whose ``lead`` leading
-    coefficients vanish (``C_3 = 0`` on Nil3) loses as many trailing ones:
-    its polynomial has degree ``6 - 2 lead`` and ``lead`` roots ``z = 0``.  A
-    zero row has no roots.  Rows of one degree share one eigenvalue solve of
-    their stacked companion matrices.
-    """
-    nonzero = coeffs != 0
-    lead = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), 3)
-    owners, roots = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
-    for k in range(3):
-        rows = np.flatnonzero(lead == k)
-        if not len(rows):
-            continue
-        poly = coeffs[rows, k : 7 - k]
-        degree = poly.shape[1] - 1
-        companion = np.zeros((len(rows), degree, degree), dtype=complex)
-        companion[:, 0] = -poly[:, 1:] / poly[:, :1]
-        companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
-        z = np.linalg.eigvals(companion)
-        roots.append(np.concatenate((z, np.zeros((len(rows), k))), axis=1).ravel())
-        owners.append(np.repeat(rows, degree + k))
-    which = np.concatenate(owners)
-    order = np.argsort(which, kind="stable")
-    return which[order], np.concatenate(roots)[order]
+def _unit_residual_vector(sc: StructureConstants, u: np.ndarray) -> np.ndarray:
+    if abs(np.linalg.norm(u) - 1.0) > 1e-10:
+        raise ValueError("direction must be a unit vector")
+    return _residual_vector(connection(sc).gamma, u)
 
 
 def _canonical_sign(u: np.ndarray) -> np.ndarray:
@@ -427,11 +340,12 @@ def search_directions(
     ``tol``, and ``lattice`` must lie in [16, 1000000] (larger lattices are
     refused before anything is allocated).  Constant-curvature metrics are
     detected first and reported with an empty direction list.  Otherwise
-    the critical points of the residual on the great circles of
-    :func:`_geodesic_planes` are enumerated exactly; those with squared
-    residual at most ``ACCEPT_RESIDUAL_SQ * |c|_F^2`` are antipodally
-    canonicalized, deduplicated at ``CLUSTER_ANGLE``, and returned sorted
-    by direction components.  The lattice scan only certifies the result:
+    four candidates are tried: the eigenvectors of Milnor's ``n`` and the
+    direction closest to the centre, which hold every foliation direction
+    (see the module docstring).  Those with squared residual at most
+    ``ACCEPT_RESIDUAL_SQ * |c|_F^2`` are antipodally canonicalized,
+    deduplicated at ``CLUSTER_ANGLE``, and returned sorted by direction
+    components.  The lattice scan only certifies the result:
     ``lattice_min_residual`` is the least squared residual over ``lattice``
     Fibonacci points.  Each candidate carries its :func:`adapt_basis`
     coefficients and their :func:`classify_family` type; if ``adapt_basis``
@@ -464,13 +378,14 @@ def search_directions(
     lattice_min = float(floor @ floor)
 
     scale_sq = float(np.sum(sc.c * sc.c))
-    critical = _circle_minima(gamma, _geodesic_planes(milnor_decompose(sc)))
-    v = _residual_vector(gamma, critical)
-    r_critical = np.vecdot(v, v)
+    # rows: the eigenvectors of n, then the direction closest to the centre
+    stack = np.vstack((np.linalg.eigh(milnor_decompose(sc).n)[1].T, _centre(sc)[1]))
+    v = _residual_vector(gamma, stack)
+    r_stack = np.vecdot(v, v)
     found: list[tuple[np.ndarray, float, np.ndarray]] = [
         # u -> -u leaves both residual norms exactly unchanged
-        (_canonical_sign(critical[k]), float(r_critical[k]), v[k])
-        for k in np.flatnonzero(r_critical <= ACCEPT_RESIDUAL_SQ * scale_sq)
+        (_canonical_sign(stack[k]), float(r_stack[k]), v[k])
+        for k in np.flatnonzero(r_stack <= ACCEPT_RESIDUAL_SQ * scale_sq)
     ]
     found.sort(key=lambda item: (item[1], item[0][0], item[0][1], item[0][2]))
 
@@ -484,7 +399,7 @@ def search_directions(
     for u_ref, v_ref in sorted(kept, key=lambda item: tuple(item[0])):
         geo = float(np.linalg.norm(v_ref[:3]))
         conf = float(np.linalg.norm(v_ref[3:]))
-        adapted = adapt_basis(sc, u_ref)
+        adapted = _adapt_basis(sc, u_ref, v_ref)
         # Coefficients forced to zero by the foliation conditions carry noise
         # on the order of the measured residuals, so the family case analysis
         # runs on the coefficients over |c|_F with a zero threshold that
@@ -524,8 +439,15 @@ def adapt_basis(
     with ``tol * |c|_F^2``.
     """
     u = np.asarray(u, dtype=float)
+    return _adapt_basis(sc, u, _unit_residual_vector(sc, u), tol)
+
+
+def _adapt_basis(
+    sc: StructureConstants, u: np.ndarray, v: np.ndarray, tol: float = 1e-7
+) -> AdaptedBracketParams:
+    """:func:`adapt_basis` given the residual vector ``v`` of ``u``."""
     scale = float(np.linalg.norm(sc.c))
-    geo, conf = residuals(sc, u)
+    geo, conf = float(np.linalg.norm(v[:3])), float(np.linalg.norm(v[3:]))
     if geo > tol * scale or conf > tol * scale:
         raise ValueError(
             "foliation conditions violated along the given direction "

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_gl
 
+from lie3geo import algebra
 from lie3geo.algebra import (
     CONDITION_LIMIT,
     MetricSpec,
@@ -153,6 +154,19 @@ def test_orthonormal_frame_is_right_handed():
     h1, h2 = orthonormal_frame(np.array([0.0, 0.0, 1.0]))
     assert np.allclose(h1, [0.0, -1.0, 0.0])
     assert np.allclose(h2, [1.0, 0.0, 0.0])
+
+
+def test_cross_matches_np_cross_bitwise():
+    rng = np.random.default_rng(6)
+    special = np.array([0.0, -0.0, 1.0, -1.0, 1e-300, 1e300])
+    for k in range(2000):
+        if k % 2:
+            a, b = rng.choice(special, 3), rng.choice(special, 3)
+        else:
+            a = rng.standard_normal(3) * 10.0 ** rng.integers(-20, 20, 3)
+            b = rng.standard_normal(3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert algebra._cross(a, b).tobytes() == np.cross(a, b).tobytes()
 
 
 def test_orthonormalize_identity_is_noop():

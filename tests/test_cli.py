@@ -346,11 +346,15 @@ def test_foliations_json_matches_golden(capsys):
     """``--json foliations`` on every catalog row against a recorded run.
 
     The file holds the output of ``lie3geo --json foliations --group G
-    [--alpha A]`` for each row of ``cli._CLASSIFICATION_ROWS``, recorded with
-    the frame-based lattice scan and finite-difference Gauss-Newton polish
-    that preceded the quadratic-form search.  Verdicts, lattice sizes,
-    family types and direction counts must match exactly; every other number
-    within 1e-12, so round-off residuals near 1e-24 may move.
+    [--alpha A]`` for each row of ``cli._CLASSIFICATION_ROWS``, recorded from
+    an iterative search whose directions carried round-off near 1e-24.
+    Verdicts, lattice sizes, family types and direction counts must match
+    exactly; every other number within 1e-12, so such residuals may move.
+    H2xR's ``adapted.x`` and ``adapted.y`` were re-recorded as (0, -1) once
+    the search returned its direction Z exactly: ``orthonormal_frame`` then
+    breaks the tie ``|u_x| = |u_y| = 0`` toward the x axis, where the
+    round-off had picked the y axis, so the frame, and with it (x, y), turns
+    by 90 degrees.
     """
     golden = json.loads(_GOLDEN.read_text())
     assert [(g["group"], g["alpha"]) for g in golden] == [

@@ -418,13 +418,13 @@ def planted_foliations(draw, next_to_type_ii=False):
     s p^T p that keeps its adapted frame orthogonal, with the planted
     direction Z of that frame in the resulting orthonormal basis.
 
-    ``next_to_type_ii`` draws a=b=0 with x and y shrunk by 1e-4 to 1e-6: type
+    ``next_to_type_ii`` draws a=b=0 with x and y shrunk by 1e-4 to 1e-8: type
     III next to type II, where |a| << |c| and n has two nearly equal
-    eigenvalues.  There the critical points of r on a circle cluster and the
-    roots lose digits (about 1e-8 rad at a shrink of 1e-7)."""
+    eigenvalues, so its eigenvectors are ill-determined.  The planted
+    direction is central, and the centre stays well-conditioned there."""
     if next_to_type_ii:
         family = enumerate_families()[0]
-        shrink = 10.0 ** -draw(st.floats(4.0, 6.0))
+        shrink = 10.0 ** -draw(st.floats(4.0, 8.0))
     else:
         family = draw(st.sampled_from(enumerate_families()))
         shrink = 1.0
@@ -466,7 +466,7 @@ def test_search_recalls_planted_direction(case):
 @_PROPERTY_SETTINGS
 @given(planted_foliations(next_to_type_ii=True))
 def test_search_recalls_planted_direction_next_to_type_ii(case):
-    _assert_recalls(*case, angle_tol=1e-8)
+    _assert_recalls(*case, angle_tol=1e-10)
 
 
 # ------------------------------------------------------- scale invariance
@@ -498,7 +498,7 @@ def test_catalog_verdicts_invariant_under_metric_scale():
             assert got == want, (name, alpha, k)
 
 
-# ------------------------------------------------ batched search kernels
+# ------------------------------------------------ lattice scan kernels
 
 
 @_PROPERTY_SETTINGS
@@ -519,66 +519,3 @@ def test_lattice_table_holds_sextic_monomials_read_only():
     assert not table.flags.writeable and not points.flags.writeable
     want = np.prod(points[:, np.array(foliation._SEXTIC)], axis=2).T
     assert np.max(np.abs(table - want)) <= 1e-15
-
-
-def _assert_same_sets(got, want, tol):
-    """Equal as multisets of rows (complex numbers or directions) within tol."""
-    got, want = np.atleast_2d(got.T).T, np.atleast_2d(want.T).T
-    assert len(got) == len(want)
-    if not len(want):
-        return
-    gap = np.linalg.norm(got[:, None] - want[None], axis=2)
-    scale = np.maximum(np.linalg.norm(want, axis=1), 1.0)
-    assert np.all(gap.min(axis=0) <= tol * scale)
-    assert np.all(gap.min(axis=1) <= tol * np.maximum(np.linalg.norm(got, axis=1), 1.0))
-
-
-@st.composite
-def circle_polynomials(draw):
-    """Rows shaped like foliation._circle_polynomials, some with vanishing
-    leading coefficients (and as many trailing ones), or all zero."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = []
-    for lead in draw(st.lists(st.integers(0, 3), min_size=1, max_size=8)):
-        c = rng.standard_normal(3) + 1j * rng.standard_normal(3)  # C_3 .. C_1
-        c[:lead] = 0.0
-        weighted = c * np.array([3.0, 2.0, 1.0])
-        rows.append(np.concatenate((weighted, [0.0], -np.conj(weighted[::-1]))))
-    return np.array(rows)
-
-
-@_PROPERTY_SETTINGS
-@given(circle_polynomials())
-def test_batched_roots_match_np_roots(coeffs):
-    which, z = foliation._polynomial_roots(coeffs)
-    assert np.all(np.diff(which) >= 0)
-    for row, poly in enumerate(coeffs):
-        _assert_same_sets(z[which == row], np.roots(poly), 1e-12)
-
-
-def _assert_circle_minima_match_np_roots(sc):
-    gamma = connection(sc).gamma
-    planes = foliation._geodesic_planes(milnor_decompose(sc))
-    p, q = (np.array(side) for side in zip(*planes))
-    want = []
-    for p_c, q_c, poly in zip(p, q, foliation._circle_polynomials(gamma, p, q)):
-        t = 0.5 * np.angle(np.roots(poly))[:, None]
-        want.append(np.cos(t) * p_c + np.sin(t) * q_c)
-    got = foliation._circle_minima(gamma, planes)
-    _assert_same_sets(got, np.concatenate(want), 1e-12)
-
-
-@_PROPERTY_SETTINGS
-@given(metric_algebras_and_directions())
-def test_circle_minima_match_np_roots(case):
-    _assert_circle_minima_match_np_roots(case[0])
-
-
-@pytest.mark.parametrize("name", ["Nil3", "H2xR", "SL2R~"])
-def test_circle_minima_match_np_roots_where_c3_vanishes(name):
-    sc = catalog(name).constants
-    planes = foliation._geodesic_planes(milnor_decompose(sc))
-    p, q = (np.array(side) for side in zip(*planes))
-    coeffs = foliation._circle_polynomials(connection(sc).gamma, p, q)
-    assert np.any((coeffs[:, 0] == 0) & np.any(coeffs != 0, axis=1))
-    _assert_circle_minima_match_np_roots(sc)
