@@ -42,8 +42,9 @@ __all__ = [
 
 DIM = 3
 
-# Default absolute tolerance on the Jacobi residual below which a bracket
-# tensor is accepted as a Lie algebra.
+# Default tolerance on the Jacobi residual below which a bracket tensor is
+# accepted as a Lie algebra.  It is relative: the residual is quadratic in the
+# brackets, so it is compared with JACOBI_TOL * |c|_F^2.
 JACOBI_TOL = 1e-9
 
 # Basis-change matrices with a larger condition number are rejected.
@@ -80,12 +81,12 @@ class StructureConstants:
             )
         if not np.all(np.isfinite(c)):
             raise ValueError("structure constants must be finite")
-        c = 0.5 * (c - np.einsum("jik->ijk", c))
+        c = 0.5 * (c - c.transpose(1, 0, 2))
         object.__setattr__(self, "c", _readonly(c))
 
     def is_valid(self, tol: float = JACOBI_TOL) -> bool:
-        """True if the Jacobi residual is within ``tol``."""
-        return jacobi_residual(self) <= tol
+        """True if the Jacobi residual is within ``tol * |c|_F^2``."""
+        return jacobi_residual(self) <= tol * float(np.sum(self.c * self.c))
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,10 +144,27 @@ def jacobi_residual(sc: StructureConstants) -> float:
     the maximum Euclidean norm is returned.  Exactly zero for a Lie algebra.
     """
     c = sc.c
-    # T[i,j,k,:] = [e_i, [e_j, e_k]]
-    t = np.einsum("jkl,ilm->ijkm", c, c)
-    cyc = t + np.einsum("ijkm->jkim", t) + np.einsum("ijkm->kijm", t)
-    return float(np.sqrt(np.einsum("ijkm,ijkm->ijk", cyc, cyc)).max())
+    # t[i,j,k,:] = [e_i, [e_j, e_k]]: row (j, k) of c times the matrix c[i]
+    t = (c.reshape(9, 3) @ c).reshape(3, 3, 3, 3)
+    cyc = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
+    return float(np.sqrt(np.vecdot(cyc, cyc).max()))
+
+
+def _require_lie(sc: StructureConstants, tol: float = JACOBI_TOL) -> float:
+    """The Jacobi residual of ``sc``, after checking it against ``tol``.
+
+    Raises :class:`NotLieAlgebraError` when the residual exceeds
+    ``tol * |c|_F^2``: the residual is quadratic in the brackets, so the
+    verdict does not change when they are rescaled.
+    """
+    residual = jacobi_residual(sc)
+    bound = tol * float(np.sum(sc.c * sc.c))
+    if residual > bound:
+        raise NotLieAlgebraError(
+            f"not a Lie algebra: Jacobi residual {residual:.3e} exceeds "
+            f"{tol:.3e} * |c|_F^2 = {bound:.3e}"
+        )
+    return residual
 
 
 def change_basis(sc: StructureConstants, p: np.ndarray) -> StructureConstants:
@@ -162,7 +180,8 @@ def change_basis(sc: StructureConstants, p: np.ndarray) -> StructureConstants:
     if not np.all(np.isfinite(p)) or np.linalg.cond(p) > CONDITION_LIMIT:
         raise ValueError("basis-change matrix is singular or too ill conditioned")
     pinv = np.linalg.inv(p)
-    new_c = np.einsum("ia,jb,ijk,mk->abm", p, p, sc.c, pinv)
+    # new_c[a,b,m] = p[i,a] p[j,b] c[i,j,k] pinv[m,k], one index at a time
+    new_c = p.T @ (p.T @ (sc.c @ pinv.T).reshape(3, 9)).reshape(3, 3, 3)
     return StructureConstants(new_c)
 
 

@@ -41,10 +41,10 @@ from .algebra import (
     CatalogEntry,
     MetricSpec,
     StructureConstants,
+    _require_lie,
     catalog,
     catalog_info,
     catalog_names,
-    jacobi_residual,
     orthonormalize,
 )
 from .bianchi import BianchiType, classify, same_type
@@ -216,11 +216,7 @@ def _resolve_algebra(args) -> tuple[str | None, StructureConstants, MetricSpec]:
         name, sc, metric = parse_algebra_document(doc)
     if args.metric is not None:
         metric = MetricSpec(np.asarray(_load_json_file(args.metric), dtype=float))
-    residual = jacobi_residual(sc)
-    if residual > args.tol:
-        raise ValueError(
-            f"not a Lie algebra: Jacobi residual {residual:.3e} exceeds {args.tol:.3e}"
-        )
+    _require_lie(sc, args.tol)
     return name, orthonormalize(sc, metric), metric
 
 
@@ -552,7 +548,8 @@ def _add_input_flags(sub: argparse.ArgumentParser):
         "--tol",
         type=float,
         default=JACOBI_TOL,
-        help="Jacobi-residual acceptance tolerance (default %(default)g)",
+        help="Jacobi-residual acceptance tolerance, relative to |c|_F^2 "
+        "(default %(default)g)",
     )
 
 

@@ -44,13 +44,16 @@ others are rejected by their residual.  Non-constant-curvature metrics can
 carry at most two such directions, and at most one when the Ricci spectrum
 has exactly two distinct eigenvalues, so short direction lists are expected.
 
-A deterministic Fibonacci lattice on the unit sphere certifies the result:
-homogenised, ``r`` is a quadratic form ``m^T Q m`` in the ten cubic monomials
-``m`` of ``u``, with ``Q`` built exactly from ``Gamma``.  As a sextic in
-``u``, ``r`` has 28 monomials; a fixed 0/1 fold matrix sums ``Q`` into their
-28 weights ``w``, so the scan is one product ``w @ table`` with the cached
-(28, n) table of the lattice's sextic monomials.  The least value, re-read
-as a sum of squares at its point, is reported as ``lattice_min_residual``.
+A deterministic Fibonacci lattice on the unit sphere certifies the result.
+Homogenised, ``r`` is a sextic in ``u`` with 28 monomials, and their weights
+are quadratic in ``Gamma``: ``w = K @ kron(g, g)`` for ``g = Gamma.ravel()``,
+with an exact integer (28, 729) map ``K`` built once.  A float32 product
+``w @ table`` with the cached float32 (28, n) table of the lattice's sextic
+monomials screens the points; those within a rigorous round-off bound of its
+minimum are rechecked in float64, so the point kept is the one a float64
+scan would find.  Its value, re-read as a sum of squares in the same
+residual call as the four candidates, is reported as
+``lattice_min_residual``.
 
 Each direction found carries the adapted bracket coefficients read off along
 it (:func:`adapt_basis`) and the Bianchi type of their family
@@ -69,8 +72,8 @@ import numpy as np
 from .algebra import (
     JACOBI_TOL,
     MetricSpec,
-    NotLieAlgebraError,
     StructureConstants,
+    _require_lie,
     change_basis,
     constants_from_brackets,
     jacobi_residual,
@@ -201,25 +204,32 @@ class FoliationFamily:
 def _lattice(n: int):
     """Deterministic Fibonacci lattice on the sphere, with its sextic table.
 
-    Returns the points, shape (n, 3), and the read-only (28, n) table whose
-    row ``s`` holds the sextic monomial ``_SEXTIC[s]`` at every point.  Each
-    row is written in place as the product of the two cubic rows of
-    ``_SEXTIC_PAIRS[s]``.  The (10, n) cubic rows are a temporary, and no
-    gathered (n, 28, 6) array is made: either would raise the peak memory of
-    large lattices.
+    Returns the points, shape (n, 3), and the read-only float32 (28, n)
+    table whose row ``s`` holds the sextic monomial ``_SEXTIC[s]`` at every
+    point: the float64 product of the two cubic rows of ``_SEXTIC_PAIRS[s]``,
+    rounded once to float32.  float32 halves the memory and the traffic of
+    every scan; :func:`_lattice_floor` rechecks the near-minima in float64.
+    Each row is written in place, so the (10, n) cubic rows are the only
+    temporary: a float64 table, or a gathered (n, 28, 6) array, would raise
+    the peak memory of large lattices.
     """
+    points = _fibonacci_points(n)
+    cubic = _cubic_rows(points.T)
+    table = np.empty((len(_SEXTIC), n), dtype=np.float32)
+    for row, (a, b) in zip(table, _SEXTIC_PAIRS):
+        np.multiply(cubic[a], cubic[b], out=row)
+    table.setflags(write=False)
+    return points, table
+
+
+def _fibonacci_points(n: int) -> np.ndarray:
+    """The n points of the Fibonacci lattice, shape (n, 3), read-only."""
     i = np.arange(n, dtype=float)
     z = 1.0 - (2.0 * i + 1.0) / n
     golden = (1.0 + np.sqrt(5.0)) / 2.0
     phi = (2.0 * np.pi) * np.mod(i / golden, 1.0)
     rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    points = _readonly(np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1))
-    cubic = _cubic_rows(points.T)
-    table = np.empty((len(_SEXTIC), n))
-    for row, (a, b) in zip(table, _SEXTIC_PAIRS):
-        np.multiply(cubic[a], cubic[b], out=row)
-    table.setflags(write=False)
-    return points, table
+    return _readonly(np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1))
 
 
 # Index triples (a <= b <= c) of the ten cubic monomials u_a u_b u_c, and
@@ -254,11 +264,18 @@ def _sextic_fold() -> tuple[np.ndarray, np.ndarray]:
     return _readonly(fold), pairs
 
 
-_CUBIC_SUM = _cubic_sum()
 _SEXTIC_FOLD, _SEXTIC_PAIRS = _sextic_fold()
 
 _EYE = np.eye(3)
 _SQRT2 = np.sqrt(2.0)
+
+# Float32 screening slack of the lattice scan, in units of sum|w| for
+# weights w scaled to max|w| = 1 (see _lattice_floor).
+_SCREEN_SLACK = 64 * 2.0**-24
+
+# The float64 recheck of the lattice scan handles at most this many points
+# per step, which bounds its memory when many points pass the screen.
+_RECHECK_BLOCK = 1 << 14
 
 
 def _cubic_rows(x: np.ndarray) -> np.ndarray:
@@ -271,24 +288,69 @@ def _cubic_rows(x: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _quadratic_form(gamma: np.ndarray) -> np.ndarray:
-    """The 10x10 Q with r(u) = m(u)^T Q m(u) for unit u.
+@lru_cache(maxsize=1)
+def _sextic_map() -> np.ndarray:
+    """The (28, 729) map ``K`` with sextic weights ``w = K @ kron(g, g)`` of
+    ``r``, for ``g = Gamma.ravel()``; built on the first search.
 
-    Homogenised, every term of r is a product of two cubics: |u|^2 |du|^2 is
-    the sum of (u_l du_k)^2, and A becomes |u|^2 T - u du^T.  Their
-    coefficient tensors fold onto the monomials through _CUBIC_SUM.
+    Homogenised, r is a quadratic form ``m^T Q m`` in the ten cubic
+    monomials ``m`` of ``u``: |u|^2 |du|^2 is the sum of (u_l du_k)^2, and A
+    becomes |u|^2 T - u du^T, so
+
+        Q[m, n] = sum_lk U[lk,m] U[lk,n] + sum_ik A[ik,m] (A[ik,n] + A[ki,n])
+                  - tr A[m] tr A[n]
+
+    where ``U[lk, m]``, the coefficient of monomial m in u_l du_k, and
+    ``A[ik, m]`` are linear in ``g``.  ``left`` and ``right`` stack those
+    linear maps, one row per product, so that ``Q[m, n] = g^T G[m, n] g``
+    with ``G[m, n] = left[:, m]^T right[:, n]``; ``_SEXTIC_FOLD`` sums
+    ``G`` into the 28 sextic weights.  Every entry is an exact integer.
     """
-    # u_l du_k = sum_bc Gamma[b,c,k] u_l u_b u_c, and |u|^2 T[i,k] likewise
-    u_du = np.einsum("bck,lbcm->lkm", gamma, _CUBIC_SUM)
-    a = np.einsum("ick,aacm->ikm", gamma, _CUBIC_SUM) - u_du
-    trace = np.einsum("iim->m", a)
-    q = (
-        np.einsum("lkm,lkn->mn", u_du, u_du)
-        + np.einsum("ikm,ikn->mn", a, a)
-        + np.einsum("ikm,kin->mn", a, a)
-        - np.outer(trace, trace)
-    )
-    return 0.5 * (q + q.T)
+    cubic_sum = _cubic_sum()
+    # rows (l, k): u_l du_k = sum_bc Gamma[b,c,k] u_l u_b u_c
+    u_du = np.einsum("lbcm,kq->lkmbcq", cubic_sum, _EYE).reshape(9, 10, 27)
+    # rows (i, k): |u|^2 T[i,k] = sum_ac Gamma[i,c,k] u_a u_a u_c
+    square = np.einsum("aacm->cm", cubic_sum)
+    a = np.einsum("ip,cm,kq->ikmpcq", _EYE, square, _EYE).reshape(9, 10, 27) - u_du
+    a_t = a.reshape(3, 3, 10, 27).transpose(1, 0, 2, 3).reshape(9, 10, 27)
+    trace = a[[0, 4, 8]].sum(axis=0, keepdims=True)
+    left = np.concatenate((u_du, a, a, trace)).reshape(28, 270)
+    right = np.concatenate((u_du, a, a_t, -trace)).reshape(28, 270)
+    # g[(m, p), (n, q)] = sum_r left[r, m, p] right[r, n, q]
+    g = (left.T @ right).reshape(10, 27, 10, 27).transpose(0, 2, 1, 3)
+    return _readonly(_SEXTIC_FOLD @ g.reshape(100, 729))
+
+
+def _lattice_floor(w: np.ndarray, n: int) -> np.ndarray:
+    """The point of ``_lattice(n)`` where the sextic with monomial weights
+    ``w`` is least, as a float64 scan would find it.
+
+    A float32 product with the table screens the points.  With ``w`` scaled
+    to ``max|w| = 1`` and ``S = sum|w|``, each float32 value is within
+    ``31 u S`` of the float64 one (``u = 2**-24``, ``|table| <= 1``: the
+    roundings of ``w``, of the table and of each product, and 27 of the
+    sum).  The float64 minimiser is therefore within ``62 u S`` of the
+    float32 minimum, and one more ``u S`` covers rounding that threshold to
+    float32.  The points within ``_SCREEN_SLACK * S`` get their monomials
+    again in float64, with the table's association, and the least wins, the
+    first on a tie.  Each value is a ``vecdot`` of one point's 28 monomials,
+    so it does not depend on which other points passed.
+    """
+    points, table = _lattice(n)
+    w = w / np.abs(w).max()
+    r32 = w.astype(np.float32) @ table
+    bound = np.float32(float(r32.min()) + _SCREEN_SLACK * float(np.abs(w).sum()))
+    near = np.flatnonzero(r32 <= bound)
+    best, index = np.inf, 0
+    for start in range(0, len(near), _RECHECK_BLOCK):
+        block = near[start : start + _RECHECK_BLOCK]
+        cubic = _cubic_rows(points[block].T)
+        sextic = cubic[_SEXTIC_PAIRS[:, 0]] * cubic[_SEXTIC_PAIRS[:, 1]]
+        r = np.vecdot(np.ascontiguousarray(sextic.T), w)
+        k = int(np.argmin(r))
+        if r[k] < best:
+            best, index = r[k], int(block[k])
+    return points[index]
 
 
 def _residual_vector(gamma: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -337,8 +399,8 @@ def search_directions(
     """Find every unit direction spanning a conformal foliation by geodesics.
 
     The constants must be in an orthonormal basis and satisfy Jacobi within
-    ``tol``, and ``lattice`` must lie in [16, 1000000] (larger lattices are
-    refused before anything is allocated).  Constant-curvature metrics are
+    ``tol * |c|_F^2``, and ``lattice`` must lie in [16, 1000000] (larger
+    lattices are refused before anything is allocated).  Constant-curvature metrics are
     detected first and reported with an empty direction list.  Otherwise
     four candidates are tried: the eigenvectors of Milnor's ``n`` and the
     direction closest to the centre, which hold every foliation direction
@@ -352,11 +414,7 @@ def search_directions(
     rejects an accepted direction, its ``ValueError`` propagates.  The whole
     pipeline is deterministic.
     """
-    residual = jacobi_residual(sc)
-    if residual > tol:
-        raise NotLieAlgebraError(
-            f"not a Lie algebra: Jacobi residual {residual:.3e} exceeds {tol:.3e}"
-        )
+    jacobi = _require_lie(sc, tol)
     lattice = int(lattice)
     if lattice < 16:
         raise ValueError("lattice size must be at least 16")
@@ -371,21 +429,23 @@ def search_directions(
             lattice_min_residual=None,
             lattice_size=lattice,
         )
-    points, table = _lattice(lattice)
-    r = (_SEXTIC_FOLD @ _quadratic_form(gamma).ravel()) @ table
-    # Q is indefinite, so the floor is re-read as a sum of squares
-    floor = _residual_vector(gamma, points[np.argmin(r)])
-    lattice_min = float(floor @ floor)
+    g = gamma.ravel()
+    floor = _lattice_floor(_sextic_map() @ np.outer(g, g).ravel(), lattice)
 
     scale_sq = float(np.sum(sc.c * sc.c))
-    # rows: the eigenvectors of n, then the direction closest to the centre
-    stack = np.vstack((np.linalg.eigh(milnor_decompose(sc).n)[1].T, _centre(sc)[1]))
+    # rows: the eigenvectors of n, the direction closest to the centre, and
+    # the lattice floor point, re-read as a sum of squares because the
+    # sextic form is indefinite
+    stack = np.vstack(
+        (np.linalg.eigh(milnor_decompose(sc).n)[1].T, _centre(sc)[1], floor)
+    )
     v = _residual_vector(gamma, stack)
     r_stack = np.vecdot(v, v)
+    lattice_min = float(r_stack[4])
     found: list[tuple[np.ndarray, float, np.ndarray]] = [
         # u -> -u leaves both residual norms exactly unchanged
         (_canonical_sign(stack[k]), float(r_stack[k]), v[k])
-        for k in np.flatnonzero(r_stack <= ACCEPT_RESIDUAL_SQ * scale_sq)
+        for k in np.flatnonzero(r_stack[:4] <= ACCEPT_RESIDUAL_SQ * scale_sq)
     ]
     found.sort(key=lambda item: (item[1], item[0][0], item[0][1], item[0][2]))
 
@@ -399,7 +459,7 @@ def search_directions(
     for u_ref, v_ref in sorted(kept, key=lambda item: tuple(item[0])):
         geo = float(np.linalg.norm(v_ref[:3]))
         conf = float(np.linalg.norm(v_ref[3:]))
-        adapted = _adapt_basis(sc, u_ref, v_ref)
+        adapted = _adapt_basis(sc, u_ref, v_ref, jacobi)
         # Coefficients forced to zero by the foliation conditions carry noise
         # on the order of the measured residuals, so the family case analysis
         # runs on the coefficients over |c|_F with a zero threshold that
@@ -439,13 +499,18 @@ def adapt_basis(
     with ``tol * |c|_F^2``.
     """
     u = np.asarray(u, dtype=float)
-    return _adapt_basis(sc, u, _unit_residual_vector(sc, u), tol)
+    return _adapt_basis(sc, u, _unit_residual_vector(sc, u), jacobi_residual(sc), tol)
 
 
 def _adapt_basis(
-    sc: StructureConstants, u: np.ndarray, v: np.ndarray, tol: float = 1e-7
+    sc: StructureConstants,
+    u: np.ndarray,
+    v: np.ndarray,
+    jacobi: float,
+    tol: float = 1e-7,
 ) -> AdaptedBracketParams:
-    """:func:`adapt_basis` given the residual vector ``v`` of ``u``."""
+    """:func:`adapt_basis` given the residual vector ``v`` of ``u`` and the
+    Jacobi residual of ``sc``."""
     scale = float(np.linalg.norm(sc.c))
     geo, conf = float(np.linalg.norm(v[:3])), float(np.linalg.norm(v[3:]))
     if geo > tol * scale or conf > tol * scale:
@@ -474,7 +539,7 @@ def _adapt_basis(
         z=float(table[0, 1, 2]),
     )
     worst = jacobi_constraints(params)
-    if worst > max(tol * scale * scale, 10.0 * jacobi_residual(sc)):
+    if worst > max(tol * scale * scale, 10.0 * jacobi):
         raise ValueError(
             f"foliation conditions violated: Jacobi constraints leak {worst:.3e}"
         )

@@ -41,6 +41,14 @@ CONSTANT_CURVATURE_TOL = 1e-9
 # Ricci eigenvalues closer than this merge into one spectral line.
 SPECTRUM_MERGE_TOL = 1e-7
 
+# Riemann tensor of constant sectional curvature 1 in an orthonormal basis:
+# delta_il delta_jk - delta_ik delta_jl.
+_EYE = np.eye(3)
+_UNIT_MODEL = np.einsum("il,jk->ijkl", _EYE, _EYE) - np.einsum(
+    "ik,jl->ijkl", _EYE, _EYE
+)
+_UNIT_MODEL.setflags(write=False)
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
@@ -93,7 +101,8 @@ def connection(sc: StructureConstants) -> ConnectionCoefficients:
     torsion identity gamma[i,j,k] - gamma[j,i,k] = c[i,j,k] hold exactly.
     """
     c = sc.c
-    gamma = 0.5 * (c - np.einsum("jki->ijk", c) + np.einsum("kij->ijk", c))
+    # c.transpose(2, 0, 1)[i,j,k] = c[j,k,i] and c.transpose(1, 2, 0)[i,j,k] = c[k,i,j]
+    gamma = 0.5 * (c - c.transpose(2, 0, 1) + c.transpose(1, 2, 0))
     return ConnectionCoefficients(gamma=gamma)
 
 
@@ -104,7 +113,7 @@ def _merge_spectrum(values: np.ndarray, tol: float) -> tuple[tuple[float, int], 
             groups[-1].append(float(v))
         else:
             groups.append([float(v)])
-    return tuple((float(np.mean(g)), len(g)) for g in groups)
+    return tuple((sum(g) / len(g), len(g)) for g in groups)
 
 
 def curvature(sc: StructureConstants) -> CurvatureReport:
@@ -115,23 +124,20 @@ def curvature(sc: StructureConstants) -> CurvatureReport:
 def _curvature(sc: StructureConstants, g: np.ndarray) -> CurvatureReport:
     """:func:`curvature` from the connection table ``g`` of ``sc``."""
     c = sc.c
-    riemann = (
-        np.einsum("jkm,iml->ijkl", g, g)
-        - np.einsum("ikm,jml->ijkl", g, g)
-        - np.einsum("ijm,mkl->ijkl", c, g)
-    )
-    ricci = np.einsum("kijk->ij", riemann)
+    # gg[i,j,k,l] = g[j,k,m] g[i,m,l]: row (j, k) of g times the matrix g[i];
+    # cg[i,j,k,l] = c[i,j,m] g[m,k,l]
+    gg = (g.reshape(9, 3) @ g).reshape(3, 3, 3, 3)
+    cg = (c.reshape(9, 3) @ g.reshape(3, 9)).reshape(3, 3, 3, 3)
+    riemann = gg - gg.transpose(1, 0, 2, 3) - cg
+    ricci = np.trace(riemann, axis1=0, axis2=3)
     scalar = float(np.trace(ricci))
     sectional_basis = (
         float(riemann[0, 1, 1, 0]),
         float(riemann[0, 2, 2, 0]),
         float(riemann[1, 2, 2, 1]),
     )
-    eye = np.eye(3)
     k_fit = scalar / 6.0
-    model = k_fit * (
-        np.einsum("il,jk->ijkl", eye, eye) - np.einsum("ik,jl->ijkl", eye, eye)
-    )
+    model = k_fit * _UNIT_MODEL
     scale_sq = float(np.sum(c * c))
     deviation = float(np.abs(riemann - model).max())
     constant = k_fit if deviation <= CONSTANT_CURVATURE_TOL * scale_sq else None

@@ -21,3 +21,15 @@ def random_spd(rng):
     """Well-conditioned random symmetric positive definite matrix."""
     a = rng.standard_normal((3, 3))
     return a @ a.T + 0.5 * np.eye(3)
+
+
+def brackets_across_scales(seed, per_scale=20):
+    """Random antisymmetric bracket tensors (not Lie algebras in general) at
+    scales 1e-6 .. 1e6, per_scale of each, as (tensor, random_gl basis)."""
+    from lie3geo.algebra import StructureConstants
+
+    rng = np.random.default_rng(seed)
+    for k in range(-6, 7):
+        for _ in range(per_scale):
+            c = 10.0**k * rng.standard_normal((3, 3, 3))
+            yield StructureConstants(c), random_gl(rng)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import random_gl
+from conftest import brackets_across_scales, random_gl
 
 from lie3geo import algebra
 from lie3geo.algebra import (
     CONDITION_LIMIT,
     MetricSpec,
+    NotLieAlgebraError,
     StructureConstants,
     bracket,
     catalog,
@@ -76,6 +77,39 @@ def test_jacobi_residual_detects_violation():
     sc = constants_from_brackets(xy=(0, 0, 1), zx=(1, 1, 0), zy=(-1, 0, 0))
     assert jacobi_residual(sc) == pytest.approx(1.0, abs=1e-15)
     assert not sc.is_valid()
+
+
+def _jacobi_residual_oracle(c):
+    t = np.einsum("jkl,ilm->ijkm", c, c)
+    cyc = t + np.einsum("ijkm->jkim", t) + np.einsum("ijkm->kijm", t)
+    return float(np.sqrt(np.einsum("ijkm,ijkm->ijk", cyc, cyc)).max())
+
+
+def test_kernels_match_einsum_oracles():
+    for sc, p in brackets_across_scales(seed=12):
+        c = sc.c
+        scale_sq = float(np.sum(c * c))
+        assert abs(jacobi_residual(sc) - _jacobi_residual_oracle(c)) <= 1e-13 * scale_sq
+        want = np.einsum("ia,jb,ijk,mk->abm", p, p, c, np.linalg.inv(p))
+        got = change_basis(sc, p).c
+        assert np.abs(got - want).max() <= 1e-13 * np.linalg.norm(want)
+
+
+def test_jacobi_tolerance_is_relative():
+    # Sol3(2) at bracket scale 1e4: round-off in the residual is about
+    # eps |c|^2, far above an absolute 1e-9
+    rng = np.random.default_rng(0)
+    sol = StructureConstants(1e4 * catalog("Sol3", 2.0).constants.c)
+    for _ in range(200):
+        assert change_basis(sol, random_gl(rng)).is_valid()
+    # residual 0.25 at scale 1, 2.5e-11 at scale 1e-5: still not a Lie algebra
+    bad = constants_from_brackets(zx=(0, 0, 0.5), zy=(0.5, 0, 0))
+    assert jacobi_residual(bad) == 0.25
+    tiny = StructureConstants(1e-5 * bad.c)
+    assert not tiny.is_valid()
+    with pytest.raises(NotLieAlgebraError, match="not a Lie algebra"):
+        algebra._require_lie(tiny)
+    assert algebra._require_lie(StructureConstants(np.zeros((3, 3, 3)))) == 0.0
 
 
 def test_change_basis_functorial():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_gl
+from conftest import brackets_across_scales, random_gl
 
 from lie3geo.algebra import (
     NotLieAlgebraError,
@@ -11,6 +11,7 @@ from lie3geo.algebra import (
     constants_from_brackets,
 )
 from lie3geo.bianchi import (
+    _EPS3,
     BianchiType,
     MilnorDecomposition,
     classify,
@@ -76,6 +77,15 @@ def test_milnor_decompose_oracles():
     assert np.allclose(dec.a, 0.0, atol=1e-14)
     eig = np.sort(np.linalg.eigvalsh(dec.n))
     assert np.allclose(eig, [-1.0, 0.0, 1.0], atol=1e-14)
+
+
+def test_milnor_decompose_matches_einsum_oracle():
+    for sc, _ in brackets_across_scales(seed=14):
+        m = 0.5 * np.einsum("ijm,ijk->mk", _EPS3, sc.c)
+        asym = 0.5 * (m - m.T)
+        dec = milnor_decompose(sc)
+        assert np.array_equal(dec.n, 0.5 * (m + m.T))
+        assert np.array_equal(dec.a, 0.5 * np.einsum("mk,pkm->p", asym, _EPS3))
 
 
 def test_milnor_reconstruct_inverts():
@@ -181,6 +191,20 @@ def test_classify_rejects_non_lie():
     sc = constants_from_brackets(xy=(0, 0, 1), zx=(1, 1, 0), zy=(-1, 0, 0))
     with pytest.raises(NotLieAlgebraError):
         classify(sc)
+
+
+def test_classify_jacobi_tolerance_is_relative():
+    # Sol3(2) at bracket scale 1e4 in random bases: Jacobi round-off of
+    # about eps |c|^2 must not reject it
+    rng = np.random.default_rng(0)
+    sol = StructureConstants(1e4 * catalog("Sol3", 2.0).constants.c)
+    for _ in range(200):
+        got = classify(change_basis(sol, random_gl(rng)))
+        assert same_type(got, BianchiType("VI", 2.0), tol=1e-6)
+    # a non-Lie tensor with Jacobi residual 0.25 stays non-Lie at scale 1e-5
+    bad = constants_from_brackets(zx=(0, 0, 0.5), zy=(0.5, 0, 0))
+    with pytest.raises(NotLieAlgebraError):
+        classify(StructureConstants(1e-5 * bad.c))
 
 
 def test_classify_respects_tolerance_argument():

@@ -5,8 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_gl
+
 from lie3geo import cli, foliation
-from lie3geo.algebra import catalog, constants_from_brackets
+from lie3geo.algebra import (
+    StructureConstants,
+    catalog,
+    change_basis,
+    constants_from_brackets,
+)
 
 
 def run(capsys, argv):
@@ -176,6 +183,22 @@ def test_non_lie_input_rejected(capsys, tmp_path):
     code, _, err = run(capsys, ["classify", "--input", path])
     assert code == 1
     assert "Jacobi" in err
+
+
+def test_jacobi_tolerance_is_relative(capsys, tmp_path):
+    # Jacobi residual 0.25 at scale 1, 2.5e-11 at scale 1e-5
+    bad = constants_from_brackets(zx=(0, 0, 0.5), zy=(0.5, 0, 0))
+    path = write_doc(tmp_path, {"c": (1e-5 * bad.c).tolist()})
+    code, _, err = run(capsys, ["classify", "--input", path])
+    assert code == 1
+    assert "not a Lie algebra" in err
+    # Sol3(2) at scale 1e4 in a random basis: Jacobi round-off about eps |c|^2
+    sol = StructureConstants(1e4 * catalog("Sol3", 2.0).constants.c)
+    moved = change_basis(sol, random_gl(np.random.default_rng(0)))
+    path = write_doc(tmp_path, {"c": moved.c.tolist()}, name="sol.json")
+    code, out, _ = run(capsys, ["--json", "classify", "--input", path])
+    assert code == 0
+    assert json.loads(out)["type"] == "VI"
 
 
 def test_document_metric_field(capsys, tmp_path):

@@ -1,17 +1,21 @@
 import dataclasses
+import functools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_gl, random_orthogonal, random_spd
+from conftest import brackets_across_scales, random_gl, random_orthogonal, random_spd
 
-from lie3geo import foliation
+from lie3geo import algebra, foliation
 
 from lie3geo.algebra import (
     MetricSpec,
     NotLieAlgebraError,
+    StructureConstants,
     catalog,
     change_basis,
     constants_from_brackets,
@@ -21,6 +25,7 @@ from lie3geo.algebra import (
 )
 from lie3geo.bianchi import classify, milnor_decompose, same_type
 from lie3geo.foliation import (
+    LATTICE_DEFAULT,
     AdaptedBracketParams,
     adapt_basis,
     adapted_constants,
@@ -376,13 +381,30 @@ _PROPERTY_SETTINGS = settings(
 )
 
 
+def _quadratic_form(gamma):
+    """The 10x10 Q with r(u) = m(u)^T Q m(u) for unit u, m the cubic
+    monomials of u: homogenised, |u|^2 |du|^2 is the sum of (u_l du_k)^2 and
+    A becomes |u|^2 T - u du^T."""
+    cubic_sum = foliation._cubic_sum()
+    u_du = np.einsum("bck,lbcm->lkm", gamma, cubic_sum)
+    a = np.einsum("ick,aacm->ikm", gamma, cubic_sum) - u_du
+    trace = np.einsum("iim->m", a)
+    q = (
+        np.einsum("lkm,lkn->mn", u_du, u_du)
+        + np.einsum("ikm,ikn->mn", a, a)
+        + np.einsum("ikm,kin->mn", a, a)
+        - np.outer(trace, trace)
+    )
+    return 0.5 * (q + q.T)
+
+
 @_PROPERTY_SETTINGS
 @given(metric_algebras_and_directions())
 def test_quadratic_form_matches_residuals(case):
     sc, u = case
     gamma = connection(sc).gamma
     m = foliation._cubic_rows(u[:, None])[:, 0]
-    form = float(m @ foliation._quadratic_form(gamma) @ m)
+    form = float(m @ _quadratic_form(gamma) @ m)
     geo, conf = residuals(sc, u)
     scale_sq = max(float(np.sum(sc.c * sc.c)), 1.0)
     assert abs(form - (geo * geo + conf * conf)) <= 1e-12 * scale_sq
@@ -505,7 +527,7 @@ def test_catalog_verdicts_invariant_under_metric_scale():
 @given(metric_algebras_and_directions())
 def test_sextic_weights_reproduce_quadratic_form(case):
     sc, u = case
-    q = foliation._quadratic_form(connection(sc).gamma)
+    q = _quadratic_form(connection(sc).gamma)
     m = foliation._cubic_rows(u[:, None])[:, 0]
     sextic = np.prod(u[np.array(foliation._SEXTIC)], axis=1)
     weights = foliation._SEXTIC_FOLD @ q.ravel()
@@ -515,7 +537,117 @@ def test_sextic_weights_reproduce_quadratic_form(case):
 
 def test_lattice_table_holds_sextic_monomials_read_only():
     points, table = foliation._lattice(100)
-    assert table.shape == (28, 100)
+    assert table.shape == (28, 100) and table.dtype == np.float32
     assert not table.flags.writeable and not points.flags.writeable
     want = np.prod(points[:, np.array(foliation._SEXTIC)], axis=2).T
-    assert np.max(np.abs(table - want)) <= 1e-15
+    # one float32 rounding of the float64 product
+    assert np.all(np.abs(table - want) <= 2.0**-24 * np.abs(want))
+
+
+def _sextic_weights(sc):
+    g = connection(sc).gamma.ravel()
+    return foliation._sextic_map() @ np.kron(g, g)
+
+
+def test_sextic_map_matches_quadratic_form_and_residuals():
+    rng = np.random.default_rng(15)
+    for sc, _ in brackets_across_scales(seed=15):
+        gamma = connection(sc).gamma
+        w = _sextic_weights(sc)
+        scale_sq = float(np.sum(sc.c * sc.c))
+        want = foliation._SEXTIC_FOLD @ _quadratic_form(gamma).ravel()
+        assert np.abs(w - want).max() <= 1e-13 * scale_sq
+        u = rng.standard_normal(3)
+        u /= np.linalg.norm(u)
+        v = foliation._residual_vector(gamma, u)
+        sextic = np.prod(u[np.array(foliation._SEXTIC)], axis=1)
+        assert abs(w @ sextic - v @ v) <= 1e-13 * scale_sq
+
+
+@functools.cache
+def _float64_sextics(n):
+    """The lattice's sextic monomials in float64, one row of 28 per point,
+    built with the table's association: cubic monomials (u_a u_b) u_c, then
+    the product of the pair in ``_SEXTIC_PAIRS``.  The rows are contiguous,
+    so that ``vecdot`` takes the same dot-product kernel for every row."""
+    x = foliation._lattice(n)[0]
+    cubic = np.stack([x[:, a] * x[:, b] * x[:, c] for a, b, c in foliation._CUBIC], axis=1)
+    a, b = foliation._SEXTIC_PAIRS.T
+    return np.ascontiguousarray(cubic[:, a] * cubic[:, b])
+
+
+def _float64_floor(w, n):
+    """The lattice point of least value by a full float64 scan."""
+    r = np.vecdot(_float64_sextics(n), w / np.abs(w).max())
+    return foliation._lattice(n)[0][np.argmin(r)]
+
+
+@_PROPERTY_SETTINGS
+@given(metric_algebras_and_directions(), st.sampled_from([1.0, 1e-25, 1e25]))
+def test_lattice_floor_matches_float64_scan(case, scale):
+    sc = StructureConstants(scale * case[0].c)
+    rep = search_directions(sc)
+    if rep.constant_curvature:
+        return
+    point = _float64_floor(_sextic_weights(sc), LATTICE_DEFAULT)
+    v = foliation._residual_vector(connection(sc).gamma, point)
+    assert rep.lattice_min_residual == float(v @ v)
+
+
+def _constant_sextic_weights():
+    """Weights of (x^2 + y^2 + z^2)^3, which is 1 on the whole sphere."""
+    w = np.zeros(len(foliation._SEXTIC))
+    for s, sextic in enumerate(foliation._SEXTIC):
+        counts = np.bincount(sextic, minlength=3)
+        if not np.any(counts % 2):
+            # multinomial coefficient of x^2i y^2j z^2k, i + j + k = 3
+            w[s] = 6 / np.prod([math.factorial(k) for k in counts // 2])
+    return w
+
+
+def test_lattice_floor_when_every_point_passes_the_screen():
+    w = _constant_sextic_weights()
+    points, table = foliation._lattice(LATTICE_DEFAULT)
+    r32 = w.astype(np.float32) @ table
+    # every value is 1 up to float32 round-off, inside the screen's slack
+    assert r32.max() - r32.min() <= foliation._SCREEN_SLACK * np.abs(w).sum() / 2
+    got = foliation._lattice_floor(w, LATTICE_DEFAULT)
+    assert got.tobytes() == _float64_floor(w, LATTICE_DEFAULT).tobytes()
+
+
+def test_lattice_scan_memory_when_every_point_passes_the_screen():
+    # building the lattice and scanning it with every point a candidate must
+    # hold less than a float64 table and the points alone
+    n = 200_000
+    foliation._lattice.cache_clear()
+    tracemalloc.start()
+    try:
+        foliation._lattice_floor(_constant_sextic_weights(), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        foliation._lattice.cache_clear()
+    assert peak < (28 + 3) * 8 * n
+
+
+def test_search_computes_the_jacobi_residual_once(monkeypatch):
+    calls = []
+
+    def counted(sc):
+        calls.append(sc)
+        return jacobi_residual(sc)
+
+    for module in (algebra, foliation):
+        monkeypatch.setattr(module, "jacobi_residual", counted)
+    rep = search_directions(catalog("Nil3").constants)
+    assert len(rep.directions) == 1
+    assert len(calls) == 1
+
+
+def test_search_jacobi_tolerance_is_relative():
+    bad = constants_from_brackets(zx=(0, 0, 0.5), zy=(0.5, 0, 0))
+    with pytest.raises(NotLieAlgebraError):
+        search_directions(StructureConstants(1e-5 * bad.c))
+    sol = StructureConstants(1e4 * catalog("Sol3", 2.0).constants.c)
+    moved = change_basis(sol, random_gl(np.random.default_rng(0)))
+    assert not search_directions(orthonormalize(moved, MetricSpec.identity())).admits

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_gl
+from conftest import brackets_across_scales, random_gl
 
 from lie3geo.algebra import StructureConstants, catalog, change_basis
 from lie3geo.foliation import AdaptedBracketParams, adapted_constants, enumerate_families
@@ -56,6 +56,22 @@ def test_connection_oracle_sol():
 def test_connection_oracle_nil():
     sc = catalog("Nil3").constants
     assert np.allclose(connection(sc).gamma, expected_nil_gamma(), atol=1e-14)
+
+
+def test_kernels_match_einsum_oracles():
+    for sc, _ in brackets_across_scales(seed=13):
+        c = sc.c
+        gamma = 0.5 * (c - np.einsum("jki->ijk", c) + np.einsum("kij->ijk", c))
+        assert connection(sc).gamma.tobytes() == gamma.tobytes()
+        riemann = (
+            np.einsum("jkm,iml->ijkl", gamma, gamma)
+            - np.einsum("ikm,jml->ijkl", gamma, gamma)
+            - np.einsum("ijm,mkl->ijkl", c, gamma)
+        )
+        rep = curvature(sc)
+        scale_sq = float(np.sum(c * c))
+        assert np.abs(rep.riemann - riemann).max() <= 1e-13 * scale_sq
+        assert rep.ricci.tobytes() == np.einsum("kijk->ij", rep.riemann).tobytes()
 
 
 def test_connection_derivative_helper():
