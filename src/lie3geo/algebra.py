@@ -14,6 +14,7 @@ so arbitrary metrics are handled by :func:`orthonormalize` first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,14 +80,16 @@ class StructureConstants:
             raise ValueError(
                 f"structure constants must have shape {(DIM, DIM, DIM)}, got {c.shape}"
             )
-        if not np.all(np.isfinite(c)):
-            raise ValueError("structure constants must be finite")
+        # NaN, inf and overflow of |c|_F^2 all show in the sum of squares
+        if not math.isfinite(float(np.vdot(c, c))):
+            raise ValueError("structure constants and |c|_F^2 must be finite")
         c = 0.5 * (c - c.transpose(1, 0, 2))
         object.__setattr__(self, "c", _readonly(c))
 
     def is_valid(self, tol: float = JACOBI_TOL) -> bool:
         """True if the Jacobi residual is within ``tol * |c|_F^2``."""
-        return jacobi_residual(self) <= tol * float(np.sum(self.c * self.c))
+        residual, scale_sq, _ = _scaled_jacobi(self)
+        return residual <= tol * scale_sq
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,8 +104,7 @@ class MetricSpec:
             raise ValueError(f"metric must be {DIM}x{DIM}, got shape {g.shape}")
         if not np.all(np.isfinite(g)):
             raise ValueError("metric must be finite")
-        scale = max(float(np.abs(g).max()), 1.0)
-        if float(np.abs(g - g.T).max()) > 1e-8 * scale:
+        if float(np.abs(g - g.T).max()) > 1e-8 * float(np.abs(g).max()):
             raise ValueError("metric must be symmetric")
         g = 0.5 * (g + g.T)
         try:
@@ -150,6 +152,19 @@ def jacobi_residual(sc: StructureConstants) -> float:
     return float(np.sqrt(np.vecdot(cyc, cyc).max()))
 
 
+def _scaled_jacobi(sc: StructureConstants) -> tuple[float, float, int]:
+    """``(r, s, k)``: the Jacobi residual ``r`` and ``s = |c|_F^2`` of
+    ``c * 2**-k``, whose largest entry lies in [0.5, 1).
+
+    Scaling by a power of two is exact, so ``r * 4**k`` and ``s * 4**k`` are
+    the unscaled values bit for bit wherever those neither overflow nor
+    underflow, and ``r <= tol * s`` decides Jacobi at any bracket scale.
+    """
+    k = math.frexp(float(np.abs(sc.c).max()))[1]
+    scaled = StructureConstants(np.ldexp(sc.c, -k))
+    return jacobi_residual(scaled), float(np.sum(scaled.c * scaled.c)), k
+
+
 def _require_lie(sc: StructureConstants, tol: float = JACOBI_TOL) -> float:
     """The Jacobi residual of ``sc``, after checking it against ``tol``.
 
@@ -157,14 +172,13 @@ def _require_lie(sc: StructureConstants, tol: float = JACOBI_TOL) -> float:
     ``tol * |c|_F^2``: the residual is quadratic in the brackets, so the
     verdict does not change when they are rescaled.
     """
-    residual = jacobi_residual(sc)
-    bound = tol * float(np.sum(sc.c * sc.c))
-    if residual > bound:
+    residual, scale_sq, k = _scaled_jacobi(sc)
+    if residual > tol * scale_sq:
         raise NotLieAlgebraError(
-            f"not a Lie algebra: Jacobi residual {residual:.3e} exceeds "
-            f"{tol:.3e} * |c|_F^2 = {bound:.3e}"
+            f"not a Lie algebra: Jacobi residual {residual / scale_sq:.3e} * "
+            f"|c|_F^2 exceeds {tol:.3e} * |c|_F^2"
         )
-    return residual
+    return math.ldexp(residual, 2 * k)
 
 
 def change_basis(sc: StructureConstants, p: np.ndarray) -> StructureConstants:

@@ -64,7 +64,6 @@ from .geometry import curvature
 __all__ = [
     "build_parser",
     "parse_algebra_document",
-    "document_from_entry",
     "render_json",
     "run_verification",
     "main",
@@ -140,9 +139,8 @@ def parse_algebra_document(doc) -> tuple[str | None, StructureConstants, MetricS
                 f"'c' must be a {DIM}x{DIM}x{DIM} array or a bracket map"
             )
         sc = StructureConstants(arr)
-    if "metric" in doc and doc["metric"] is not None:
-        g = np.asarray(doc["metric"], dtype=float)
-        metric = MetricSpec(g)
+    if doc.get("metric") is not None:
+        metric = MetricSpec(np.asarray(doc["metric"], dtype=float))
     else:
         metric = MetricSpec.identity()
     params = doc.get("params")
@@ -154,27 +152,15 @@ def parse_algebra_document(doc) -> tuple[str | None, StructureConstants, MetricS
     return name, sc, metric
 
 
-def document_from_entry(entry: CatalogEntry) -> dict:
-    """Full-precision document for a catalog entry; re-parses bit-for-bit."""
-    doc = {
-        "name": entry.name,
-        "c": entry.constants.c.tolist(),
-        "metric": entry.metric.g.tolist(),
-    }
-    if entry.alpha is not None:
-        doc["params"] = {"alpha": entry.alpha}
-    return doc
-
-
-def _round_floats(obj, digits: int = 12):
+def _round_floats(obj):
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, float):
-        return float(f"{obj:.{digits}g}")
+        return float(f"{obj:.12g}")
     if isinstance(obj, dict):
-        return {k: _round_floats(v, digits) for k, v in obj.items()}
+        return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, digits) for v in obj]
+        return [_round_floats(v) for v in obj]
     raise TypeError(f"cannot render {type(obj).__name__} as JSON")
 
 
@@ -200,7 +186,7 @@ def _with_alpha(name: str, alpha: float | None) -> str:
     return name if alpha is None else f"{name}(alpha={alpha:g})"
 
 
-def _resolve_algebra(args) -> tuple[str | None, StructureConstants, MetricSpec]:
+def _resolve_algebra(args) -> tuple[str | None, StructureConstants]:
     """Shared input plumbing for classify/curvature/foliations."""
     if args.group is not None:
         entry = catalog(args.group, args.alpha)
@@ -217,40 +203,33 @@ def _resolve_algebra(args) -> tuple[str | None, StructureConstants, MetricSpec]:
     if args.metric is not None:
         metric = MetricSpec(np.asarray(_load_json_file(args.metric), dtype=float))
     _require_lie(sc, args.tol)
-    return name, orthonormalize(sc, metric), metric
+    return name, orthonormalize(sc, metric)
 
 
-def _type_doc(bt: BianchiType) -> dict:
-    return {"type": bt.tag, "alpha": bt.param}
-
-
-def cmd_catalog(args) -> int:
+def cmd_catalog(args):
     entries = catalog_info()
-    if args.json:
-        sys.stdout.write(render_json({"entries": entries}))
-        return 0
-    print(f"{len(entries)} built-in groups (identity metric):")
-    for info in entries:
-        alpha = f"  [alpha: {info['alpha']}]" if info["alpha"] else ""
-        print(f"  {info['name']:<6} {info['brackets']}{alpha}")
-    return 0
+
+    def text():
+        yield f"{len(entries)} built-in groups (identity metric):"
+        for info in entries:
+            alpha = f"  [alpha: {info['alpha']}]" if info["alpha"] else ""
+            yield f"  {info['name']:<6} {info['brackets']}{alpha}"
+
+    return {"entries": entries}, text(), 0
 
 
-def cmd_classify(args) -> int:
-    name, sc, _ = _resolve_algebra(args)
+def cmd_classify(args):
+    name, sc = _resolve_algebra(args)
     bt = classify(sc, tol=args.tol)
-    if args.json:
-        doc = {"name": name, **_type_doc(bt)}
-        sys.stdout.write(render_json(doc))
-        return 0
-    if name:
-        print(f"algebra: {name}")
-    print(f"Bianchi type: {bt}")
-    return 0
+
+    def text():
+        yield f"Bianchi type: {bt}"
+
+    return {"name": name, "type": bt.tag, "alpha": bt.param}, text(), 0
 
 
-def cmd_curvature(args) -> int:
-    name, sc, _ = _resolve_algebra(args)
+def cmd_curvature(args):
+    name, sc = _resolve_algebra(args)
     rep = curvature(sc)
     doc = {
         "name": name,
@@ -262,34 +241,35 @@ def cmd_curvature(args) -> int:
         "sectional_basis": list(rep.sectional_basis),
         "constant_curvature": rep.constant_curvature,
     }
-    if args.json:
-        sys.stdout.write(render_json(doc))
-        return 0
-    if name:
-        print(f"algebra: {name}")
-    print("Ricci tensor (orthonormal basis):")
-    for row in rep.ricci:
-        print("  " + _fmt_vec(row))
-    spectrum = ", ".join(f"{_fmt(v)} (x{m})" for v, m in rep.ricci_spectrum)
-    print(f"Ricci spectrum: {spectrum}")
-    print(f"scalar curvature: {_fmt(rep.scalar)}")
-    k01, k02, k12 = rep.sectional_basis
-    print(
-        "sectional curvatures K(e0,e1), K(e0,e2), K(e1,e2): "
-        f"{_fmt(k01)}, {_fmt(k02)}, {_fmt(k12)}"
-    )
-    if rep.constant_curvature is not None:
-        print(f"constant curvature {_fmt(rep.constant_curvature)}")
-    else:
-        print("not constant curvature")
-    return 0
+
+    def text():
+        yield "Ricci tensor (orthonormal basis):"
+        for row in rep.ricci:
+            yield "  " + _fmt_vec(row)
+        spectrum = ", ".join(f"{_fmt(v)} (x{m})" for v, m in rep.ricci_spectrum)
+        yield f"Ricci spectrum: {spectrum}"
+        yield f"scalar curvature: {_fmt(rep.scalar)}"
+        yield "sectional curvatures K(e0,e1), K(e0,e2), K(e1,e2): " + ", ".join(
+            map(_fmt, rep.sectional_basis)
+        )
+        if rep.constant_curvature is not None:
+            yield f"constant curvature {_fmt(rep.constant_curvature)}"
+        else:
+            yield "not constant curvature"
+
+    return doc, text(), 0
 
 
-def cmd_foliations(args) -> int:
-    name, sc, _ = _resolve_algebra(args)
+def cmd_foliations(args):
+    name, sc = _resolve_algebra(args)
     rep = search_directions(sc, lattice=args.lattice, tol=args.tol)
-    if args.json:
-        directions = [
+    doc = {
+        "name": name,
+        "constant_curvature": rep.constant_curvature,
+        "admits": rep.admits,
+        "lattice_size": rep.lattice_size,
+        "lattice_min_residual": rep.lattice_min_residual,
+        "directions": [
             {
                 "direction": cand.direction.tolist(),
                 "geodesic_residual": cand.geodesic_residual,
@@ -299,65 +279,48 @@ def cmd_foliations(args) -> int:
                 "family_alpha": cand.family.param,
             }
             for cand in rep.directions
-        ]
-        doc = {
-            "name": name,
-            "constant_curvature": rep.constant_curvature,
-            "admits": rep.admits,
-            "lattice_size": rep.lattice_size,
-            "lattice_min_residual": rep.lattice_min_residual,
-            "directions": directions,
-        }
-        sys.stdout.write(render_json(doc))
-        return 0
-    if name:
-        print(f"algebra: {name}")
-    if rep.constant_curvature:
-        print(
-            "constant curvature; admits harmonic morphisms "
-            "(a continuum of conformal foliations by geodesics exists; "
-            "directions are not enumerated)"
-        )
-        return 0
-    if not rep.admits:
-        print(
-            "no conformal foliation by geodesics; "
-            "does not admit harmonic morphisms with this metric"
-        )
-        print(
-            f"minimum total residual over {rep.lattice_size} lattice points: "
-            f"{_fmt(rep.lattice_min_residual)}"
-        )
-        return 0
-    count = len(rep.directions)
-    print(f"{count} direction{'s' if count != 1 else ''} found; admits harmonic morphisms")
-    for cand in rep.directions:
-        print(f"  direction {_fmt_vec(cand.direction)}")
-        print(
-            f"    residuals: geodesic {_fmt(cand.geodesic_residual)}, "
-            f"conformal {_fmt(cand.conformal_residual)}"
-        )
-        print(f"    adapted (a, b, x, y, z): {_fmt_vec(cand.adapted.as_tuple())}")
-        print(f"    family type: {cand.family}")
-    return 0
+        ],
+    }
+
+    def text():
+        if rep.constant_curvature:
+            yield (
+                "constant curvature; admits harmonic morphisms "
+                "(a continuum of conformal foliations by geodesics exists; "
+                "directions are not enumerated)"
+            )
+            return
+        if not rep.admits:
+            yield (
+                "no conformal foliation by geodesics; "
+                "does not admit harmonic morphisms with this metric"
+            )
+            yield (
+                f"minimum total residual over {rep.lattice_size} lattice points: "
+                f"{_fmt(rep.lattice_min_residual)}"
+            )
+            return
+        count = len(rep.directions)
+        yield f"{count} direction{'s' if count != 1 else ''} found; admits harmonic morphisms"
+        for cand in rep.directions:
+            yield f"  direction {_fmt_vec(cand.direction)}"
+            yield (
+                f"    residuals: geodesic {_fmt(cand.geodesic_residual)}, "
+                f"conformal {_fmt(cand.conformal_residual)}"
+            )
+            yield f"    adapted (a, b, x, y, z): {_fmt_vec(cand.adapted.as_tuple())}"
+            yield f"    family type: {cand.family}"
+
+    return doc, text(), 0
 
 
-# (group, alpha) of every catalog row that verify-paper checks; the expected
-# Bianchi types come from the catalog itself.
-_CLASSIFICATION_ROWS = (
-    ("R3", None),
-    ("Nil3", None),
-    ("H2xR", None),
-    ("G4", None),
-    ("H3", None),
-    ("Sol3", 0.5),
-    ("Sol3", 1.0),
-    ("Sol3", 2.0),
-    ("G7", 0.0),
-    ("G7", 1.0),
-    ("G7", 2.0),
-    ("SL2R~", None),
-    ("SU2", None),
+# (group, alpha) of every catalog row that verify-paper checks, at sampled
+# alphas for Sol3 and G7; the expected types come from the catalog itself.
+_SAMPLE_ALPHAS = {"Sol3": (0.5, 1.0, 2.0), "G7": (0.0, 1.0, 2.0)}
+_CLASSIFICATION_ROWS = tuple(
+    (group, alpha)
+    for group in catalog_names()
+    for alpha in _SAMPLE_ALPHAS.get(group, (None,))
 )
 
 _FAMILY_UNION = frozenset({"I", "II", "III", "V", "VII", "VIII", "IX"})
@@ -375,18 +338,15 @@ def _existence_rows(admits: bool) -> list[tuple[str, CatalogEntry]]:
 
 
 def _verify_families(seed: int) -> dict:
-    checks = []
     families = enumerate_families()
     union = frozenset().union(*(f.attainable_types for f in families))
-    checks.append(
-        {
-            "label": "three families, attainable union excludes IV and VI",
-            "ok": len(families) == 3
-            and union == _FAMILY_UNION
-            and not union & {"IV", "VI"},
-            "detail": "union = {" + ", ".join(sorted(union)) + "}",
-        }
-    )
+    checks = [
+        _check(
+            "three families, attainable union excludes IV and VI",
+            len(families) == 3 and union == _FAMILY_UNION and not union & {"IV", "VI"},
+            "union = {" + ", ".join(sorted(union)) + "}",
+        )
+    ]
     rng = np.random.default_rng(seed)
     worst_constraint = 0.0
     agree = True
@@ -395,25 +355,23 @@ def _verify_families(seed: int) -> dict:
             params = family.sample(rng)
             worst_constraint = max(worst_constraint, jacobi_constraints(params))
             bt = classify_family(params)
-            if bt.tag not in family.attainable_types:
-                agree = False
-            if not same_type(classify(adapted_constants(params)), bt):
-                agree = False
+            agree &= bt.tag in family.attainable_types
+            agree &= same_type(classify(adapted_constants(params)), bt)
     checks.append(
-        {
-            "label": "300 family samples satisfy constraints, types attainable,"
+        _check(
+            "300 family samples satisfy constraints, types attainable,"
             " classifiers agree",
-            "ok": worst_constraint <= 1e-12 and agree,
-            "detail": f"worst constraint residual {worst_constraint:.3e}",
-        }
+            worst_constraint <= 1e-12 and agree,
+            f"worst constraint residual {worst_constraint:.3e}",
+        )
     )
     return _section("constraint families", checks)
 
 
-def _verify_positives(lattice: int) -> dict:
+def _verify_positives() -> dict:
     checks = []
     for label, entry in _existence_rows(admits=True):
-        rep = search_directions(entry.constants, lattice=lattice)
+        rep = search_directions(entry.constants)
         limit = ACCEPT_RESIDUAL_SQ * float(np.sum(entry.constants.c**2))
         if rep.constant_curvature:
             geo, conf = residuals(entry.constants, np.array([0.0, 0.0, 1.0]))
@@ -431,103 +389,91 @@ def _verify_positives(lattice: int) -> dict:
                 f"{len(rep.directions)} direction(s); best residual {best:.3e}; "
                 f"family type {'/'.join(sorted(tags)) or 'none'}"
             )
-        checks.append({"label": label, "ok": bool(ok), "detail": detail})
+        checks.append(_check(label, ok, detail))
     return _section("existence positives", checks)
 
 
-def _verify_negatives(samples: int, seed: int, lattice: int) -> dict:
+def _verify_negatives(samples: int, seed: int) -> dict:
     if samples == 0:
-        return {
-            "name": "non-existence sampling",
-            "status": "SKIPPED",
-            "checks": [],
-        }
+        return _section("non-existence sampling", [])
     checks = []
     for label, entry in _existence_rows(admits=False):
         identity, sampled = admits_harmonic_morphism(
-            entry.constants, trials=samples, seed=seed, lattice=lattice
+            entry.constants, trials=samples, seed=seed
         )
         hits = {"the identity metric": identity, "a sampled metric": sampled}
         admitting = " and ".join(which for which, hit in hits.items() if hit)
         checks.append(
-            {
-                "label": label,
-                "ok": not admitting,
-                "detail": f"identity + {samples} sampled metrics, "
-                f"{admitting or 0} admitting",
-            }
+            _check(
+                label,
+                not admitting,
+                f"identity + {samples} sampled metrics, {admitting or 0} admitting",
+            )
         )
     return _section("non-existence sampling", checks)
 
 
-def _verify_classifications(overrides) -> dict:
-    overrides = overrides or {}
+def _verify_classifications() -> dict:
     checks = []
     for group, alpha in _CLASSIFICATION_ROWS:
         entry = catalog(group, alpha)
-        got = classify(overrides.get(group) or entry.constants)
+        got = classify(entry.constants)
         expected = BianchiType(*entry.bianchi)
-        ok = same_type(got, expected)
         checks.append(
-            {
-                "label": _with_alpha(group, alpha),
-                "ok": bool(ok),
-                "detail": f"classified {got}, expected {expected}",
-            }
+            _check(
+                _with_alpha(group, alpha),
+                same_type(got, expected),
+                f"classified {got}, expected {expected}",
+            )
         )
     return _section("catalog classification", checks)
 
 
+def _check(label: str, ok, detail: str) -> dict:
+    return {"label": label, "ok": bool(ok), "detail": detail}
+
+
 def _section(name: str, checks: list[dict]) -> dict:
+    """A report section; one without checks was skipped."""
     status = "PASS" if all(c["ok"] for c in checks) else "FAIL"
+    if not checks:
+        status = "SKIPPED"
     return {"name": name, "status": status, "checks": checks}
 
 
-def run_verification(
-    samples: int = 100,
-    seed: int = 42,
-    lattice: int = LATTICE_DEFAULT,
-    classification_overrides: dict[str, StructureConstants] | None = None,
-) -> tuple[dict, bool]:
-    """Full verification report; ``ok`` is True when no section fails.
-
-    ``classification_overrides`` substitutes structure constants for named
-    catalog groups in the classification section (used to demonstrate that a
-    wrong bracket table is caught, not silently accepted).
-    """
+def run_verification(samples: int = 100, seed: int = 42) -> tuple[dict, bool]:
+    """Full verification report; ``ok`` is True when no section fails."""
     if samples < 0:
         raise ValueError("samples must be nonnegative")
     sections = [
         _verify_families(seed),
-        _verify_positives(lattice),
-        _verify_negatives(samples, seed, lattice),
-        _verify_classifications(classification_overrides),
+        _verify_positives(),
+        _verify_negatives(samples, seed),
+        _verify_classifications(),
     ]
     ok = all(section["status"] != "FAIL" for section in sections)
     report = {
         "samples": samples,
         "seed": seed,
-        "lattice": lattice,
+        "lattice": LATTICE_DEFAULT,  # searched by the positives; decides nothing
         "sections": sections,
         "overall": "PASS" if ok else "FAIL",
     }
     return report, ok
 
 
-def cmd_verify_paper(args) -> int:
-    report, ok = run_verification(
-        samples=args.samples, seed=args.seed, lattice=args.lattice
-    )
-    if args.json:
-        sys.stdout.write(render_json(report))
-        return 0 if ok else 2
-    for section in report["sections"]:
-        print(f"{section['name']}: {section['status']}")
-        for check in section["checks"]:
-            mark = "PASS" if check["ok"] else "FAIL"
-            print(f"  {check['label']}: {mark} ({check['detail']})")
-    print(f"overall: {report['overall']}")
-    return 0 if ok else 2
+def cmd_verify_paper(args):
+    report, ok = run_verification(samples=args.samples, seed=args.seed)
+
+    def text():
+        for section in report["sections"]:
+            yield f"{section['name']}: {section['status']}"
+            for check in section["checks"]:
+                mark = "PASS" if check["ok"] else "FAIL"
+                yield f"  {check['label']}: {mark} ({check['detail']})"
+        yield f"overall: {report['overall']}"
+
+    return report, text(), 0 if ok else 2
 
 
 def _add_input_flags(sub: argparse.ArgumentParser):
@@ -600,12 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="random metrics per negative entry, 0 skips (default %(default)s)",
     )
     sub.add_argument("--seed", type=int, default=42, help="metric sampling seed")
-    sub.add_argument(
-        "--lattice",
-        type=int,
-        default=LATTICE_DEFAULT,
-        help="sphere lattice size (default %(default)s)",
-    )
     sub.set_defaults(func=cmd_verify_paper)
     return parser
 
@@ -614,19 +554,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 1
+    except SystemExit as exc:  # --help exits 0, usage errors 1
+        return exc.code
     try:
-        return args.func(args)
+        # text is a generator, so --json formats none of it
+        doc, text, code = args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.json:
+        sys.stdout.write(render_json(doc))
+        return code
+    if doc.get("name"):  # classify, curvature and foliations name the algebra
+        text = [f"algebra: {doc['name']}", *text]
+    sys.stdout.write("".join(f"{line}\n" for line in text))
+    return code
 
 
 def entrypoint() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

@@ -647,7 +647,6 @@ def admits_harmonic_morphism(
     sc: StructureConstants,
     trials: int = 100,
     seed: int = 42,
-    lattice: int = LATTICE_DEFAULT,
 ) -> tuple[bool, bool]:
     """(admits with this metric, admits with some sampled metric).
 
@@ -655,10 +654,10 @@ def admits_harmonic_morphism(
     they are; the second repeats the search after orthonormalizing against
     ``trials`` random SPD metrics from a seeded generator.
     """
-    first = search_directions(sc, lattice=lattice).admits
+    first = search_directions(sc).admits
     second = False
     for metric in random_metrics(trials, seed=seed):
-        if search_directions(orthonormalize(sc, metric), lattice=lattice).admits:
+        if search_directions(orthonormalize(sc, metric)).admits:
             second = True
             break
     return first, second

@@ -162,8 +162,9 @@ def sectional(report: CurvatureReport, u: np.ndarray, v: np.ndarray) -> float:
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    gram = float(u @ u) * float(v @ v) - float(u @ v) ** 2
-    if gram <= 1e-12:
+    uu, vv = float(u @ u), float(v @ v)
+    gram = uu * vv - float(u @ v) ** 2
+    if gram <= 1e-12 * uu * vv:
         raise ValueError("u and v do not span a plane")
     num = float(np.einsum("ijkl,i,j,k,l->", report.riemann, u, v, v, u))
     return num / gram

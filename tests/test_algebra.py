@@ -22,6 +22,7 @@ from lie3geo.algebra import (
     orthonormal_frame,
     orthonormalize,
 )
+from lie3geo.bianchi import classify
 
 
 def test_constructor_antisymmetrizes():
@@ -110,6 +111,27 @@ def test_jacobi_tolerance_is_relative():
     with pytest.raises(NotLieAlgebraError, match="not a Lie algebra"):
         algebra._require_lie(tiny)
     assert algebra._require_lie(StructureConstants(np.zeros((3, 3, 3)))) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-150, 1.0, 1e150, 1e160])
+def test_jacobi_verdict_at_extreme_scales(scale):
+    # [X,Y] = Z, [Z,X] = X fails Jacobi at every scale and Nil3 passes; past
+    # 1e154, |c|_F^2 overflows and the constructor refuses both
+    bad = constants_from_brackets(xy=(0, 0, 1), zx=(1, 0, 0)).c
+    nil = catalog("Nil3").constants.c
+    for c, lie in ((bad, False), (nil, True)):
+        if scale > 1e154:
+            with pytest.raises(ValueError, match="must be finite"):
+                StructureConstants(scale * c)
+            continue
+        sc = StructureConstants(scale * c)
+        assert sc.is_valid() is lie
+        if lie:
+            assert algebra._require_lie(sc) == 0.0
+            assert classify(sc).tag == "II"
+        else:
+            with pytest.raises(NotLieAlgebraError, match="not a Lie algebra"):
+                algebra._require_lie(sc)
 
 
 def test_change_basis_functorial():
@@ -226,6 +248,15 @@ def test_metric_spec_validation():
         MetricSpec(np.eye(2))
     g = MetricSpec(np.diag([2.0, 3.0, 4.0]))
     assert np.allclose(g.g, np.diag([2.0, 3.0, 4.0]))
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-6, 1.0, 1e6])
+def test_metric_symmetry_check_is_relative(scale):
+    skew = np.array([[0.0, 0.5, 0.0], [-0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        MetricSpec(scale * (np.eye(3) + skew))
+    g = scale * (np.eye(3) + 1e-10 * skew)
+    assert MetricSpec(g).g.tobytes() == (0.5 * (g + g.T)).tobytes()
 
 
 def test_catalog_names_and_lookup():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -234,6 +235,27 @@ def test_bad_metric_rejected(capsys, tmp_path):
     assert "positive definite" in err
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-6, 1.0])
+def test_asymmetric_metric_rejected_at_any_scale(capsys, tmp_path, scale):
+    skew = np.array([[0.0, 0.5, 0.0], [-0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    g = scale * (np.eye(3) + skew)
+    mpath = write_doc(tmp_path, g.tolist(), name="metric.json")
+    code, _, err = run(capsys, ["classify", "--group", "Nil3", "--metric", mpath])
+    assert code == 1
+    assert "symmetric" in err
+
+
+@pytest.mark.parametrize(
+    "scale, message", [(1e-160, "not a Lie algebra"), (1e160, "must be finite")]
+)
+def test_non_lie_input_rejected_at_extreme_scales(capsys, tmp_path, scale, message):
+    bad = constants_from_brackets(xy=(0, 0, 1), zx=(1, 0, 0))
+    path = write_doc(tmp_path, {"c": (scale * bad.c).tolist()})
+    code, _, err = run(capsys, ["classify", "--input", path])
+    assert code == 1
+    assert message in err
+
+
 # ---------------------------------------------------------------- curvature
 
 
@@ -323,21 +345,20 @@ def test_foliations_large_metric_scale_does_not_admit(capsys, tmp_path, group):
     assert doc["admits"] is False
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["foliations", "--group", "Nil3", "--lattice", "1000001"],
-        ["verify-paper", "--samples", "0", "--lattice", "1000001"],
-    ],
-)
-def test_oversized_lattice_exits_one(capsys, monkeypatch, argv):
+def test_oversized_lattice_exits_one(capsys, monkeypatch):
     def no_lattice(n):
         raise AssertionError("lattice allocated")
 
     monkeypatch.setattr(foliation, "_lattice", no_lattice)
-    code, _, err = run(capsys, argv)
+    code, _, err = run(capsys, ["foliations", "--group", "Nil3", "--lattice", "1000001"])
     assert code == 1
     assert "lattice size must be at most 1000000" in err
+
+
+def test_verify_paper_has_no_lattice_flag(capsys):
+    code, _, err = run(capsys, ["verify-paper", "--samples", "0", "--lattice", "16"])
+    assert code == 1
+    assert "unrecognized arguments: --lattice 16" in err
 
 
 _GOLDEN = Path(__file__).parent / "data" / "foliations_golden.json"
@@ -431,6 +452,23 @@ def test_verify_paper_json_matches_golden(capsys):
             _assert_detail_matches(got_check["detail"], want_check["detail"])
 
 
+_TEXT_GOLDEN = Path(__file__).parent / "data" / "text_golden.json"
+
+
+@pytest.mark.parametrize(
+    "case",
+    json.loads(_TEXT_GOLDEN.read_text()),
+    ids=lambda case: " ".join(case["argv"]),
+)
+def test_text_output_matches_golden(capsys, case):
+    """Text stdout of ``catalog``, of ``classify``, ``curvature`` and
+    ``foliations`` on every catalog row, and of ``verify-paper --samples 5
+    --seed 42``, against a recorded run; numbers match within 1e-12."""
+    code, out, _ = run(capsys, case["argv"])
+    assert code == 0
+    _assert_detail_matches(out, case["stdout"])
+
+
 # ------------------------------------------------------- output conventions
 
 
@@ -466,7 +504,13 @@ def test_document_round_trip_bit_for_bit(capsys, tmp_path):
         ]
     ]
     for entry in entries:
-        doc = cli.document_from_entry(entry)
+        doc = {
+            "name": entry.name,
+            "c": entry.constants.c.tolist(),
+            "metric": entry.metric.g.tolist(),
+        }
+        if entry.alpha is not None:
+            doc["params"] = {"alpha": entry.alpha}
         text = json.dumps(doc)
         name, sc, metric = cli.parse_algebra_document(json.loads(text))
         assert sc.c.tobytes() == entry.constants.c.tobytes(), entry.name
@@ -494,12 +538,18 @@ def test_verify_paper_negative_samples_rejected(capsys):
     assert "nonnegative" in err
 
 
-def test_verify_paper_detects_corruption():
+def test_verify_paper_detects_corruption(monkeypatch):
     # a wrong SU2 bracket table must fail the classification section
     wrong = constants_from_brackets(xy=(0, 0, 2), zx=(0, 2, 0), zy=(2, 0, 0))
-    report, ok = cli.run_verification(
-        samples=0, classification_overrides={"SU2": wrong}
-    )
+
+    def corrupt_catalog(name, alpha=None):
+        entry = catalog(name, alpha)
+        if entry.name == "SU2":
+            entry = dataclasses.replace(entry, constants=wrong)
+        return entry
+
+    monkeypatch.setattr(cli, "catalog", corrupt_catalog)
+    report, ok = cli.run_verification(samples=0)
     assert not ok
     statuses = {s["name"]: s["status"] for s in report["sections"]}
     assert statuses["catalog classification"] == "FAIL"

@@ -182,6 +182,15 @@ def test_sectional_planes():
         sectional(rep, u, 2.0 * u)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3])
+def test_sectional_plane_test_is_scale_free(scale):
+    rep = curvature(catalog("Nil3").constants)
+    x, y, _ = np.eye(3)
+    assert sectional(rep, scale * x, scale * y) == pytest.approx(-0.75)
+    with pytest.raises(ValueError, match="plane"):
+        sectional(rep, scale * x, scale * (x + 1e-7 * y))
+
+
 def test_sectional_matches_report_fields():
     for sc in random_valid_algebras(20, seed=3):
         rep = curvature(sc)
