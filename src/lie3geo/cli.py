@@ -18,11 +18,13 @@ from ``--input PATH``, a UTF-8 JSON document::
       "params": {"alpha": 1.0} # optional, informational
     }
 
-Sparse keys name ordered basis pairs with the letters X, Y, Z; unspecified
-brackets are zero, and giving both "XY" and "YX" with values that are not
-exact negatives is rejected.  Exit codes: 0 success, 1 invalid input,
-2 verification failure.  All output is deterministic for fixed flags, and
-``--json`` switches to a single machine-readable document.
+Sparse keys name ordered basis pairs with the letters X, Y, Z, in any case;
+unspecified brackets are zero.  Giving one ordered pair twice (as "XY" and
+"xy") is rejected, and so is giving both "XY" and "YX" with values that are
+not exact negatives.  Every entry of ``c`` and ``metric`` must be a number.
+Exit codes: 0 success, 1 invalid input, 2 verification failure.  All output
+is deterministic for fixed flags, and ``--json`` switches to a single
+machine-readable document.
 """
 
 from __future__ import annotations
@@ -80,8 +82,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _floats(value, label: str) -> np.ndarray:
+    """``value`` as a float array.  A JSON object in it makes numpy raise
+    TypeError, which becomes a ValueError naming ``label``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"{label} must be an array of numbers ({exc})") from None
+
+
 def _parse_vector3(value, label: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    arr = _floats(value, label)
     if arr.shape != (DIM,):
         raise ValueError(f"{label} must be a list of {DIM} numbers")
     if not np.all(np.isfinite(arr)):
@@ -103,7 +114,12 @@ def _constants_from_sparse(mapping: dict) -> StructureConstants:
         i, j = _LETTERS[letters[0]], _LETTERS[letters[1]]
         if i == j:
             raise ValueError(f"bracket key {key!r} repeats a basis letter")
+        if (i, j) in seen:
+            raise ValueError(
+                f"bracket {letters} is given twice: keys ignore case and spaces"
+            )
         vec = _parse_vector3(value, f"bracket {key!r}")
+        seen[(i, j)] = vec
         if (j, i) in seen:
             if not np.array_equal(seen[(j, i)], -vec):
                 raise ValueError(
@@ -111,7 +127,6 @@ def _constants_from_sparse(mapping: dict) -> StructureConstants:
                     "inconsistent: they must be exact negatives"
                 )
             continue
-        seen[(i, j)] = vec
         c[i, j, :] = vec
         c[j, i, :] = -vec
     return StructureConstants(c)
@@ -133,14 +148,14 @@ def parse_algebra_document(doc) -> tuple[str | None, StructureConstants, MetricS
     if isinstance(spec, dict):
         sc = _constants_from_sparse(spec)
     else:
-        arr = np.asarray(spec, dtype=float)
+        arr = _floats(spec, "'c'")
         if arr.shape != (DIM, DIM, DIM):
             raise ValueError(
                 f"'c' must be a {DIM}x{DIM}x{DIM} array or a bracket map"
             )
         sc = StructureConstants(arr)
     if doc.get("metric") is not None:
-        metric = MetricSpec(np.asarray(doc["metric"], dtype=float))
+        metric = MetricSpec(_floats(doc["metric"], "metric"))
     else:
         metric = MetricSpec.identity()
     params = doc.get("params")
@@ -201,7 +216,7 @@ def _resolve_algebra(args) -> tuple[str | None, StructureConstants]:
             raise ValueError(f"invalid JSON in {args.input}: {exc}") from None
         name, sc, metric = parse_algebra_document(doc)
     if args.metric is not None:
-        metric = MetricSpec(np.asarray(_load_json_file(args.metric), dtype=float))
+        metric = MetricSpec(_floats(_load_json_file(args.metric), "--metric file"))
     _require_lie(sc, args.tol)
     return name, orthonormalize(sc, metric)
 
@@ -262,7 +277,7 @@ def cmd_curvature(args):
 
 def cmd_foliations(args):
     name, sc = _resolve_algebra(args)
-    rep = search_directions(sc, lattice=args.lattice, tol=args.tol)
+    rep = search_directions(sc, tol=args.tol)
     doc = {
         "name": name,
         "constant_curvature": rep.constant_curvature,
@@ -527,12 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
         "foliations", help="search conformal foliations by geodesics"
     )
     _add_input_flags(sub)
-    sub.add_argument(
-        "--lattice",
-        type=int,
-        default=LATTICE_DEFAULT,
-        help="sphere lattice size (default %(default)s)",
-    )
     sub.set_defaults(func=cmd_foliations)
 
     sub = commands.add_parser(

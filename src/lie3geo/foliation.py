@@ -44,12 +44,12 @@ others are rejected by their residual.  Non-constant-curvature metrics can
 carry at most two such directions, and at most one when the Ricci spectrum
 has exactly two distinct eigenvalues, so short direction lists are expected.
 
-A deterministic Fibonacci lattice on the unit sphere certifies the result.
-Homogenised, ``r`` is a sextic in ``u`` with 28 monomials, and their weights
+A fixed Fibonacci lattice of ``LATTICE_DEFAULT`` (20000) points on the unit
+sphere certifies the result; it decides no verdict.  Homogenised, ``r`` is a sextic in ``u`` with 28 monomials, and their weights
 are quadratic in ``Gamma``: ``w = K @ kron(g, g)`` for ``g = Gamma.ravel()``,
 with an exact integer (28, 729) map ``K`` built once.  A float32 product
-``w @ table`` with the cached float32 (28, n) table of the lattice's sextic
-monomials screens the points; those within a rigorous round-off bound of its
+``w @ table`` with the cached float32 (28, 20000) table of the lattice's
+sextic monomials screens the points; those within a rigorous round-off bound of its
 minimum are rechecked in float64, so the point kept is the one a float64
 scan would find.  Its value, re-read as a sum of squares in the same
 residual call as the four candidates, is reported as
@@ -102,6 +102,7 @@ __all__ = [
     "admits_harmonic_morphism",
 ]
 
+# The number of points of the certificate lattice.
 LATTICE_DEFAULT = 20000
 
 # A direction is accepted when its squared total residual (geodesic^2 +
@@ -111,9 +112,6 @@ ACCEPT_RESIDUAL_SQ = 1e-14
 # Accepted directions closer than this (radians, antipodally identified)
 # merge into one.
 CLUSTER_ANGLE = 1e-4
-
-# search_directions refuses larger lattices before allocating anything.
-_LATTICE_MAX = 1_000_000
 
 _COEFF_NAMES = ("a", "b", "x", "y", "z")
 
@@ -200,22 +198,21 @@ class FoliationFamily:
         return AdaptedBracketParams(**values)
 
 
-@lru_cache(maxsize=4)
-def _lattice(n: int):
-    """Deterministic Fibonacci lattice on the sphere, with its sextic table.
+@lru_cache(maxsize=1)
+def _lattice():
+    """The certificate's Fibonacci lattice on the sphere, with its sextic table.
 
-    Returns the points, shape (n, 3), and the read-only float32 (28, n)
-    table whose row ``s`` holds the sextic monomial ``_SEXTIC[s]`` at every
-    point: the float64 product of the two cubic rows of ``_SEXTIC_PAIRS[s]``,
-    rounded once to float32.  float32 halves the memory and the traffic of
-    every scan; :func:`_lattice_floor` rechecks the near-minima in float64.
-    Each row is written in place, so the (10, n) cubic rows are the only
-    temporary: a float64 table, or a gathered (n, 28, 6) array, would raise
-    the peak memory of large lattices.
+    Returns the points, shape (n, 3) for ``n = LATTICE_DEFAULT``, and the
+    read-only float32 (28, n) table whose row ``s`` holds the sextic monomial
+    ``_SEXTIC[s]`` at every point: the float64 product of the two cubic rows
+    of ``_SEXTIC_PAIRS[s]``, rounded once to float32.  float32 halves the
+    memory and the traffic of every scan; :func:`_lattice_floor` rechecks
+    the near-minima in float64.  Each row is written in place, so the
+    (10, n) cubic rows are the only temporary.
     """
-    points = _fibonacci_points(n)
+    points = _fibonacci_points(LATTICE_DEFAULT)
     cubic = _cubic_rows(points.T)
-    table = np.empty((len(_SEXTIC), n), dtype=np.float32)
+    table = np.empty((len(_SEXTIC), LATTICE_DEFAULT), dtype=np.float32)
     for row, (a, b) in zip(table, _SEXTIC_PAIRS):
         np.multiply(cubic[a], cubic[b], out=row)
     table.setflags(write=False)
@@ -273,10 +270,6 @@ _SQRT2 = np.sqrt(2.0)
 # weights w scaled to max|w| = 1 (see _lattice_floor).
 _SCREEN_SLACK = 64 * 2.0**-24
 
-# The float64 recheck of the lattice scan handles at most this many points
-# per step, which bounds its memory when many points pass the screen.
-_RECHECK_BLOCK = 1 << 14
-
 
 def _cubic_rows(x: np.ndarray) -> np.ndarray:
     """The ten cubic monomials of the columns of ``x`` (shape (3, n)), one
@@ -321,8 +314,8 @@ def _sextic_map() -> np.ndarray:
     return _readonly(_SEXTIC_FOLD @ g.reshape(100, 729))
 
 
-def _lattice_floor(w: np.ndarray, n: int) -> np.ndarray:
-    """The point of ``_lattice(n)`` where the sextic with monomial weights
+def _lattice_floor(w: np.ndarray) -> np.ndarray:
+    """The point of ``_lattice()`` where the sextic with monomial weights
     ``w`` is least, as a float64 scan would find it.
 
     A float32 product with the table screens the points.  With ``w`` scaled
@@ -336,21 +329,15 @@ def _lattice_floor(w: np.ndarray, n: int) -> np.ndarray:
     first on a tie.  Each value is a ``vecdot`` of one point's 28 monomials,
     so it does not depend on which other points passed.
     """
-    points, table = _lattice(n)
+    points, table = _lattice()
     w = w / np.abs(w).max()
     r32 = w.astype(np.float32) @ table
     bound = np.float32(float(r32.min()) + _SCREEN_SLACK * float(np.abs(w).sum()))
     near = np.flatnonzero(r32 <= bound)
-    best, index = np.inf, 0
-    for start in range(0, len(near), _RECHECK_BLOCK):
-        block = near[start : start + _RECHECK_BLOCK]
-        cubic = _cubic_rows(points[block].T)
-        sextic = cubic[_SEXTIC_PAIRS[:, 0]] * cubic[_SEXTIC_PAIRS[:, 1]]
-        r = np.vecdot(np.ascontiguousarray(sextic.T), w)
-        k = int(np.argmin(r))
-        if r[k] < best:
-            best, index = r[k], int(block[k])
-    return points[index]
+    cubic = _cubic_rows(points[near].T)
+    sextic = cubic[_SEXTIC_PAIRS[:, 0]] * cubic[_SEXTIC_PAIRS[:, 1]]
+    r = np.vecdot(np.ascontiguousarray(sextic.T), w)
+    return points[near[np.argmin(r)]]
 
 
 def _residual_vector(gamma: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -392,34 +379,27 @@ def _canonical_sign(u: np.ndarray) -> np.ndarray:
 
 
 def search_directions(
-    sc: StructureConstants,
-    lattice: int = LATTICE_DEFAULT,
-    tol: float = JACOBI_TOL,
+    sc: StructureConstants, tol: float = JACOBI_TOL
 ) -> FoliationReport:
     """Find every unit direction spanning a conformal foliation by geodesics.
 
     The constants must be in an orthonormal basis and satisfy Jacobi within
-    ``tol * |c|_F^2``, and ``lattice`` must lie in [16, 1000000] (larger
-    lattices are refused before anything is allocated).  Constant-curvature metrics are
-    detected first and reported with an empty direction list.  Otherwise
-    four candidates are tried: the eigenvectors of Milnor's ``n`` and the
-    direction closest to the centre, which hold every foliation direction
-    (see the module docstring).  Those with squared residual at most
+    ``tol * |c|_F^2``.  Constant-curvature metrics are detected first and
+    reported with an empty direction list.  Otherwise four candidates are
+    tried: the eigenvectors of Milnor's ``n`` and the direction closest to
+    the centre, which hold every foliation direction (see the module
+    docstring).  Those with squared residual at most
     ``ACCEPT_RESIDUAL_SQ * |c|_F^2`` are antipodally canonicalized,
     deduplicated at ``CLUSTER_ANGLE``, and returned sorted by direction
     components.  The lattice scan only certifies the result:
-    ``lattice_min_residual`` is the least squared residual over ``lattice``
-    Fibonacci points.  Each candidate carries its :func:`adapt_basis`
-    coefficients and their :func:`classify_family` type; if ``adapt_basis``
-    rejects an accepted direction, its ``ValueError`` propagates.  The whole
-    pipeline is deterministic.
+    ``lattice_min_residual`` is the least squared residual over the fixed
+    20000-point (``LATTICE_DEFAULT``) Fibonacci lattice.  Each candidate
+    carries its :func:`adapt_basis` coefficients and their
+    :func:`classify_family` type; if ``adapt_basis`` rejects an accepted
+    direction, its ``ValueError`` propagates.  The whole pipeline is
+    deterministic.
     """
     jacobi = _require_lie(sc, tol)
-    lattice = int(lattice)
-    if lattice < 16:
-        raise ValueError("lattice size must be at least 16")
-    if lattice > _LATTICE_MAX:
-        raise ValueError(f"lattice size must be at most {_LATTICE_MAX}")
     gamma = connection(sc).gamma
     if _curvature(sc, gamma).constant_curvature is not None:
         return FoliationReport(
@@ -427,10 +407,10 @@ def search_directions(
             directions=(),
             admits=True,
             lattice_min_residual=None,
-            lattice_size=lattice,
+            lattice_size=LATTICE_DEFAULT,
         )
     g = gamma.ravel()
-    floor = _lattice_floor(_sextic_map() @ np.outer(g, g).ravel(), lattice)
+    floor = _lattice_floor(_sextic_map() @ np.outer(g, g).ravel())
 
     scale_sq = float(np.sum(sc.c * sc.c))
     # rows: the eigenvectors of n, the direction closest to the centre, and
@@ -481,36 +461,32 @@ def search_directions(
         directions=tuple(candidates),
         admits=bool(candidates),
         lattice_min_residual=lattice_min,
-        lattice_size=lattice,
+        lattice_size=LATTICE_DEFAULT,
     )
 
 
-def adapt_basis(
-    sc: StructureConstants, u: np.ndarray, tol: float = 1e-7
-) -> AdaptedBracketParams:
+def adapt_basis(sc: StructureConstants, u: np.ndarray) -> AdaptedBracketParams:
     """Read off the adapted bracket coefficients along a foliation direction.
 
     The frame is the deterministic completion (X, Y) = orthonormal_frame(u)
     with Z = u.  Raises ValueError("foliation conditions violated ...")
     when the residuals exceed ``tol`` or the rewritten bracket table fails
     to take the adapted shape, which would mark a search false positive.
-    ``tol`` is relative: residuals and table entries scale like |c|_F and
-    are compared with ``tol * |c|_F``, the quadratic Jacobi constraints
-    with ``tol * |c|_F^2``.
+    ``tol = sqrt(ACCEPT_RESIDUAL_SQ)``, the search's own threshold, and is
+    relative: residuals and table entries scale like |c|_F and are compared
+    with ``tol * |c|_F``, the quadratic Jacobi constraints with
+    ``tol * |c|_F^2``.
     """
     u = np.asarray(u, dtype=float)
-    return _adapt_basis(sc, u, _unit_residual_vector(sc, u), jacobi_residual(sc), tol)
+    return _adapt_basis(sc, u, _unit_residual_vector(sc, u), jacobi_residual(sc))
 
 
 def _adapt_basis(
-    sc: StructureConstants,
-    u: np.ndarray,
-    v: np.ndarray,
-    jacobi: float,
-    tol: float = 1e-7,
+    sc: StructureConstants, u: np.ndarray, v: np.ndarray, jacobi: float
 ) -> AdaptedBracketParams:
     """:func:`adapt_basis` given the residual vector ``v`` of ``u`` and the
     Jacobi residual of ``sc``."""
+    tol = np.sqrt(ACCEPT_RESIDUAL_SQ)
     scale = float(np.linalg.norm(sc.c))
     geo, conf = float(np.linalg.norm(v[:3])), float(np.linalg.norm(v[3:]))
     if geo > tol * scale or conf > tol * scale:

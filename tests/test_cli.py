@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import random_gl
 
-from lie3geo import cli, foliation
+from lie3geo import cli
 from lie3geo.algebra import (
     StructureConstants,
     catalog,
@@ -154,6 +155,43 @@ def test_sparse_inconsistent_pair_rejected(capsys, tmp_path):
     code, _, err = run(capsys, ["classify", "--input", path])
     assert code == 1
     assert "exact negatives" in err
+
+
+def test_sparse_pair_given_twice_rejected(capsys, tmp_path):
+    # keys ignore case, so "xy" would silently overwrite "XY"
+    for c in (
+        {"XY": [0, 0, 1], "xy": [0, 0, 5]},
+        {"XY": [0, 0, 1], "YX": [0, 0, -1], "yx": [0, 0, -1]},
+    ):
+        path = write_doc(tmp_path, {"c": c})
+        code, out, err = run(capsys, ["curvature", "--input", path])
+        assert (code, out) == (1, ""), c
+        assert "given twice" in err
+
+
+_OBJECT = {"a": 1}  # where a number belongs
+_ZERO = [0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "doc, label",
+    [
+        (None, "--metric file"),
+        ({"c": {"XY": [0, 0, 1]}, "metric": _OBJECT}, "metric"),
+        ({"c": [[_ZERO, [0, 0, _OBJECT], _ZERO], [_ZERO] * 3, [_ZERO] * 3]}, "'c'"),
+        ({"c": {"XY": _OBJECT}}, "bracket 'XY'"),
+    ],
+    ids=["metric-file", "document-metric", "dense-c", "sparse-c"],
+)
+def test_non_numeric_json_exits_one(capsys, tmp_path, doc, label):
+    if doc is None:
+        metric = write_doc(tmp_path, _OBJECT, name="metric.json")
+        argv = ["classify", "--group", "Nil3", "--metric", metric]
+    else:
+        argv = ["classify", "--input", write_doc(tmp_path, doc)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {label} must be an array of numbers")
 
 
 def test_sparse_bad_key_rejected(capsys, tmp_path):
@@ -345,20 +383,12 @@ def test_foliations_large_metric_scale_does_not_admit(capsys, tmp_path, group):
     assert doc["admits"] is False
 
 
-def test_oversized_lattice_exits_one(capsys, monkeypatch):
-    def no_lattice(n):
-        raise AssertionError("lattice allocated")
-
-    monkeypatch.setattr(foliation, "_lattice", no_lattice)
-    code, _, err = run(capsys, ["foliations", "--group", "Nil3", "--lattice", "1000001"])
-    assert code == 1
-    assert "lattice size must be at most 1000000" in err
-
-
 def test_verify_paper_has_no_lattice_flag(capsys):
-    code, _, err = run(capsys, ["verify-paper", "--samples", "0", "--lattice", "16"])
-    assert code == 1
-    assert "unrecognized arguments: --lattice 16" in err
+    # the certificate lattice has one size, so no command takes --lattice
+    for argv in (["verify-paper", "--samples", "0"], ["foliations", "--group", "Nil3"]):
+        code, _, err = run(capsys, [*argv, "--lattice", "16"])
+        assert code == 1
+        assert "unrecognized arguments: --lattice 16" in err
 
 
 _GOLDEN = Path(__file__).parent / "data" / "foliations_golden.json"
@@ -571,3 +601,16 @@ def test_verify_paper_human_sections(capsys):
     assert "non-existence sampling: SKIPPED" in out
     assert "catalog classification: PASS" in out
     assert out.strip().endswith("overall: PASS")
+
+
+def test_readme_commands_parse():
+    # a flag removed from the parser must not stay documented
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    commands = [line for line in block.splitlines() if line.startswith("lie3geo ")]
+    assert len(commands) >= 7
+    for line in commands:
+        try:
+            cli.build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

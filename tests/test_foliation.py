@@ -1,7 +1,6 @@
 import dataclasses
 import functools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,20 +145,6 @@ def test_search_rejects_non_lie():
     sc = constants_from_brackets(xy=(0, 0, 1), zx=(1, 1, 0), zy=(-1, 0, 0))
     with pytest.raises(NotLieAlgebraError):
         search_directions(sc)
-
-
-def test_search_rejects_tiny_lattice():
-    with pytest.raises(ValueError, match="lattice"):
-        search_directions(catalog("Nil3").constants, lattice=4)
-
-
-def test_search_rejects_huge_lattice_before_allocating(monkeypatch):
-    def no_lattice(n):
-        raise AssertionError("lattice allocated")
-
-    monkeypatch.setattr(foliation, "_lattice", no_lattice)
-    with pytest.raises(ValueError, match="at most 1000000"):
-        search_directions(catalog("Nil3").constants, lattice=1_000_001)
 
 
 def test_search_deterministic():
@@ -520,6 +505,45 @@ def test_catalog_verdicts_invariant_under_metric_scale():
             assert got == want, (name, alpha, k)
 
 
+def _scale_facts(sc, metric):
+    """The reported facts that must not depend on scale (the family tags
+    give the direction count too), and the type, whose parameter is
+    compared to 6 digits."""
+    sc = orthonormalize(sc, metric)
+    bt, rep = classify(sc), search_directions(sc)
+    spectrum = tuple(m for _, m in curvature(sc).ricci_spectrum)
+    tags = tuple(cand.family.tag for cand in rep.directions)
+    return (bt.tag, rep.constant_curvature, spectrum, rep.admits, tags), bt
+
+
+def _scale_inputs(seed, per_row=2, per_family=3):
+    """(constants, metric): each catalog row in random bases (cond < 1e3)
+    under random metrics, and each planted family in random bases under the
+    metric that keeps its adapted frame orthogonal."""
+    rng = np.random.default_rng(seed)
+    for name, alpha in _CATALOG_ENTRIES:
+        for _ in range(per_row):
+            sc = change_basis(catalog(name, alpha).constants, random_gl(rng))
+            yield sc, MetricSpec(random_spd(rng))
+    for family in enumerate_families():
+        for _ in range(per_family):
+            p = random_gl(rng)
+            yield change_basis(adapted_constants(family.sample(rng)), p), MetricSpec(p.T @ p)
+
+
+def test_reported_facts_invariant_under_bracket_and_metric_scale():
+    for sc, metric in _scale_inputs(seed=9):
+        want, want_type = _scale_facts(sc, metric)
+        for k in range(-12, 13, 2):
+            s = 10.0**k
+            for scaled in (
+                _scale_facts(StructureConstants(s * sc.c), metric),
+                _scale_facts(sc, MetricSpec(s * metric.g)),
+            ):
+                assert scaled[0] == want, (want_type, k)
+                assert same_type(scaled[1], want_type, tol=1e-6), (want_type, k)
+
+
 # ------------------------------------------------ lattice scan kernels
 
 
@@ -536,8 +560,8 @@ def test_sextic_weights_reproduce_quadratic_form(case):
 
 
 def test_lattice_table_holds_sextic_monomials_read_only():
-    points, table = foliation._lattice(100)
-    assert table.shape == (28, 100) and table.dtype == np.float32
+    points, table = foliation._lattice()
+    assert table.shape == (28, LATTICE_DEFAULT) and table.dtype == np.float32
     assert not table.flags.writeable and not points.flags.writeable
     want = np.prod(points[:, np.array(foliation._SEXTIC)], axis=2).T
     # one float32 rounding of the float64 product
@@ -565,21 +589,21 @@ def test_sextic_map_matches_quadratic_form_and_residuals():
 
 
 @functools.cache
-def _float64_sextics(n):
+def _float64_sextics():
     """The lattice's sextic monomials in float64, one row of 28 per point,
     built with the table's association: cubic monomials (u_a u_b) u_c, then
     the product of the pair in ``_SEXTIC_PAIRS``.  The rows are contiguous,
     so that ``vecdot`` takes the same dot-product kernel for every row."""
-    x = foliation._lattice(n)[0]
+    x = foliation._lattice()[0]
     cubic = np.stack([x[:, a] * x[:, b] * x[:, c] for a, b, c in foliation._CUBIC], axis=1)
     a, b = foliation._SEXTIC_PAIRS.T
     return np.ascontiguousarray(cubic[:, a] * cubic[:, b])
 
 
-def _float64_floor(w, n):
+def _float64_floor(w):
     """The lattice point of least value by a full float64 scan."""
-    r = np.vecdot(_float64_sextics(n), w / np.abs(w).max())
-    return foliation._lattice(n)[0][np.argmin(r)]
+    r = np.vecdot(_float64_sextics(), w / np.abs(w).max())
+    return foliation._lattice()[0][np.argmin(r)]
 
 
 @_PROPERTY_SETTINGS
@@ -589,7 +613,7 @@ def test_lattice_floor_matches_float64_scan(case, scale):
     rep = search_directions(sc)
     if rep.constant_curvature:
         return
-    point = _float64_floor(_sextic_weights(sc), LATTICE_DEFAULT)
+    point = _float64_floor(_sextic_weights(sc))
     v = foliation._residual_vector(connection(sc).gamma, point)
     assert rep.lattice_min_residual == float(v @ v)
 
@@ -607,27 +631,12 @@ def _constant_sextic_weights():
 
 def test_lattice_floor_when_every_point_passes_the_screen():
     w = _constant_sextic_weights()
-    points, table = foliation._lattice(LATTICE_DEFAULT)
+    points, table = foliation._lattice()
     r32 = w.astype(np.float32) @ table
     # every value is 1 up to float32 round-off, inside the screen's slack
     assert r32.max() - r32.min() <= foliation._SCREEN_SLACK * np.abs(w).sum() / 2
-    got = foliation._lattice_floor(w, LATTICE_DEFAULT)
-    assert got.tobytes() == _float64_floor(w, LATTICE_DEFAULT).tobytes()
-
-
-def test_lattice_scan_memory_when_every_point_passes_the_screen():
-    # building the lattice and scanning it with every point a candidate must
-    # hold less than a float64 table and the points alone
-    n = 200_000
-    foliation._lattice.cache_clear()
-    tracemalloc.start()
-    try:
-        foliation._lattice_floor(_constant_sextic_weights(), n)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-        foliation._lattice.cache_clear()
-    assert peak < (28 + 3) * 8 * n
+    got = foliation._lattice_floor(w)
+    assert got.tobytes() == _float64_floor(w).tobytes()
 
 
 def test_search_computes_the_jacobi_residual_once(monkeypatch):
