@@ -9,7 +9,7 @@ import pytest
 
 from conftest import random_gl
 
-from lie3geo import cli
+from lie3geo import cli, foliation
 from lie3geo.algebra import (
     StructureConstants,
     catalog,
@@ -383,12 +383,22 @@ def test_foliations_large_metric_scale_does_not_admit(capsys, tmp_path, group):
     assert doc["admits"] is False
 
 
+def test_oversized_lattice_exits_one(capsys, monkeypatch):
+    # the certificate lattice has one size, so foliations refuses --lattice
+    # before it builds anything
+    def no_lattice():
+        raise AssertionError("lattice allocated")
+
+    monkeypatch.setattr(foliation, "_lattice", no_lattice)
+    code, out, err = run(capsys, ["foliations", "--group", "Nil3", "--lattice", "1000001"])
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --lattice 1000001" in err
+
+
 def test_verify_paper_has_no_lattice_flag(capsys):
-    # the certificate lattice has one size, so no command takes --lattice
-    for argv in (["verify-paper", "--samples", "0"], ["foliations", "--group", "Nil3"]):
-        code, _, err = run(capsys, [*argv, "--lattice", "16"])
-        assert code == 1
-        assert "unrecognized arguments: --lattice 16" in err
+    code, _, err = run(capsys, ["verify-paper", "--samples", "0", "--lattice", "16"])
+    assert code == 1
+    assert "unrecognized arguments: --lattice 16" in err
 
 
 _GOLDEN = Path(__file__).parent / "data" / "foliations_golden.json"
