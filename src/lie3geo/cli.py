@@ -470,7 +470,7 @@ def run_verification(samples: int = 100, seed: int = 42) -> tuple[dict, bool]:
     report = {
         "samples": samples,
         "seed": seed,
-        "lattice": LATTICE_DEFAULT,  # searched by the positives; decides nothing
+        "lattice": LATTICE_DEFAULT,  # the certificate size; no check scans it
         "sections": sections,
         "overall": "PASS" if ok else "FAIL",
     }

@@ -45,15 +45,18 @@ carry at most two such directions, and at most one when the Ricci spectrum
 has exactly two distinct eigenvalues, so short direction lists are expected.
 
 A fixed Fibonacci lattice of ``LATTICE_DEFAULT`` (20000) points on the unit
-sphere certifies the result; it decides no verdict.  Homogenised, ``r`` is a sextic in ``u`` with 28 monomials, and their weights
-are quadratic in ``Gamma``: ``w = K @ kron(g, g)`` for ``g = Gamma.ravel()``,
-with an exact integer (28, 729) map ``K`` built once.  A float32 product
-``w @ table`` with the cached float32 (28, 20000) table of the lattice's
-sextic monomials screens the points; those within a rigorous round-off bound of its
-minimum are rechecked in float64, so the point kept is the one a float64
-scan would find.  Its value, re-read as a sum of squares in the same
-residual call as the four candidates, is reported as
-``lattice_min_residual``.
+sphere certifies the result; it decides no verdict, and the search never
+scans it.  The report computes it on the first read of
+``lattice_min_residual`` and caches it, so a caller that reads only the
+verdict never waits for it.  Homogenised, ``r`` is a sextic in ``u`` with
+28 monomials, and their weights are quadratic in ``Gamma``:
+``w = K @ kron(g, g)`` for ``g = Gamma.ravel()``, with an exact integer
+(28, 729) map ``K`` built once.  A float32 product ``w @ table`` with the
+cached float32 (28, 20000) table of the lattice's sextic monomials screens
+the points; those within a rigorous round-off bound of its minimum are
+rechecked in float64, so the point kept is the one a float64 scan would
+find.  Its value, re-read as a sum of squares with the search's residual
+kernel, is ``lattice_min_residual``.
 
 Each direction found carries the adapted bracket coefficients read off along
 it (:func:`adapt_basis`) and the Bianchi type of their family
@@ -63,8 +66,8 @@ the search raise its ``ValueError`` instead of reporting a false positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -141,7 +144,7 @@ class FoliationCandidate:
         return self.geodesic_residual**2 + self.conformal_residual**2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoliationReport:
     """Search outcome for one orthonormalized metric.
 
@@ -149,14 +152,27 @@ class FoliationReport:
     continuum of conformal foliations by geodesics (not all of them
     left-invariant), so the list is left empty and ``admits`` is true.
     Otherwise ``admits`` is true exactly when the (deduplicated, antipodally
-    identified) direction list is nonempty.
+    identified) direction list is nonempty.  ``lattice_min_residual`` is the
+    certificate, computed from the search's connection table ``_gamma`` on
+    first read; ``admits`` never waits for it.
     """
 
     constant_curvature: bool
     directions: tuple[FoliationCandidate, ...]
     admits: bool
-    lattice_min_residual: float | None
     lattice_size: int
+    _gamma: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def lattice_min_residual(self) -> float | None:
+        """The least squared residual over the ``lattice_size``-point
+        Fibonacci lattice; ``None`` on constant curvature."""
+        if self._gamma is None:
+            return None
+        g = self._gamma.ravel()
+        floor = _lattice_floor(_sextic_map() @ np.outer(g, g).ravel())
+        v = _residual_vector(self._gamma, floor)
+        return float(v @ v)
 
 
 @dataclass(frozen=True)
@@ -284,7 +300,7 @@ def _cubic_rows(x: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _sextic_map() -> np.ndarray:
     """The (28, 729) map ``K`` with sextic weights ``w = K @ kron(g, g)`` of
-    ``r``, for ``g = Gamma.ravel()``; built on the first search.
+    ``r``, for ``g = Gamma.ravel()``; built on the first certificate read.
 
     Homogenised, r is a quadratic form ``m^T Q m`` in the ten cubic
     monomials ``m`` of ``u``: |u|^2 |du|^2 is the sum of (u_l du_k)^2, and A
@@ -391,9 +407,10 @@ def search_directions(
     docstring).  Those with squared residual at most
     ``ACCEPT_RESIDUAL_SQ * |c|_F^2`` are antipodally canonicalized,
     deduplicated at ``CLUSTER_ANGLE``, and returned sorted by direction
-    components.  The lattice scan only certifies the result:
-    ``lattice_min_residual`` is the least squared residual over the fixed
-    20000-point (``LATTICE_DEFAULT``) Fibonacci lattice.  Each candidate
+    components.  The search does not scan the lattice: the report's
+    ``lattice_min_residual``, the least squared residual over the fixed
+    20000-point (``LATTICE_DEFAULT``) Fibonacci lattice, is computed on its
+    first read and certifies the result without deciding it.  Each candidate
     carries its :func:`adapt_basis` coefficients and their
     :func:`classify_family` type; if ``adapt_basis`` rejects an accepted
     direction, its ``ValueError`` propagates.  The whole pipeline is
@@ -406,26 +423,17 @@ def search_directions(
             constant_curvature=True,
             directions=(),
             admits=True,
-            lattice_min_residual=None,
             lattice_size=LATTICE_DEFAULT,
         )
-    g = gamma.ravel()
-    floor = _lattice_floor(_sextic_map() @ np.outer(g, g).ravel())
-
     scale_sq = float(np.sum(sc.c * sc.c))
-    # rows: the eigenvectors of n, the direction closest to the centre, and
-    # the lattice floor point, re-read as a sum of squares because the
-    # sextic form is indefinite
-    stack = np.vstack(
-        (np.linalg.eigh(milnor_decompose(sc).n)[1].T, _centre(sc)[1], floor)
-    )
+    # rows: the eigenvectors of n and the direction closest to the centre
+    stack = np.vstack((np.linalg.eigh(milnor_decompose(sc).n)[1].T, _centre(sc)[1]))
     v = _residual_vector(gamma, stack)
     r_stack = np.vecdot(v, v)
-    lattice_min = float(r_stack[4])
     found: list[tuple[np.ndarray, float, np.ndarray]] = [
         # u -> -u leaves both residual norms exactly unchanged
         (_canonical_sign(stack[k]), float(r_stack[k]), v[k])
-        for k in np.flatnonzero(r_stack[:4] <= ACCEPT_RESIDUAL_SQ * scale_sq)
+        for k in np.flatnonzero(r_stack <= ACCEPT_RESIDUAL_SQ * scale_sq)
     ]
     found.sort(key=lambda item: (item[1], item[0][0], item[0][1], item[0][2]))
 
@@ -460,8 +468,8 @@ def search_directions(
         constant_curvature=False,
         directions=tuple(candidates),
         admits=bool(candidates),
-        lattice_min_residual=lattice_min,
         lattice_size=LATTICE_DEFAULT,
+        _gamma=gamma,
     )
 
 

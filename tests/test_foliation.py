@@ -618,6 +618,42 @@ def test_lattice_floor_matches_float64_scan(case, scale):
     assert rep.lattice_min_residual == float(v @ v)
 
 
+
+@pytest.fixture
+def lattice_scans(monkeypatch):
+    """The weight vectors of every lattice scan made while the test runs."""
+    scans = []
+    floor = foliation._lattice_floor
+
+    def counted(w):
+        scans.append(w)
+        return floor(w)
+
+    monkeypatch.setattr(foliation, "_lattice_floor", counted)
+    return scans
+
+
+def test_verdict_never_scans_the_lattice(lattice_scans):
+    for sc in (catalog("G4").constants, catalog("Sol3", 1.0).constants):
+        assert not search_directions(sc).admits
+    assert admits_harmonic_morphism(catalog("G4").constants, trials=5) == (
+        False,
+        False,
+    )
+    assert lattice_scans == []
+
+
+def test_certificate_scans_once_on_first_read(lattice_scans):
+    rep = search_directions(catalog("Sol3", 1.0).constants)
+    first = rep.lattice_min_residual
+    assert len(lattice_scans) == 1
+    assert rep.lattice_min_residual == first
+    assert len(lattice_scans) == 1
+    rep = search_directions(catalog("H3").constants)
+    assert rep.constant_curvature
+    assert rep.lattice_min_residual is None
+    assert len(lattice_scans) == 1
+
 def _constant_sextic_weights():
     """Weights of (x^2 + y^2 + z^2)^3, which is 1 on the whole sphere."""
     w = np.zeros(len(foliation._SEXTIC))
