@@ -191,9 +191,14 @@ def change_basis(sc: StructureConstants, p: np.ndarray) -> StructureConstants:
     p = np.asarray(p, dtype=float)
     if p.shape != (DIM, DIM):
         raise ValueError(f"basis-change matrix must be {DIM}x{DIM}, got {p.shape}")
-    if not np.all(np.isfinite(p)) or np.linalg.cond(p) > CONDITION_LIMIT:
-        raise ValueError("basis-change matrix is singular or too ill conditioned")
-    pinv = np.linalg.inv(p)
+    singular = "basis-change matrix is singular or too ill conditioned"
+    if not np.all(np.isfinite(p)):
+        raise ValueError(singular)
+    # one SVD gives both the 2-norm condition number s[0] / s[-1] and the inverse
+    u, s, vt = np.linalg.svd(p)
+    if s[-1] == 0.0 or s[0] / s[-1] > CONDITION_LIMIT:
+        raise ValueError(singular)
+    pinv = (vt.T / s) @ u.T
     # new_c[a,b,m] = p[i,a] p[j,b] c[i,j,k] pinv[m,k], one index at a time
     new_c = p.T @ (p.T @ (sc.c @ pinv.T).reshape(3, 9)).reshape(3, 3, 3)
     return StructureConstants(new_c)
