@@ -21,7 +21,8 @@ from ``--input PATH``, a UTF-8 JSON document::
 Sparse keys name ordered basis pairs with the letters X, Y, Z, in any case;
 unspecified brackets are zero.  Giving one ordered pair twice (as "XY" and
 "xy") is rejected, and so is giving both "XY" and "YX" with values that are
-not exact negatives.  Every entry of ``c`` and ``metric`` must be a number.
+not exact negatives.  Every entry of ``c`` and ``metric`` must be a number;
+a string or a boolean is refused, not converted.
 Exit codes: 0 success, 1 invalid input, 2 verification failure.  All output
 is deterministic for fixed flags, and ``--json`` switches to a single
 machine-readable document.
@@ -82,13 +83,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number: ``true`` and ``false`` load as
+    bool, which is a subclass of int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _all_numbers(value) -> bool:
+    """Whether every leaf of nested lists is a number."""
+    if isinstance(value, list):
+        return all(_all_numbers(v) for v in value)
+    return _is_number(value)
+
+
 def _floats(value, label: str) -> np.ndarray:
-    """``value`` as a float array.  A JSON object in it makes numpy raise
-    TypeError, which becomes a ValueError naming ``label``."""
+    """``value`` as a float array, or a ValueError naming ``label``.
+
+    The leaves are checked first, because numpy reads ``"1"`` and ``true``
+    as 1.0.  An integer beyond the float range makes numpy raise
+    OverflowError, which is refused too.
+    """
+    if not _all_numbers(value):
+        raise ValueError(f"{label} must be an array of numbers")
     try:
         return np.asarray(value, dtype=float)
-    except TypeError as exc:
-        raise ValueError(f"{label} must be an array of numbers ({exc})") from None
+    except OverflowError:
+        raise ValueError(f"{label} must be finite") from None
 
 
 def _parse_vector3(value, label: str) -> np.ndarray:
@@ -162,7 +182,7 @@ def parse_algebra_document(doc) -> tuple[str | None, StructureConstants, MetricS
     if params is not None:
         if not isinstance(params, dict) or set(params) - {"alpha"}:
             raise ValueError("params may only carry an 'alpha' number")
-        if "alpha" in params and not isinstance(params["alpha"], (int, float)):
+        if "alpha" in params and not _is_number(params["alpha"]):
             raise ValueError("params.alpha must be a number")
     return name, sc, metric
 

@@ -171,27 +171,59 @@ def test_sparse_pair_given_twice_rejected(capsys, tmp_path):
 
 _OBJECT = {"a": 1}  # where a number belongs
 _ZERO = [0, 0, 0]
+_SPARSE = {"XY": [0, 0, 1]}
+
+
+def _dense(leaf):
+    """A dense ``c`` that is zero apart from one leaf."""
+    return [[_ZERO, [0, 0, leaf], _ZERO], [_ZERO] * 3, [_ZERO] * 3]
+
+
+def _diagonal(leaf):
+    return [[leaf, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 @pytest.mark.parametrize(
-    "doc, label",
+    "metric_file, doc, message",
     [
-        (None, "--metric file"),
-        ({"c": {"XY": [0, 0, 1]}, "metric": _OBJECT}, "metric"),
-        ({"c": [[_ZERO, [0, 0, _OBJECT], _ZERO], [_ZERO] * 3, [_ZERO] * 3]}, "'c'"),
-        ({"c": {"XY": _OBJECT}}, "bracket 'XY'"),
+        (_OBJECT, None, "--metric file must be an array of numbers"),
+        (_diagonal("1"), None, "--metric file must be an array of numbers"),
+        (None, {"c": _SPARSE, "metric": _OBJECT}, "metric must be an array of numbers"),
+        (None, {"c": _SPARSE, "metric": _diagonal(True)}, "metric must be an array of numbers"),
+        (None, {"c": _dense(_OBJECT)}, "'c' must be an array of numbers"),
+        (None, {"c": _dense("1")}, "'c' must be an array of numbers"),
+        (None, {"c": {"XY": _OBJECT}}, "bracket 'XY' must be an array of numbers"),
+        (None, {"c": {"XY": ["0", "0", "1"]}}, "bracket 'XY' must be an array of numbers"),
+        (None, {"c": _SPARSE, "params": {"alpha": True}}, "params.alpha must be a number"),
     ],
-    ids=["metric-file", "document-metric", "dense-c", "sparse-c"],
+    ids=[
+        "metric-file",
+        "metric-file-string",
+        "document-metric",
+        "document-metric-boolean",
+        "dense-c",
+        "dense-c-string",
+        "sparse-c",
+        "sparse-c-string",
+        "params-alpha-boolean",
+    ],
 )
-def test_non_numeric_json_exits_one(capsys, tmp_path, doc, label):
+def test_non_numeric_json_exits_one(capsys, tmp_path, metric_file, doc, message):
+    # numpy raises TypeError on a JSON object but reads "1" and true as 1.0,
+    # and isinstance(True, int) holds
     if doc is None:
-        metric = write_doc(tmp_path, _OBJECT, name="metric.json")
+        metric = write_doc(tmp_path, metric_file, name="metric.json")
         argv = ["classify", "--group", "Nil3", "--metric", metric]
     else:
         argv = ["classify", "--input", write_doc(tmp_path, doc)]
     code, out, err = run(capsys, argv)
-    assert (code, out) == (1, "")
-    assert err.startswith(f"error: {label} must be an array of numbers")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_integer_beyond_float_range_exits_one(capsys, tmp_path):
+    path = write_doc(tmp_path, {"c": _SPARSE, "metric": _diagonal(10**400)})
+    code, out, err = run(capsys, ["classify", "--input", path])
+    assert (code, out, err) == (1, "", "error: metric must be finite\n")
 
 
 def test_sparse_bad_key_rejected(capsys, tmp_path):
