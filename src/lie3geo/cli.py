@@ -84,15 +84,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _is_number(value) -> bool:
-    """Whether a JSON value is a number: ``true`` and ``false`` load as
-    bool, which is a subclass of int."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether a JSON value is a number.  The type is compared exactly,
+    because ``true`` and ``false`` load as bool, a subclass of int."""
+    return type(value) in (int, float)
 
 
 def _all_numbers(value) -> bool:
     """Whether every leaf of nested lists is a number."""
     if isinstance(value, list):
-        return all(_all_numbers(v) for v in value)
+        return all(map(_all_numbers, value))
     return _is_number(value)
 
 

@@ -171,6 +171,7 @@ class FoliationReport:
             return None
         g = self._gamma.ravel()
         floor = _lattice_floor(_sextic_map() @ np.outer(g, g).ravel())
+        # re-read as a sum of squares, because the sextic form is indefinite
         v = _residual_vector(self._gamma, floor)
         return float(v @ v)
 
