@@ -145,7 +145,11 @@ def jacobi_residual(sc: StructureConstants) -> float:
     ``[e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]]`` is evaluated and
     the maximum Euclidean norm is returned.  Exactly zero for a Lie algebra.
     """
-    c = sc.c
+    return _jacobi(sc.c)
+
+
+def _jacobi(c: np.ndarray) -> float:
+    """:func:`jacobi_residual` of the antisymmetric bracket array ``c``."""
     # t[i,j,k,:] = [e_i, [e_j, e_k]]: row (j, k) of c times the matrix c[i]
     t = (c.reshape(9, 3) @ c).reshape(3, 3, 3, 3)
     cyc = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
@@ -161,8 +165,9 @@ def _scaled_jacobi(sc: StructureConstants) -> tuple[float, float, int]:
     underflow, and ``r <= tol * s`` decides Jacobi at any bracket scale.
     """
     k = math.frexp(float(np.abs(sc.c).max()))[1]
-    scaled = StructureConstants(np.ldexp(sc.c, -k))
-    return jacobi_residual(scaled), float(np.sum(scaled.c * scaled.c)), k
+    # ldexp is exact, so the scaled array stays exactly antisymmetric
+    scaled = np.ldexp(sc.c, -k)
+    return _jacobi(scaled), float(np.sum(scaled * scaled)), k
 
 
 def _require_lie(sc: StructureConstants, tol: float = JACOBI_TOL) -> float:
@@ -181,6 +186,27 @@ def _require_lie(sc: StructureConstants, tol: float = JACOBI_TOL) -> float:
     return math.ldexp(residual, 2 * k)
 
 
+_SINGULAR = "basis-change matrix is singular or too ill conditioned"
+
+
+def _conditioned_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The SVD ``(u, s, vt)`` of the finite matrix ``m``, after checking its
+    2-norm condition number ``s[0] / s[-1]`` against ``CONDITION_LIMIT``."""
+    u, s, vt = np.linalg.svd(m)
+    if s[-1] == 0.0 or s[0] / s[-1] > CONDITION_LIMIT:
+        raise ValueError(_SINGULAR)
+    return u, s, vt
+
+
+def _rebase(
+    sc: StructureConstants, p: np.ndarray, pinv: np.ndarray
+) -> StructureConstants:
+    """:func:`change_basis` by ``p`` given its inverse ``pinv``."""
+    # new_c[a,b,m] = p[i,a] p[j,b] c[i,j,k] pinv[m,k], one index at a time
+    new_c = p.T @ (p.T @ (sc.c @ pinv.T).reshape(3, 9)).reshape(3, 3, 3)
+    return StructureConstants(new_c)
+
+
 def change_basis(sc: StructureConstants, p: np.ndarray) -> StructureConstants:
     """Structure constants in the basis ``f_j = sum_i p[i, j] e_i``.
 
@@ -191,17 +217,10 @@ def change_basis(sc: StructureConstants, p: np.ndarray) -> StructureConstants:
     p = np.asarray(p, dtype=float)
     if p.shape != (DIM, DIM):
         raise ValueError(f"basis-change matrix must be {DIM}x{DIM}, got {p.shape}")
-    singular = "basis-change matrix is singular or too ill conditioned"
     if not np.all(np.isfinite(p)):
-        raise ValueError(singular)
-    # one SVD gives both the 2-norm condition number s[0] / s[-1] and the inverse
-    u, s, vt = np.linalg.svd(p)
-    if s[-1] == 0.0 or s[0] / s[-1] > CONDITION_LIMIT:
-        raise ValueError(singular)
-    pinv = (vt.T / s) @ u.T
-    # new_c[a,b,m] = p[i,a] p[j,b] c[i,j,k] pinv[m,k], one index at a time
-    new_c = p.T @ (p.T @ (sc.c @ pinv.T).reshape(3, 9)).reshape(3, 3, 3)
-    return StructureConstants(new_c)
+        raise ValueError(_SINGULAR)
+    u, s, vt = _conditioned_svd(p)
+    return _rebase(sc, p, (vt.T / s) @ u.T)
 
 
 def killing_form(sc: StructureConstants) -> np.ndarray:
@@ -248,12 +267,14 @@ def orthonormalize(sc: StructureConstants, metric: MetricSpec) -> StructureConst
     """Rewrite the constants in a basis orthonormal for ``metric``.
 
     The basis is the (deterministic) Cholesky one: with ``g = L L^T`` lower
-    triangular, the new basis is ``f_j = sum_i (L^-T)[i, j] e_i``.  For the
-    identity metric the constants are returned unchanged.
+    triangular, the new basis is ``f_j = sum_i (L^-T)[i, j] e_i``.  One SVD
+    ``L = U S V^T`` gives the condition number, checked as in
+    :func:`change_basis`, and ``L^-T = U S^-1 V^T``, whose inverse is
+    ``L^T`` exactly.  For the identity metric the constants are unchanged.
     """
     lower = np.linalg.cholesky(metric.g)
-    p = np.linalg.inv(lower).T
-    return change_basis(sc, p)
+    u, s, vt = _conditioned_svd(lower)
+    return _rebase(sc, (u / s) @ vt, lower.T)
 
 
 def constants_from_brackets(

@@ -20,7 +20,8 @@ Such a direction is precisely what a harmonic morphism from the group to a
 surface needs.  Away from constant curvature every conformal foliation by
 geodesics is left-invariant, so the group admits one iff some unit direction
 zeroes both residuals; constant-curvature metrics admit a continuum of them
-(not all left-invariant) and are handled as a special case.
+(not all left-invariant) and are handled as a special case, told apart by
+the Riemann deviation alone: the search builds no curvature report.
 
 The search is exact.  In Milnor's ``(n, a)`` decomposition of the brackets,
 ``nabla_u u = u x n u + a - (a.u) u``, and away from constant curvature the
@@ -84,7 +85,7 @@ from .algebra import (
     orthonormalize,
 )
 from .bianchi import BianchiType, _centre, milnor_decompose
-from .geometry import _curvature, connection
+from .geometry import _is_constant, _riemann, connection
 
 __all__ = [
     "LATTICE_DEFAULT",
@@ -364,7 +365,7 @@ def _residual_vector(gamma: np.ndarray, u: np.ndarray) -> np.ndarray:
     shape (..., 12).
     """
     # t[i, k] = Gamma[i, j, k] u_j, the matrix of h -> nabla_h u
-    t = np.einsum("ijk,...j->...ik", gamma, u)
+    t = (u @ gamma.transpose(1, 0, 2).reshape(3, 9)).reshape(u.shape[:-1] + (3, 3))
     du = (u[..., None, :] @ t)[..., 0, :]
     a = t - u[..., :, None] * du[..., None, :]
     half_trace = 0.5 * np.trace(a, axis1=-2, axis2=-1)[..., None, None]
@@ -385,7 +386,8 @@ def residuals(sc: StructureConstants, u: np.ndarray) -> tuple[float, float]:
 
 
 def _unit_residual_vector(sc: StructureConstants, u: np.ndarray) -> np.ndarray:
-    if abs(np.linalg.norm(u) - 1.0) > 1e-10:
+    # written so that NaN and inf fail it too
+    if not (abs(np.linalg.norm(u) - 1.0) <= 1e-10):
         raise ValueError("direction must be a unit vector")
     return _residual_vector(connection(sc).gamma, u)
 
@@ -401,11 +403,12 @@ def search_directions(
     """Find every unit direction spanning a conformal foliation by geodesics.
 
     The constants must be in an orthonormal basis and satisfy Jacobi within
-    ``tol * |c|_F^2``.  Constant-curvature metrics are detected first and
-    reported with an empty direction list.  Otherwise four candidates are
-    tried: the eigenvectors of Milnor's ``n`` and the direction closest to
-    the centre, which hold every foliation direction (see the module
-    docstring).  Those with squared residual at most
+    ``tol * |c|_F^2``.  Constant-curvature metrics are detected first, by
+    the Riemann deviation alone (no curvature report is built), and reported
+    with an empty direction list.  Otherwise four candidates are tried: the
+    eigenvectors of Milnor's ``n`` and the direction closest to the centre,
+    which hold every foliation direction (see the module docstring).  Those
+    with squared residual at most
     ``ACCEPT_RESIDUAL_SQ * |c|_F^2`` are antipodally canonicalized,
     deduplicated at ``CLUSTER_ANGLE``, and returned sorted by direction
     components.  The search does not scan the lattice: the report's
@@ -419,14 +422,14 @@ def search_directions(
     """
     jacobi = _require_lie(sc, tol)
     gamma = connection(sc).gamma
-    if _curvature(sc, gamma).constant_curvature is not None:
+    scale_sq = float(np.sum(sc.c * sc.c))
+    if _is_constant(_riemann(sc.c, gamma), scale_sq):
         return FoliationReport(
             constant_curvature=True,
             directions=(),
             admits=True,
             lattice_size=LATTICE_DEFAULT,
         )
-    scale_sq = float(np.sum(sc.c * sc.c))
     # rows: the eigenvectors of n and the direction closest to the centre
     stack = np.vstack((np.linalg.eigh(milnor_decompose(sc).n)[1].T, _centre(sc)[1]))
     v = _residual_vector(gamma, stack)

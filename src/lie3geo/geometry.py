@@ -122,13 +122,10 @@ def curvature(sc: StructureConstants) -> CurvatureReport:
 
 
 def _curvature(sc: StructureConstants, g: np.ndarray) -> CurvatureReport:
-    """:func:`curvature` from the connection table ``g`` of ``sc``."""
+    """:func:`curvature` from the connection table ``g`` of ``sc``; its
+    constant flag is the search's test :func:`_is_constant`."""
     c = sc.c
-    # gg[i,j,k,l] = g[j,k,m] g[i,m,l]: row (j, k) of g times the matrix g[i];
-    # cg[i,j,k,l] = c[i,j,m] g[m,k,l]
-    gg = (g.reshape(9, 3) @ g).reshape(3, 3, 3, 3)
-    cg = (c.reshape(9, 3) @ g.reshape(3, 9)).reshape(3, 3, 3, 3)
-    riemann = gg - gg.transpose(1, 0, 2, 3) - cg
+    riemann = _riemann(c, g)
     ricci = np.trace(riemann, axis1=0, axis2=3)
     scalar = float(np.trace(ricci))
     sectional_basis = (
@@ -136,11 +133,8 @@ def _curvature(sc: StructureConstants, g: np.ndarray) -> CurvatureReport:
         float(riemann[0, 2, 2, 0]),
         float(riemann[1, 2, 2, 1]),
     )
-    k_fit = scalar / 6.0
-    model = k_fit * _UNIT_MODEL
     scale_sq = float(np.sum(c * c))
-    deviation = float(np.abs(riemann - model).max())
-    constant = k_fit if deviation <= CONSTANT_CURVATURE_TOL * scale_sq else None
+    constant = scalar / 6.0 if _is_constant(riemann, scale_sq) else None
     spectrum = _merge_spectrum(
         np.linalg.eigvalsh(ricci), SPECTRUM_MERGE_TOL * scale_sq
     )
@@ -154,6 +148,25 @@ def _curvature(sc: StructureConstants, g: np.ndarray) -> CurvatureReport:
     )
 
 
+def _riemann(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``riemann[i,j,k,l] = <R(e_i, e_j) e_k, e_l>`` from the bracket array
+    ``c`` and its connection table ``g``."""
+    # gg[i,j,k,l] = g[j,k,m] g[i,m,l]: row (j, k) of g times the matrix g[i];
+    # cg[i,j,k,l] = c[i,j,m] g[m,k,l]
+    gg = (g.reshape(9, 3) @ g).reshape(3, 3, 3, 3)
+    cg = (c.reshape(9, 3) @ g.reshape(3, 9)).reshape(3, 3, 3, 3)
+    return gg - gg.transpose(1, 0, 2, 3) - cg
+
+
+def _is_constant(riemann: np.ndarray, scale_sq: float) -> bool:
+    """Whether ``riemann`` is within ``CONSTANT_CURVATURE_TOL * scale_sq``,
+    entrywise, of the constant model of curvature ``scalar / 6``, for
+    ``scale_sq = |c|_F^2``.  No Ricci spectrum and no report are built."""
+    k_fit = float(np.trace(np.trace(riemann, axis1=0, axis2=3))) / 6.0
+    deviation = float(np.abs(riemann - k_fit * _UNIT_MODEL).max())
+    return deviation <= CONSTANT_CURVATURE_TOL * scale_sq
+
+
 def sectional(report: CurvatureReport, u: np.ndarray, v: np.ndarray) -> float:
     """Sectional curvature of the plane spanned by u and v.
 
@@ -164,7 +177,8 @@ def sectional(report: CurvatureReport, u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=float)
     uu, vv = float(u @ u), float(v @ v)
     gram = uu * vv - float(u @ v) ** 2
-    if gram <= 1e-12 * uu * vv:
+    # written so that NaN and inf fail it too
+    if not (gram > 1e-12 * uu * vv):
         raise ValueError("u and v do not span a plane")
     num = float(np.einsum("ijkl,i,j,k,l->", report.riemann, u, v, v, u))
     return num / gram

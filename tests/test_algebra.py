@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import brackets_across_scales, random_gl
+from conftest import brackets_across_scales, random_gl, random_spd
 
 from lie3geo import algebra
 from lie3geo.algebra import (
@@ -237,6 +237,25 @@ def test_orthonormalize_scales_brackets():
     out = orthonormalize(sc, MetricSpec(np.diag([4.0, 1.0, 1.0])))
     assert out.c[0, 1, 2] == pytest.approx(0.5)
     assert jacobi_residual(out) < 1e-14
+
+
+def test_orthonormalize_matches_cholesky_change_basis():
+    # one SVD of L and the inverse L^T against inv(L).T through change_basis
+    rng = np.random.default_rng(21)
+    for sc, _ in brackets_across_scales(seed=21):
+        metric = MetricSpec(random_spd(rng))
+        got = orthonormalize(sc, metric).c
+        p = np.linalg.inv(np.linalg.cholesky(metric.g)).T
+        want = change_basis(sc, p).c
+        assert np.abs(got - want).max() <= 1e-13 * np.linalg.norm(want)
+    # beyond CONDITION_LIMIT: cond(L) = sqrt(1e17)
+    ill = MetricSpec(np.diag([1.0, 1.0, 1e-17]))
+    sc = catalog("Nil3").constants
+    message = "basis-change matrix is singular or too ill conditioned"
+    with pytest.raises(ValueError, match=message):
+        orthonormalize(sc, ill)
+    with pytest.raises(ValueError, match=message):
+        change_basis(sc, np.linalg.inv(np.linalg.cholesky(ill.g)).T)
 
 
 def test_metric_spec_validation():

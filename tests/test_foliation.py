@@ -36,7 +36,7 @@ from lie3geo.foliation import (
     residuals,
     search_directions,
 )
-from lie3geo.geometry import connection, curvature
+from lie3geo.geometry import _is_constant, _riemann, connection, curvature
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -61,8 +61,12 @@ def test_residual_oracle_nil():
 
 def test_residuals_reject_non_unit():
     sc = catalog("Nil3").constants
-    with pytest.raises(ValueError, match="unit"):
-        residuals(sc, np.array([0.0, 0.0, 2.0]))
+    # NaN and inf fail the unit test too, before they reach any residual
+    for u in ([0.0, 0.0, 2.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="unit"):
+            residuals(sc, np.array(u))
+        with pytest.raises(ValueError, match="unit"):
+            adapt_basis(sc, np.array(u))
 
 
 def test_residuals_antipodal_and_frame_invariant():
@@ -676,17 +680,125 @@ def test_lattice_floor_when_every_point_passes_the_screen():
 
 
 def test_search_computes_the_jacobi_residual_once(monkeypatch):
+    # every Jacobi residual, scaled or not, goes through the array kernel
     calls = []
+    kernel = algebra._jacobi
 
-    def counted(sc):
-        calls.append(sc)
-        return jacobi_residual(sc)
+    def counted(c):
+        calls.append(c)
+        return kernel(c)
 
-    for module in (algebra, foliation):
-        monkeypatch.setattr(module, "jacobi_residual", counted)
+    monkeypatch.setattr(algebra, "_jacobi", counted)
     rep = search_directions(catalog("Nil3").constants)
     assert len(rep.directions) == 1
     assert len(calls) == 1
+
+
+def test_verdict_path_skips_report_only_work(monkeypatch):
+    """A search of a non-constant metric calls no eigvalsh (the Ricci
+    spectrum is the report's) and orthonormalize calls no inv."""
+    calls = []
+    for name in ("eigvalsh", "inv"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rng = np.random.default_rng(3)
+    for name, alpha in (("Sol3", 2.0), ("G4", None), ("Nil3", None)):
+        sc = change_basis(catalog(name, alpha).constants, random_gl(rng))
+        sc = orthonormalize(sc, MetricSpec(random_spd(rng)))
+        rep = search_directions(sc)
+        assert not rep.constant_curvature and rep.admits == (name == "Nil3")
+    assert calls == []
+    # the counters see the calls that remain
+    curvature(sc)
+    np.linalg.inv(np.eye(3))
+    assert calls == ["eigvalsh", "inv"]
+
+
+def _constant_flags(sc):
+    """The search's constant-curvature test and the report's flag."""
+    gamma = connection(sc).gamma
+    lean = _is_constant(_riemann(sc.c, gamma), float(np.sum(sc.c * sc.c)))
+    return lean, curvature(sc).constant_curvature is not None
+
+
+def test_constant_curvature_test_matches_the_report():
+    rng = np.random.default_rng(17)
+    inputs = []
+    for name, alpha in _CATALOG_ENTRIES:
+        sc = catalog(name, alpha).constants
+        p = random_gl(rng)
+        inputs += [
+            sc,
+            change_basis(sc, random_orthogonal(rng)),
+            orthonormalize(change_basis(sc, p), MetricSpec(random_spd(rng))),
+            # p^T p makes the basis p orthonormal again
+            orthonormalize(change_basis(sc, p), MetricSpec(p.T @ p)),
+        ]
+    flags = set()
+    for sc in inputs:
+        for k in range(-12, 13, 4):
+            scaled = StructureConstants(10.0**k * sc.c)
+            lean, report = _constant_flags(scaled)
+            assert lean == report
+            assert search_directions(scaled).constant_curvature == report
+            flags.add(report)
+    assert flags == {True, False}
+
+
+@pytest.mark.parametrize("name, alpha", [("SU2", None), ("G7", 1.0), ("G7", 2.0)])
+def test_constant_curvature_test_matches_the_report_at_the_tolerance(name, alpha):
+    """Metrics I + t S, bisected in t to where the report's flag drops, and
+    taken 1e-3 either side of it: the deviation is linear in t there, so
+    they sit within about 1e-3 of CONSTANT_CURVATURE_TOL * |c|_F^2."""
+    rng = np.random.default_rng(29)
+    base = catalog(name, alpha).constants
+    s = random_spd(rng)
+
+    def moved(t):
+        return orthonormalize(base, MetricSpec(np.eye(3) + t * s))
+
+    lo, hi = 0.0, 1e-6
+    assert _constant_flags(moved(lo)) == (True, True)
+    assert _constant_flags(moved(hi)) == (False, False)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _constant_flags(moved(mid))[1] else (lo, mid)
+    for t, want in ((lo, True), (hi, False), (lo * (1 - 1e-3), True), (hi * (1 + 1e-3), False)):
+        sc = moved(t)
+        assert _constant_flags(sc) == (want, want)
+        assert search_directions(sc).constant_curvature == want
+        for k in range(-12, 13, 4):
+            lean, report = _constant_flags(StructureConstants(10.0**k * sc.c))
+            assert lean == report
+
+
+def _residual_vector_oracle(gamma, u):
+    """The residual vector of a stack of directions, by einsum."""
+    t = np.einsum("ijk,...j->...ik", gamma, u)
+    du = np.einsum("...i,...ik->...k", u, t)
+    a = t - np.einsum("...i,...k->...ik", u, du)
+    trace = np.einsum("...ii->...", a)[..., None, None]
+    tangent = np.eye(3) - np.einsum("...i,...k->...ik", u, u)
+    s0 = 0.5 * (a + np.einsum("...ik->...ki", a)) - 0.5 * trace * tangent
+    return np.concatenate((du, np.sqrt(2.0) * s0.reshape(u.shape[:-1] + (9,))), axis=-1)
+
+
+def test_residual_vector_matches_einsum_oracle():
+    rng = np.random.default_rng(23)
+    for sc, _ in brackets_across_scales(seed=23):
+        gamma = connection(sc).gamma
+        u = rng.standard_normal((4, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        bound = 1e-13 * np.linalg.norm(sc.c)
+        for point in (u, u[0]):
+            got = foliation._residual_vector(gamma, point)
+            assert got.shape == point.shape[:-1] + (12,)
+            assert np.abs(got - _residual_vector_oracle(gamma, point)).max() <= bound
 
 
 def test_search_jacobi_tolerance_is_relative():

@@ -180,6 +180,14 @@ def test_sectional_planes():
     assert sectional(rep, x + 2 * y, y) == pytest.approx(1.0)
     with pytest.raises(ValueError, match="plane"):
         sectional(rep, u, 2.0 * u)
+    # a NaN makes every comparison false, so the guard is written to fail it
+    nan = np.array([np.nan, 0.0, 0.0])
+    for pair in ((nan, y), (y, nan)):
+        with pytest.raises(ValueError, match="plane"):
+            sectional(rep, *pair)
+    # inf * 0 in <u, v> warns before the guard sees the NaN it makes
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="plane"):
+        sectional(rep, np.array([np.inf, 0.0, 0.0]), y)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3])
