@@ -117,15 +117,13 @@ def _merge_spectrum(values: np.ndarray, tol: float) -> tuple[tuple[float, int], 
 
 
 def curvature(sc: StructureConstants) -> CurvatureReport:
-    """Full curvature report for the orthonormal-basis constants."""
-    return _curvature(sc, connection(sc).gamma)
+    """Full curvature report for the orthonormal-basis constants.
 
-
-def _curvature(sc: StructureConstants, g: np.ndarray) -> CurvatureReport:
-    """:func:`curvature` from the connection table ``g`` of ``sc``; its
-    constant flag is the search's test :func:`_is_constant`."""
+    Its constant flag is :func:`_is_constant`, the one curvature test that
+    the foliation search asks for; the Ricci spectrum is the report's own.
+    """
     c = sc.c
-    riemann = _riemann(c, g)
+    riemann = _riemann(c, connection(sc).gamma)
     ricci = np.trace(riemann, axis1=0, axis2=3)
     scalar = float(np.trace(ricci))
     sectional_basis = (
