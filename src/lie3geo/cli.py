@@ -222,7 +222,7 @@ def _with_alpha(name: str, alpha: float | None) -> str:
 
 
 def _resolve_algebra(args) -> tuple[str | None, StructureConstants]:
-    """Shared input plumbing for classify/curvature/foliations."""
+    """Parse and orthonormalize the input; each command then checks Jacobi."""
     if args.group is not None:
         entry = catalog(args.group, args.alpha)
         name = _with_alpha(entry.name, entry.alpha)
@@ -237,7 +237,6 @@ def _resolve_algebra(args) -> tuple[str | None, StructureConstants]:
         name, sc, metric = parse_algebra_document(doc)
     if args.metric is not None:
         metric = MetricSpec(_floats(_load_json_file(args.metric), "--metric file"))
-    _require_lie(sc, args.tol)
     return name, orthonormalize(sc, metric)
 
 
@@ -265,6 +264,7 @@ def cmd_classify(args):
 
 def cmd_curvature(args):
     name, sc = _resolve_algebra(args)
+    _require_lie(sc, args.tol)
     rep = curvature(sc)
     doc = {
         "name": name,

@@ -49,15 +49,12 @@ A fixed Fibonacci lattice of ``LATTICE_DEFAULT`` (20000) points on the unit
 sphere certifies the result; it decides no verdict, and the search never
 scans it.  The report computes it on the first read of
 ``lattice_min_residual`` and caches it, so a caller that reads only the
-verdict never waits for it.  Homogenised, ``r`` is a sextic in ``u`` with
-28 monomials, and their weights are quadratic in ``Gamma``:
-``w = K @ kron(g, g)`` for ``g = Gamma.ravel()``, with an exact integer
-(28, 729) map ``K`` built once.  A float32 product ``w @ table`` with the
-cached float32 (28, 20000) table of the lattice's sextic monomials screens
-the points; those within a rigorous round-off bound of its minimum are
-rechecked in float64, so the point kept is the one a float64 scan would
-find.  Its value, re-read as a sum of squares with the search's residual
-kernel, is ``lattice_min_residual``.
+verdict never waits for it.  On the sphere ``r`` is a homogeneous sextic
+(``A`` becomes ``|u|^2 T - u du^T``), fixed by its values at 28 samples, so
+the certificate interpolates the search's own kernel from them: a float32
+product with a cached table screens the lattice, and the points within a
+rigorous round-off bound are measured again in float64.  The least value is
+the one a float64 scan of ``r`` would find.
 
 Each direction found carries the adapted bracket coefficients read off along
 it (:func:`adapt_basis`) and the Bianchi type of their family
@@ -69,7 +66,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -154,8 +150,8 @@ class FoliationReport:
     left-invariant), so the list is left empty and ``admits`` is true.
     Otherwise ``admits`` is true exactly when the (deduplicated, antipodally
     identified) direction list is nonempty.  ``lattice_min_residual`` is the
-    certificate, computed from the search's connection table ``_gamma`` on
-    first read; ``admits`` never waits for it.
+    certificate, measured with the search's residual kernel on its connection
+    table ``_gamma`` at the first read; ``admits`` never waits for it.
     """
 
     constant_curvature: bool
@@ -170,11 +166,7 @@ class FoliationReport:
         Fibonacci lattice; ``None`` on constant curvature."""
         if self._gamma is None:
             return None
-        g = self._gamma.ravel()
-        floor = _lattice_floor(_sextic_map() @ np.outer(g, g).ravel())
-        # re-read as a sum of squares, because the sextic form is indefinite
-        v = _residual_vector(self._gamma, floor)
-        return float(v @ v)
+        return _lattice_floor(self._gamma)
 
 
 @dataclass(frozen=True)
@@ -216,27 +208,6 @@ class FoliationFamily:
         return AdaptedBracketParams(**values)
 
 
-@lru_cache(maxsize=1)
-def _lattice():
-    """The certificate's Fibonacci lattice on the sphere, with its sextic table.
-
-    Returns the points, shape (n, 3) for ``n = LATTICE_DEFAULT``, and the
-    read-only float32 (28, n) table whose row ``s`` holds the sextic monomial
-    ``_SEXTIC[s]`` at every point: the float64 product of the two cubic rows
-    of ``_SEXTIC_PAIRS[s]``, rounded once to float32.  float32 halves the
-    memory and the traffic of every scan; :func:`_lattice_floor` rechecks
-    the near-minima in float64.  Each row is written in place, so the
-    (10, n) cubic rows are the only temporary.
-    """
-    points = _fibonacci_points(LATTICE_DEFAULT)
-    cubic = _cubic_rows(points.T)
-    table = np.empty((len(_SEXTIC), LATTICE_DEFAULT), dtype=np.float32)
-    for row, (a, b) in zip(table, _SEXTIC_PAIRS):
-        np.multiply(cubic[a], cubic[b], out=row)
-    table.setflags(write=False)
-    return points, table
-
-
 def _fibonacci_points(n: int) -> np.ndarray:
     """The n points of the Fibonacci lattice, shape (n, 3), read-only."""
     i = np.arange(n, dtype=float)
@@ -247,115 +218,60 @@ def _fibonacci_points(n: int) -> np.ndarray:
     return _readonly(np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1))
 
 
-# Index triples (a <= b <= c) of the ten cubic monomials u_a u_b u_c, and
-# index sextuples of the 28 sextic monomials.
-_CUBIC = tuple(combinations_with_replacement(range(3), 3))
-_SEXTIC = tuple(combinations_with_replacement(range(3), 6))
-
-
-def _cubic_sum() -> np.ndarray:
-    """fold[a, b, c, m] = 1 when the product u_a u_b u_c is monomial m.
-
-    Contracting a cubic coefficient tensor with it gives monomial weights.
-    """
-    fold = np.zeros((3, 3, 3, len(_CUBIC)))
-    for abc in np.ndindex(3, 3, 3):
-        fold[abc][_CUBIC.index(tuple(sorted(abc)))] = 1.0
-    return _readonly(fold)
-
-
-def _sextic_fold() -> tuple[np.ndarray, np.ndarray]:
-    """The (28, 100) 0/1 matrix with fold[s, 10 a + b] = 1 when cubic
-    monomials a and b multiply to sextic monomial s, so that
-    ``fold @ Q.ravel()`` are the sextic weights of ``m^T Q m``; and, for each
-    sextic monomial, the first pair (a, b) that builds it."""
-    index = {sextic: s for s, sextic in enumerate(_SEXTIC)}
-    # target[10 a + b] is the sextic monomial of cubic monomials a and b
-    target = [index[tuple(sorted(a + b))] for a in _CUBIC for b in _CUBIC]
-    fold = np.zeros((len(_SEXTIC), len(target)))
-    fold[target, np.arange(len(target))] = 1.0
-    pairs = np.array([divmod(target.index(s), len(_CUBIC)) for s in range(len(_SEXTIC))])
-    pairs.setflags(write=False)
-    return _readonly(fold), pairs
-
-
-_SEXTIC_FOLD, _SEXTIC_PAIRS = _sextic_fold()
+# The 28 interpolation samples: the northern half of the 56-point lattice,
+# because r is even and the 28-point lattice, with near-antipodal pairs, is
+# singular.  Condition number 231, Lebesgue constant 11.6 on the lattice.
+_SAMPLES = _fibonacci_points(56)[:28]
 
 _EYE = np.eye(3)
 _SQRT2 = np.sqrt(2.0)
 
-# Float32 screening slack of the lattice scan, in units of sum|w| for
-# weights w scaled to max|w| = 1 (see _lattice_floor).
-_SCREEN_SLACK = 64 * 2.0**-24
-
-
-def _cubic_rows(x: np.ndarray) -> np.ndarray:
-    """The ten cubic monomials of the columns of ``x`` (shape (3, n)), one
-    row per monomial: shape (10, n)."""
-    rows = np.empty((len(_CUBIC), x.shape[1]))
-    for row, (a, b, c) in zip(rows, _CUBIC):
-        np.multiply(x[a], x[b], out=row)
-        row *= x[c]
-    return rows
+# The float32 screen's slack, in units of sum|coeff| (see _lattice_floor).
+_SCREEN_SLACK = 128 * 2.0**-24
 
 
 @lru_cache(maxsize=1)
-def _sextic_map() -> np.ndarray:
-    """The (28, 729) map ``K`` with sextic weights ``w = K @ kron(g, g)`` of
-    ``r``, for ``g = Gamma.ravel()``; built on the first certificate read.
+def _lattice():
+    """The lattice points, shape (n, 3) for ``n = LATTICE_DEFAULT``; the
+    read-only float32 (28, n) table of the float64 powers ``(s . p)^6`` for
+    samples ``s`` and points ``p``; and the inverse of ``(s_i . s_j)^6``.
+    Built row by row, so one float64 row is the only temporary."""
+    points = _fibonacci_points(LATTICE_DEFAULT)
+    table = np.empty((len(_SAMPLES), LATTICE_DEFAULT), dtype=np.float32)
+    for row, s in zip(table, _SAMPLES):
+        square = (points @ s) ** 2
+        np.multiply(square * square, square, out=row)
+    table.setflags(write=False)
+    inverse = _readonly(np.linalg.inv((_SAMPLES @ _SAMPLES.T) ** 6))
+    return points, table, inverse
 
-    Homogenised, r is a quadratic form ``m^T Q m`` in the ten cubic
-    monomials ``m`` of ``u``: |u|^2 |du|^2 is the sum of (u_l du_k)^2, and A
-    becomes |u|^2 T - u du^T, so
 
-        Q[m, n] = sum_lk U[lk,m] U[lk,n] + sum_ik A[ik,m] (A[ik,n] + A[ki,n])
-                  - tr A[m] tr A[n]
+def _lattice_floor(gamma: np.ndarray) -> float:
+    """The least squared residual over ``_lattice()`` for the connection
+    table ``gamma``, as a float64 scan with ``_residual_vector`` finds it.
 
-    where ``U[lk, m]``, the coefficient of monomial m in u_l du_k, and
-    ``A[ik, m]`` are linear in ``g``.  ``left`` and ``right`` stack those
-    linear maps, one row per product, so that ``Q[m, n] = g^T G[m, n] g``
-    with ``G[m, n] = left[:, m]^T right[:, n]``; ``_SEXTIC_FOLD`` sums
-    ``G`` into the 28 sextic weights.  Every entry is an exact integer.
+    ``coeff = inverse @ r(s)``, with ``r(s)`` scaled to a maximum of 1, gives
+    ``r = sum_j coeff_j (s_j . u)^6`` on the sphere.  For ``S = sum|coeff|``
+    and ``e = 2**-24``, each value of the float32 screen ``coeff @ table``
+    is within ``31 e S`` of the float64 interpolant: ``e S`` each for
+    rounding ``coeff`` and the table (``|table| <= 1``), ``28 e S`` for the
+    float32 sum in any order or with fused multiply-adds, and ``e S`` for
+    higher-order terms and the float64 powers.  So the float64 minimiser is
+    within ``63 e S`` of the float32 minimum (one ``e S`` rounds the
+    threshold), plus twice the float64 gap between interpolant and ``r``:
+    sample round-off times the Lebesgue constant, under ``0.02 e S`` even at
+    ``max r = 2.5e-15 |Gamma|^2``.  ``_SCREEN_SLACK * S = 128 e S`` covers
+    both.  The points that pass are measured again, each by a vector-matrix
+    product of its own, so no value depends on which other points passed.
     """
-    cubic_sum = _cubic_sum()
-    # rows (l, k): u_l du_k = sum_bc Gamma[b,c,k] u_l u_b u_c
-    u_du = np.einsum("lbcm,kq->lkmbcq", cubic_sum, _EYE).reshape(9, 10, 27)
-    # rows (i, k): |u|^2 T[i,k] = sum_ac Gamma[i,c,k] u_a u_a u_c
-    square = np.einsum("aacm->cm", cubic_sum)
-    a = np.einsum("ip,cm,kq->ikmpcq", _EYE, square, _EYE).reshape(9, 10, 27) - u_du
-    a_t = a.reshape(3, 3, 10, 27).transpose(1, 0, 2, 3).reshape(9, 10, 27)
-    trace = a[[0, 4, 8]].sum(axis=0, keepdims=True)
-    left = np.concatenate((u_du, a, a, trace)).reshape(28, 270)
-    right = np.concatenate((u_du, a, a_t, -trace)).reshape(28, 270)
-    # g[(m, p), (n, q)] = sum_r left[r, m, p] right[r, n, q]
-    g = (left.T @ right).reshape(10, 27, 10, 27).transpose(0, 2, 1, 3)
-    return _readonly(_SEXTIC_FOLD @ g.reshape(100, 729))
-
-
-def _lattice_floor(w: np.ndarray) -> np.ndarray:
-    """The point of ``_lattice()`` where the sextic with monomial weights
-    ``w`` is least, as a float64 scan would find it.
-
-    A float32 product with the table screens the points.  With ``w`` scaled
-    to ``max|w| = 1`` and ``S = sum|w|``, each float32 value is within
-    ``31 u S`` of the float64 one (``u = 2**-24``, ``|table| <= 1``: the
-    roundings of ``w``, of the table and of each product, and 27 of the
-    sum).  The float64 minimiser is therefore within ``62 u S`` of the
-    float32 minimum, and one more ``u S`` covers rounding that threshold to
-    float32.  The points within ``_SCREEN_SLACK * S`` get their monomials
-    again in float64, with the table's association, and the least wins, the
-    first on a tie.  Each value is a ``vecdot`` of one point's 28 monomials,
-    so it does not depend on which other points passed.
-    """
-    points, table = _lattice()
-    w = w / np.abs(w).max()
-    r32 = w.astype(np.float32) @ table
-    bound = np.float32(float(r32.min()) + _SCREEN_SLACK * float(np.abs(w).sum()))
-    near = np.flatnonzero(r32 <= bound)
-    cubic = _cubic_rows(points[near].T)
-    sextic = cubic[_SEXTIC_PAIRS[:, 0]] * cubic[_SEXTIC_PAIRS[:, 1]]
-    r = np.vecdot(np.ascontiguousarray(sextic.T), w)
-    return points[near[np.argmin(r)]]
+    points, table, inverse = _lattice()
+    v = _residual_vector(gamma, _SAMPLES)
+    r = np.vecdot(v, v)
+    coeff = inverse @ (r / r.max())
+    r32 = coeff.astype(np.float32) @ table
+    bound = np.float32(float(r32.min()) + _SCREEN_SLACK * float(np.abs(coeff).sum()))
+    v = _residual_vector(gamma, points[np.flatnonzero(r32 <= bound), None, :])
+    return float(np.vecdot(v, v).min())
 
 
 def _residual_vector(gamma: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -414,11 +330,11 @@ def search_directions(
     components.  The search does not scan the lattice: the report's
     ``lattice_min_residual``, the least squared residual over the fixed
     20000-point (``LATTICE_DEFAULT``) Fibonacci lattice, is computed on its
-    first read and certifies the result without deciding it.  Each candidate
-    carries its :func:`adapt_basis` coefficients and their
-    :func:`classify_family` type; if ``adapt_basis`` rejects an accepted
-    direction, its ``ValueError`` propagates.  The whole pipeline is
-    deterministic.
+    first read with the search's own residual kernel and certifies the
+    result without deciding it.  Each candidate carries its
+    :func:`adapt_basis` coefficients and their :func:`classify_family` type;
+    if ``adapt_basis`` rejects an accepted direction, its ``ValueError``
+    propagates.  The whole pipeline is deterministic.
     """
     jacobi = _require_lie(sc, tol)
     gamma = connection(sc).gamma
@@ -527,7 +443,7 @@ def _adapt_basis(
         z=float(table[0, 1, 2]),
     )
     worst = jacobi_constraints(params)
-    if worst > max(tol * scale * scale, 10.0 * jacobi):
+    if not (worst <= max(tol * scale * scale, 10.0 * jacobi)):
         raise ValueError(
             f"foliation conditions violated: Jacobi constraints leak {worst:.3e}"
         )
@@ -548,10 +464,11 @@ def jacobi_constraints(params: AdaptedBracketParams) -> float:
 
     Zero exactly when the adapted-form brackets satisfy Jacobi; the full
     Jacobi residual of :func:`adapted_constants` is bounded between one and
-    sqrt(6) times this value.
+    sqrt(6) times this value.  A NaN coefficient gives NaN.
     """
     a, b, x, y, z = params.as_tuple()
-    return max(abs(a * z), abs(a * x + b * y), abs(b * x - a * y))
+    # np.max, unlike max, returns NaN wherever a NaN stands
+    return float(np.max(np.abs((a * z, a * x + b * y, b * x - a * y))))
 
 
 def classify_family(
@@ -563,9 +480,11 @@ def classify_family(
     :func:`enumerate_families`; the coefficients are dispatched to the
     nearest family and its case analysis is applied with ``tol`` deciding
     which coefficients count as zero.  Types IV and VI can never come out.
+    A constraint violation beyond ``tol``, or a NaN, raises ``ValueError``.
     """
     worst = jacobi_constraints(params)
-    if worst > tol:
+    # written so that NaN fails it too
+    if not (worst <= tol):
         raise ValueError(
             f"adapted coefficients violate the Jacobi constraints ({worst:.3e})"
         )

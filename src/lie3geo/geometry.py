@@ -173,9 +173,12 @@ def sectional(report: CurvatureReport, u: np.ndarray, v: np.ndarray) -> float:
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    # refused before any arithmetic, where inf * 0 would warn
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ValueError("u and v do not span a plane")
     uu, vv = float(u @ u), float(v @ v)
     gram = uu * vv - float(u @ v) ** 2
-    # written so that NaN and inf fail it too
+    # written so that a NaN from overflow fails it too
     if not (gram > 1e-12 * uu * vv):
         raise ValueError("u and v do not span a plane")
     num = float(np.einsum("ijkl,i,j,k,l->", report.riemann, u, v, v, u))

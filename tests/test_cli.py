@@ -1,7 +1,10 @@
 import dataclasses
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,8 @@ import pytest
 
 from conftest import random_gl
 
-from lie3geo import cli, foliation
+import lie3geo
+from lie3geo import algebra, cli, foliation
 from lie3geo.algebra import (
     StructureConstants,
     catalog,
@@ -315,6 +319,21 @@ def test_asymmetric_metric_rejected_at_any_scale(capsys, tmp_path, scale):
     assert "symmetric" in err
 
 
+@pytest.mark.parametrize("command", ["classify", "curvature", "foliations"])
+def test_each_command_checks_jacobi_once(capsys, monkeypatch, command):
+    calls = []
+    kernel = algebra._jacobi
+
+    def counted(c):
+        calls.append(c)
+        return kernel(c)
+
+    monkeypatch.setattr(algebra, "_jacobi", counted)
+    code, _, _ = run(capsys, [command, "--group", "Nil3"])
+    assert code == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "scale, message", [(1e-160, "not a Lie algebra"), (1e160, "must be finite")]
 )
@@ -554,6 +573,26 @@ def test_json_12_digit_rounding(capsys, tmp_path):
     doc = json.loads(out)
     z = doc["directions"][0]["adapted"]["z"]
     assert len(f"{z!r}".replace("-", "").replace(".", "").lstrip("0")) <= 12
+
+
+def test_cold_certificate_is_warning_free_and_matches(capsys):
+    """In a fresh interpreter the lattice table and the interpolation
+    inverse are built cold, under ``-W error::RuntimeWarning``; the
+    certificate must come out as in this warm process."""
+    argv = ["--json", "foliations", "--group", "H2xR"]
+    src = str(Path(lie3geo.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cold = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "lie3geo", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert cold.returncode == 0, cold.stderr
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    want = json.loads(out)["lattice_min_residual"]
+    assert want is not None
+    assert json.loads(cold.stdout)["lattice_min_residual"] == want
 
 
 def test_json_deterministic(capsys):

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -212,6 +211,11 @@ def test_jacobi_constraints_examples():
     assert jacobi_constraints(AdaptedBracketParams(1, 0, 1, 0, 0)) == 1.0
     assert jacobi_constraints(AdaptedBracketParams(0, 0, 3, 4, 7)) == 0.0
     assert jacobi_constraints(AdaptedBracketParams(1, 0, 0, 0, 2)) == 2.0
+    # a NaN in any one coefficient of a valid IX sample gives NaN
+    for k in range(5):
+        values = [0.0, 1.0, 0.0, 0.0, 1.0]
+        values[k] = math.nan
+        assert math.isnan(jacobi_constraints(AdaptedBracketParams(*values)))
 
 
 def test_adapted_constants_brackets():
@@ -260,6 +264,11 @@ def test_classify_family_rejects_violations():
         classify_family(AdaptedBracketParams(1, 0, 0, 0, 1))
     with pytest.raises(ValueError, match="constraints"):
         classify_family(AdaptedBracketParams(1, 1, 1, 1, 0))
+    # NaN fails the tolerance test: these came out II and V
+    nan = math.nan
+    for params in ((0, nan, 0, 0, 1), (1, 0, nan, 0, 0), (0, 1, 0, 0, nan)):
+        with pytest.raises(ValueError, match=r"constraints \(nan\)"):
+            classify_family(AdaptedBracketParams(*params))
 
 
 def test_classify_family_agrees_with_classifier():
@@ -368,35 +377,6 @@ def metric_algebras_and_directions(draw):
 _PROPERTY_SETTINGS = settings(
     max_examples=300, deadline=None, derandomize=True, database=None
 )
-
-
-def _quadratic_form(gamma):
-    """The 10x10 Q with r(u) = m(u)^T Q m(u) for unit u, m the cubic
-    monomials of u: homogenised, |u|^2 |du|^2 is the sum of (u_l du_k)^2 and
-    A becomes |u|^2 T - u du^T."""
-    cubic_sum = foliation._cubic_sum()
-    u_du = np.einsum("bck,lbcm->lkm", gamma, cubic_sum)
-    a = np.einsum("ick,aacm->ikm", gamma, cubic_sum) - u_du
-    trace = np.einsum("iim->m", a)
-    q = (
-        np.einsum("lkm,lkn->mn", u_du, u_du)
-        + np.einsum("ikm,ikn->mn", a, a)
-        + np.einsum("ikm,kin->mn", a, a)
-        - np.outer(trace, trace)
-    )
-    return 0.5 * (q + q.T)
-
-
-@_PROPERTY_SETTINGS
-@given(metric_algebras_and_directions())
-def test_quadratic_form_matches_residuals(case):
-    sc, u = case
-    gamma = connection(sc).gamma
-    m = foliation._cubic_rows(u[:, None])[:, 0]
-    form = float(m @ _quadratic_form(gamma) @ m)
-    geo, conf = residuals(sc, u)
-    scale_sq = max(float(np.sum(sc.c * sc.c)), 1.0)
-    assert abs(form - (geo * geo + conf * conf)) <= 1e-12 * scale_sq
 
 
 @_PROPERTY_SETTINGS
@@ -548,90 +528,58 @@ def test_reported_facts_invariant_under_bracket_and_metric_scale():
                 assert same_type(scaled[1], want_type, tol=1e-6), (want_type, k)
 
 
-# ------------------------------------------------ lattice scan kernels
+# ------------------------------------------------ lattice certificate
 
 
-@_PROPERTY_SETTINGS
-@given(metric_algebras_and_directions())
-def test_sextic_weights_reproduce_quadratic_form(case):
-    sc, u = case
-    q = _quadratic_form(connection(sc).gamma)
-    m = foliation._cubic_rows(u[:, None])[:, 0]
-    sextic = np.prod(u[np.array(foliation._SEXTIC)], axis=1)
-    weights = foliation._SEXTIC_FOLD @ q.ravel()
-    scale_sq = max(float(np.sum(sc.c * sc.c)), 1.0)
-    assert abs(weights @ sextic - m @ q @ m) <= 1e-12 * scale_sq
-
-
-def test_lattice_table_holds_sextic_monomials_read_only():
-    points, table = foliation._lattice()
+def test_sample_interpolation_reproduces_residuals():
+    """The sextic through r at ``_SAMPLES`` is r at every lattice point: to
+    float64 round-off, and through the float32 table within the 31 e S of
+    the screen's bound (``_lattice_floor``)."""
+    points, table, inverse = foliation._lattice()
     assert table.shape == (28, LATTICE_DEFAULT) and table.dtype == np.float32
-    assert not table.flags.writeable and not points.flags.writeable
-    want = np.prod(points[:, np.array(foliation._SEXTIC)], axis=2).T
-    # one float32 rounding of the float64 product
-    assert np.all(np.abs(table - want) <= 2.0**-24 * np.abs(want))
-
-
-def _sextic_weights(sc):
-    g = connection(sc).gamma.ravel()
-    return foliation._sextic_map() @ np.kron(g, g)
-
-
-def test_sextic_map_matches_quadratic_form_and_residuals():
-    rng = np.random.default_rng(15)
-    for sc, _ in brackets_across_scales(seed=15):
+    assert not (points.flags.writeable or table.flags.writeable or inverse.flags.writeable)
+    powers = (foliation._SAMPLES @ points.T) ** 6
+    # one float32 rounding of the float64 power (2**-149: float32 subnormals)
+    assert np.all(np.abs(table - powers) <= 2.0**-24 * powers + 2.0**-149)
+    for sc, _ in brackets_across_scales(seed=15, per_scale=4):
         gamma = connection(sc).gamma
-        w = _sextic_weights(sc)
-        scale_sq = float(np.sum(sc.c * sc.c))
-        want = foliation._SEXTIC_FOLD @ _quadratic_form(gamma).ravel()
-        assert np.abs(w - want).max() <= 1e-13 * scale_sq
-        u = rng.standard_normal(3)
-        u /= np.linalg.norm(u)
-        v = foliation._residual_vector(gamma, u)
-        sextic = np.prod(u[np.array(foliation._SEXTIC)], axis=1)
-        assert abs(w @ sextic - v @ v) <= 1e-13 * scale_sq
+        v = foliation._residual_vector(gamma, foliation._SAMPLES)
+        at_samples = np.vecdot(v, v)
+        coeff = inverse @ (at_samples / at_samples.max())
+        v = foliation._residual_vector(gamma, points)
+        want = np.vecdot(v, v) / at_samples.max()
+        size = np.abs(coeff).sum()
+        assert np.abs(coeff @ powers - want).max() <= 1e-12 * size
+        screen = coeff.astype(np.float32) @ table
+        assert np.abs(screen - want).max() <= 31 * 2.0**-24 * size
 
 
-@functools.cache
-def _float64_sextics():
-    """The lattice's sextic monomials in float64, one row of 28 per point,
-    built with the table's association: cubic monomials (u_a u_b) u_c, then
-    the product of the pair in ``_SEXTIC_PAIRS``.  The rows are contiguous,
-    so that ``vecdot`` takes the same dot-product kernel for every row."""
-    x = foliation._lattice()[0]
-    cubic = np.stack([x[:, a] * x[:, b] * x[:, c] for a, b, c in foliation._CUBIC], axis=1)
-    a, b = foliation._SEXTIC_PAIRS.T
-    return np.ascontiguousarray(cubic[:, a] * cubic[:, b])
+def _float64_scan(gamma):
+    """The squared residual at every lattice point, each point through a
+    vector-matrix product of its own, as the certificate's recheck does."""
+    v = foliation._residual_vector(gamma, foliation._lattice()[0][:, None, :])
+    return np.vecdot(v, v)
 
 
-def _float64_floor(w):
-    """The lattice point of least value by a full float64 scan."""
-    r = np.vecdot(_float64_sextics(), w / np.abs(w).max())
-    return foliation._lattice()[0][np.argmin(r)]
-
-
-@_PROPERTY_SETTINGS
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(metric_algebras_and_directions(), st.sampled_from([1.0, 1e-25, 1e25]))
-def test_lattice_floor_matches_float64_scan(case, scale):
+def test_certificate_is_the_least_of_a_float64_scan(case, scale):
     sc = StructureConstants(scale * case[0].c)
     rep = search_directions(sc)
     if rep.constant_curvature:
         return
-    point = _float64_floor(_sextic_weights(sc))
-    v = foliation._residual_vector(connection(sc).gamma, point)
-    assert rep.lattice_min_residual == float(v @ v)
-
+    assert rep.lattice_min_residual == float(_float64_scan(connection(sc).gamma).min())
 
 
 @pytest.fixture
 def lattice_scans(monkeypatch):
-    """The weight vectors of every lattice scan made while the test runs."""
+    """The connection tables of every lattice scan made while the test runs."""
     scans = []
     floor = foliation._lattice_floor
 
-    def counted(w):
-        scans.append(w)
-        return floor(w)
+    def counted(gamma):
+        scans.append(gamma)
+        return floor(gamma)
 
     monkeypatch.setattr(foliation, "_lattice_floor", counted)
     return scans
@@ -658,25 +606,21 @@ def test_certificate_scans_once_on_first_read(lattice_scans):
     assert rep.lattice_min_residual is None
     assert len(lattice_scans) == 1
 
-def _constant_sextic_weights():
-    """Weights of (x^2 + y^2 + z^2)^3, which is 1 on the whole sphere."""
-    w = np.zeros(len(foliation._SEXTIC))
-    for s, sextic in enumerate(foliation._SEXTIC):
-        counts = np.bincount(sextic, minlength=3)
-        if not np.any(counts % 2):
-            # multinomial coefficient of x^2i y^2j z^2k, i + j + k = 3
-            w[s] = 6 / np.prod([math.factorial(k) for k in counts // 2])
-    return w
 
+def test_lattice_floor_when_every_point_passes_the_screen(monkeypatch):
+    """A kernel whose r is |u|^2, which is 1 on the sphere: the float32
+    values differ by round-off only, so every point passes the screen and is
+    measured again, and the floor is still the least of the float64 scan."""
+    measured = []
 
-def test_lattice_floor_when_every_point_passes_the_screen():
-    w = _constant_sextic_weights()
-    points, table = foliation._lattice()
-    r32 = w.astype(np.float32) @ table
-    # every value is 1 up to float32 round-off, inside the screen's slack
-    assert r32.max() - r32.min() <= foliation._SCREEN_SLACK * np.abs(w).sum() / 2
-    got = foliation._lattice_floor(w)
-    assert got.tobytes() == _float64_floor(w).tobytes()
+    def unit_sphere(gamma, u):
+        measured.append(u.shape)
+        return np.concatenate((u, np.zeros(u.shape[:-1] + (9,))), axis=-1)
+
+    monkeypatch.setattr(foliation, "_residual_vector", unit_sphere)
+    got = foliation._lattice_floor(np.zeros((3, 3, 3)))
+    assert measured == [(28, 3), (LATTICE_DEFAULT, 1, 3)]
+    assert got == float(_float64_scan(None).min())
 
 
 def test_search_computes_the_jacobi_residual_once(monkeypatch):
