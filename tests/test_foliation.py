@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -378,6 +379,44 @@ _PROPERTY_SETTINGS = settings(
     max_examples=300, deadline=None, derandomize=True, database=None
 )
 
+_CUBIC = tuple(itertools.combinations_with_replacement(range(3), 3))
+
+
+def _cubic_rows(u):
+    """The ten cubic monomials u_a u_b u_c of the unit vector ``u``."""
+    return np.array([u[a] * u[b] * u[c] for a, b, c in _CUBIC])
+
+
+def _quadratic_form(gamma):
+    """The 10x10 Q with r(u) = m(u)^T Q m(u) for unit u, m the cubic
+    monomials of u: homogenised, |u|^2 |du|^2 is the sum of (u_l du_k)^2 and
+    A becomes |u|^2 T - u du^T.  An oracle for r independent of
+    ``foliation._residual_vector``."""
+    cubic_sum = np.zeros((3, 3, 3, len(_CUBIC)))
+    for abc in np.ndindex(3, 3, 3):
+        cubic_sum[abc][_CUBIC.index(tuple(sorted(abc)))] = 1.0
+    u_du = np.einsum("bck,lbcm->lkm", gamma, cubic_sum)
+    a = np.einsum("ick,aacm->ikm", gamma, cubic_sum) - u_du
+    trace = np.einsum("iim->m", a)
+    q = (
+        np.einsum("lkm,lkn->mn", u_du, u_du)
+        + np.einsum("ikm,ikn->mn", a, a)
+        + np.einsum("ikm,kin->mn", a, a)
+        - np.outer(trace, trace)
+    )
+    return 0.5 * (q + q.T)
+
+
+@_PROPERTY_SETTINGS
+@given(metric_algebras_and_directions())
+def test_quadratic_form_matches_residuals(case):
+    sc, u = case
+    m = _cubic_rows(u)
+    form = float(m @ _quadratic_form(connection(sc).gamma) @ m)
+    geo, conf = residuals(sc, u)
+    scale_sq = max(float(np.sum(sc.c * sc.c)), 1.0)
+    assert abs(form - (geo * geo + conf * conf)) <= 1e-12 * scale_sq
+
 
 @_PROPERTY_SETTINGS
 @given(metric_algebras_and_directions())
@@ -531,16 +570,48 @@ def test_reported_facts_invariant_under_bracket_and_metric_scale():
 # ------------------------------------------------ lattice certificate
 
 
-def test_sample_interpolation_reproduces_residuals():
-    """The sextic through r at ``_SAMPLES`` is r at every lattice point: to
-    float64 round-off, and through the float32 table within the 31 e S of
-    the screen's bound (``_lattice_floor``)."""
+def test_lattice_table_holds_sextic_monomials_read_only():
+    """The table holds, per lattice point, the sextics (s . p)^6 of the 28
+    samples s, a basis of the sextic forms on the sphere."""
     points, table, inverse = foliation._lattice()
     assert table.shape == (28, LATTICE_DEFAULT) and table.dtype == np.float32
     assert not (points.flags.writeable or table.flags.writeable or inverse.flags.writeable)
     powers = (foliation._SAMPLES @ points.T) ** 6
     # one float32 rounding of the float64 power (2**-149: float32 subnormals)
     assert np.all(np.abs(table - powers) <= 2.0**-24 * powers + 2.0**-149)
+    basis = (foliation._SAMPLES @ foliation._SAMPLES.T) ** 6
+    assert np.allclose(inverse @ basis, np.eye(28), atol=1e-12)
+
+
+def _interpolated_sextic(gamma, u):
+    """r at the unit vectors ``u`` (shape (n, 3)) through the sextic fixed by
+    its values at ``_SAMPLES``."""
+    v = foliation._residual_vector(gamma, foliation._SAMPLES)
+    coeff = foliation._lattice()[2] @ np.vecdot(v, v)
+    return ((u @ foliation._SAMPLES.T) ** 6) @ coeff
+
+
+def test_sextic_map_matches_quadratic_form_and_residuals():
+    rng = np.random.default_rng(15)
+    for sc, _ in brackets_across_scales(seed=15):
+        gamma = connection(sc).gamma
+        scale_sq = float(np.sum(sc.c * sc.c))
+        u = rng.standard_normal((8, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        sextic = _interpolated_sextic(gamma, u)
+        m = np.stack([_cubic_rows(x) for x in u])
+        form = np.einsum("nm,mk,nk->n", m, _quadratic_form(gamma), m)
+        assert np.abs(sextic - form).max() <= 1e-12 * scale_sq
+        v = foliation._residual_vector(gamma, u)
+        assert np.abs(sextic - np.vecdot(v, v)).max() <= 1e-12 * scale_sq
+
+
+def test_sample_interpolation_reproduces_residuals():
+    """The sextic through r at ``_SAMPLES`` is r at every lattice point: to
+    float64 round-off, and through the float32 table within the 31 e S of
+    the screen's bound (``_lattice_floor``)."""
+    points, table, inverse = foliation._lattice()
+    powers = (foliation._SAMPLES @ points.T) ** 6
     for sc, _ in brackets_across_scales(seed=15, per_scale=4):
         gamma = connection(sc).gamma
         v = foliation._residual_vector(gamma, foliation._SAMPLES)
