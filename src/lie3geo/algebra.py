@@ -15,7 +15,7 @@ so arbitrary metrics are handled by :func:`orthonormalize` first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,9 +94,14 @@ class StructureConstants:
 
 @dataclass(frozen=True, eq=False)
 class MetricSpec:
-    """Symmetric positive definite inner product on the algebra."""
+    """Symmetric positive definite inner product on the algebra.
+
+    The lower Cholesky factor ``_lower`` of ``g`` that proves it positive
+    definite is kept, read-only, for :func:`orthonormalize`.
+    """
 
     g: np.ndarray
+    _lower: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
@@ -108,10 +113,11 @@ class MetricSpec:
             raise ValueError("metric must be symmetric")
         g = 0.5 * (g + g.T)
         try:
-            np.linalg.cholesky(g)
+            lower = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
             raise ValueError("metric is not positive definite") from None
         object.__setattr__(self, "g", _readonly(g))
+        object.__setattr__(self, "_lower", _readonly(lower))
 
     @classmethod
     def identity(cls) -> "MetricSpec":
@@ -173,14 +179,18 @@ def _scaled_jacobi(sc: StructureConstants) -> tuple[float, float, int]:
 def _require_lie(sc: StructureConstants, tol: float = JACOBI_TOL) -> float:
     """The Jacobi residual of ``sc``, after checking it against ``tol``.
 
-    Raises :class:`NotLieAlgebraError` when the residual exceeds
+    Raises :class:`NotLieAlgebraError` unless the residual is at most
     ``tol * |c|_F^2``: the residual is quadratic in the brackets, so the
-    verdict does not change when they are rescaled.
+    verdict does not change when they are rescaled.  A NaN ``tol`` accepts
+    nothing, and neither does an infinite one at the zero algebra, where
+    ``inf * 0`` is NaN.
     """
     residual, scale_sq, k = _scaled_jacobi(sc)
-    if residual > tol * scale_sq:
+    # written so that NaN fails it too
+    if not (residual <= tol * scale_sq):
+        relative = residual / scale_sq if scale_sq else 0.0
         raise NotLieAlgebraError(
-            f"not a Lie algebra: Jacobi residual {residual / scale_sq:.3e} * "
+            f"not a Lie algebra: Jacobi residual {relative:.3e} * "
             f"|c|_F^2 exceeds {tol:.3e} * |c|_F^2"
         )
     return math.ldexp(residual, 2 * k)
@@ -267,12 +277,13 @@ def orthonormalize(sc: StructureConstants, metric: MetricSpec) -> StructureConst
     """Rewrite the constants in a basis orthonormal for ``metric``.
 
     The basis is the (deterministic) Cholesky one: with ``g = L L^T`` lower
-    triangular, the new basis is ``f_j = sum_i (L^-T)[i, j] e_i``.  One SVD
+    triangular (the factor the metric kept when it checked ``g``), the new
+    basis is ``f_j = sum_i (L^-T)[i, j] e_i``.  One SVD
     ``L = U S V^T`` gives the condition number, checked as in
     :func:`change_basis`, and ``L^-T = U S^-1 V^T``, whose inverse is
     ``L^T`` exactly.  For the identity metric the constants are unchanged.
     """
-    lower = np.linalg.cholesky(metric.g)
+    lower = metric._lower
     u, s, vt = _conditioned_svd(lower)
     return _rebase(sc, (u / s) @ vt, lower.T)
 

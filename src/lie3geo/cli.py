@@ -23,6 +23,9 @@ unspecified brackets are zero.  Giving one ordered pair twice (as "XY" and
 "xy") is rejected, and so is giving both "XY" and "YX" with values that are
 not exact negatives.  Every entry of ``c`` and ``metric`` must be a number;
 a string or a boolean is refused, not converted.
+``--tol`` takes a finite nonnegative number.  ``--json foliations`` gives
+``lattice_min_residual`` (the floor of the squared residual over the
+certificate lattice) only when no direction is found, and ``null`` otherwise.
 Exit codes: 0 success, 1 invalid input, 2 verification failure.  All output
 is deterministic for fixed flags, and ``--json`` switches to a single
 machine-readable document.
@@ -303,7 +306,8 @@ def cmd_foliations(args):
         "constant_curvature": rep.constant_curvature,
         "admits": rep.admits,
         "lattice_size": rep.lattice_size,
-        "lattice_min_residual": rep.lattice_min_residual,
+        # the floor certifies only an empty result, so no witness pays for it
+        "lattice_min_residual": None if rep.admits else rep.lattice_min_residual,
         "directions": [
             {
                 "direction": cand.direction.tolist(),
@@ -511,6 +515,21 @@ def cmd_verify_paper(args):
     return report, text(), 0 if ok else 2
 
 
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value: a finite nonnegative number.  NaN would accept
+    every bracket and inf any finite residual, so both are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    # written so that NaN fails it too
+    if not (0.0 <= value < float("inf")):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite nonnegative number, got {text!r}"
+        )
+    return value
+
+
 def _add_input_flags(sub: argparse.ArgumentParser):
     source = sub.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", help="path to a JSON algebra document")
@@ -527,7 +546,7 @@ def _add_input_flags(sub: argparse.ArgumentParser):
     )
     sub.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=JACOBI_TOL,
         help="Jacobi-residual acceptance tolerance, relative to |c|_F^2 "
         "(default %(default)g)",

@@ -46,7 +46,11 @@ carry at most two such directions, and at most one when the Ricci spectrum
 has exactly two distinct eigenvalues, so short direction lists are expected.
 
 A fixed Fibonacci lattice of ``LATTICE_DEFAULT`` (20000) points on the unit
-sphere certifies the result; it decides no verdict, and the search never
+sphere certifies a non-admitting result (types IV and VI have no witness
+direction): its floor of ``r`` is bounded away from zero.  An admitting
+result is certified by its directions' own residuals, and there the floor
+only measures the lattice spacing next to them, so the CLI reads it only
+when no direction is found.  It decides no verdict, and the search never
 scans it.  The report computes it on the first read of
 ``lattice_min_residual`` and caches it, so a caller that reads only the
 verdict never waits for it.  On the sphere ``r`` is a homogeneous sextic
@@ -73,8 +77,8 @@ from .algebra import (
     JACOBI_TOL,
     MetricSpec,
     StructureConstants,
+    _rebase,
     _require_lie,
-    change_basis,
     constants_from_brackets,
     jacobi_residual,
     orthonormal_frame,
@@ -150,8 +154,9 @@ class FoliationReport:
     left-invariant), so the list is left empty and ``admits`` is true.
     Otherwise ``admits`` is true exactly when the (deduplicated, antipodally
     identified) direction list is nonempty.  ``lattice_min_residual`` is the
-    certificate, measured with the search's residual kernel on its connection
-    table ``_gamma`` at the first read; ``admits`` never waits for it.
+    certificate of a non-admitting result, measured with the search's
+    residual kernel on its connection table ``_gamma`` at the first read of
+    any non-constant report; ``admits`` never waits for it.
     """
 
     constant_curvature: bool
@@ -330,8 +335,9 @@ def search_directions(
     components.  The search does not scan the lattice: the report's
     ``lattice_min_residual``, the least squared residual over the fixed
     20000-point (``LATTICE_DEFAULT``) Fibonacci lattice, is computed on its
-    first read with the search's own residual kernel and certifies the
-    result without deciding it.  Each candidate carries its
+    first read with the search's own residual kernel.  It certifies an
+    empty direction list without deciding it; each direction found is
+    certified by its own residuals.  Each candidate carries its
     :func:`adapt_basis` coefficients and their :func:`classify_family` type;
     if ``adapt_basis`` rejects an accepted direction, its ``ValueError``
     propagates.  The whole pipeline is deterministic.
@@ -397,7 +403,8 @@ def adapt_basis(sc: StructureConstants, u: np.ndarray) -> AdaptedBracketParams:
     """Read off the adapted bracket coefficients along a foliation direction.
 
     The frame is the deterministic completion (X, Y) = orthonormal_frame(u)
-    with Z = u.  Raises ValueError("foliation conditions violated ...")
+    with Z = u, normalized; it is orthonormal, so the rebasing inverts it by
+    its transpose.  Raises ValueError("foliation conditions violated ...")
     when the residuals exceed ``tol`` or the rewritten bracket table fails
     to take the adapted shape, which would mark a search false positive.
     ``tol = sqrt(ACCEPT_RESIDUAL_SQ)``, the search's own threshold, and is
@@ -422,8 +429,10 @@ def _adapt_basis(
             "foliation conditions violated along the given direction "
             f"(geodesic residual {geo:.3e}, conformal residual {conf:.3e})"
         )
-    h1, h2 = orthonormal_frame(u)
-    table = change_basis(sc, np.column_stack([h1, h2, u])).c
+    u = u / np.linalg.norm(u)
+    # orthonormal by construction, so its transpose is its inverse
+    frame = np.column_stack([*orthonormal_frame(u), u])
+    table = _rebase(sc, frame, frame.T).c
     deviations = (
         abs(table[2, 0, 2]),
         abs(table[2, 1, 2]),

@@ -113,6 +113,14 @@ def test_jacobi_tolerance_is_relative():
     assert algebra._require_lie(StructureConstants(np.zeros((3, 3, 3)))) == 0.0
 
 
+def test_nan_tolerance_accepts_nothing():
+    # NaN compares false, so the check is written to fail on it
+    for sc in (catalog("Nil3").constants, StructureConstants(np.zeros((3, 3, 3)))):
+        with pytest.raises(NotLieAlgebraError, match="not a Lie algebra"):
+            algebra._require_lie(sc, float("nan"))
+        assert not sc.is_valid(float("nan"))
+
+
 @pytest.mark.parametrize("scale", [1e-160, 1e-150, 1.0, 1e150, 1e160])
 def test_jacobi_verdict_at_extreme_scales(scale):
     # [X,Y] = Z, [Z,X] = X fails Jacobi at every scale and Nil3 passes; past
@@ -256,6 +264,22 @@ def test_orthonormalize_matches_cholesky_change_basis():
         orthonormalize(sc, ill)
     with pytest.raises(ValueError, match=message):
         change_basis(sc, np.linalg.inv(np.linalg.cholesky(ill.g)).T)
+
+
+def test_orthonormalize_reuses_the_metric_cholesky_factor():
+    # the factor kept by MetricSpec is the one a fresh factorization of the
+    # stored g gives, so the constants come out bit for bit the same
+    rng = np.random.default_rng(23)
+    for sc, _ in brackets_across_scales(seed=23, per_scale=4):
+        metric = MetricSpec(random_spd(rng))
+        lower = np.linalg.cholesky(metric.g)
+        assert metric._lower.tobytes() == lower.tobytes()
+        assert not metric._lower.flags.writeable
+        u, s, vt = algebra._conditioned_svd(lower)
+        want = algebra._rebase(sc, (u / s) @ vt, lower.T).c
+        assert orthonormalize(sc, metric).c.tobytes() == want.tobytes()
+    with pytest.raises(TypeError):
+        MetricSpec(np.eye(3), np.eye(3))
 
 
 def test_metric_spec_validation():

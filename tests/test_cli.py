@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_gl
+from conftest import random_gl, random_spd
 
 import lie3geo
 from lie3geo import algebra, cli, foliation
@@ -19,7 +19,9 @@ from lie3geo.algebra import (
     catalog,
     change_basis,
     constants_from_brackets,
+    orthonormalize,
 )
+from lie3geo.foliation import search_directions
 
 
 def run(capsys, argv):
@@ -334,6 +336,27 @@ def test_each_command_checks_jacobi_once(capsys, monkeypatch, command):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["classify", "curvature", "foliations"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "1e-9x"])
+def test_tolerance_must_be_finite_and_nonnegative(capsys, command, tol):
+    # NaN or inf would accept any bracket, a negative tol would refuse all
+    code, out, err = run(capsys, [command, "--group", "Nil3", f"--tol={tol}"])
+    assert (code, out) == (1, "")
+    assert "argument --tol: must be a finite nonnegative number" in err
+
+
+def test_tolerance_accepts_a_near_lie_bracket(capsys, tmp_path):
+    # Jacobi residual 0.125 |c|_F^2: within --tol 0.2, beyond the default
+    doc = {"c": {"XY": [0, 0, 1], "ZX": [1, 1, 0], "ZY": [-1, 0, 0]}}
+    path = write_doc(tmp_path, doc)
+    code, out, _ = run(capsys, ["classify", "--input", path, "--tol", "0.2"])
+    assert code == 0
+    assert out.startswith("Bianchi type: ")
+    code, out, err = run(capsys, ["classify", "--input", path])
+    assert (code, out) == (1, "")
+    assert "not a Lie algebra" in err
+
+
 @pytest.mark.parametrize(
     "scale, message", [(1e-160, "not a Lie algebra"), (1e160, "must be finite")]
 )
@@ -452,6 +475,81 @@ def test_verify_paper_has_no_lattice_flag(capsys):
     assert "unrecognized arguments: --lattice 16" in err
 
 
+def _foliations_json(capsys, argv):
+    code, out, _ = run(capsys, ["--json", "foliations", *argv])
+    assert code == 0
+    return json.loads(out)
+
+
+def _row_argv(group, alpha):
+    return ["--group", group] + ([] if alpha is None else ["--alpha", repr(alpha)])
+
+
+def _planted_document(tmp_path, rng, name):
+    """An --input document of a type-II family sample in a random basis,
+    with the non-identity metric that keeps its adapted frame orthogonal."""
+    params = foliation.AdaptedBracketParams(0.0, 0.0, 0.0, 0.0, 1.0 + rng.random())
+    p = random_gl(rng)
+    sc = change_basis(foliation.adapted_constants(params), p)
+    return write_doc(tmp_path, {"c": sc.c.tolist(), "metric": (p.T @ p).tolist()}, name)
+
+
+def test_admitting_foliations_never_touch_the_lattice(capsys, tmp_path, monkeypatch):
+    # a found direction certifies itself, so the CLI reads no floor for it
+    def no_lattice(*args):
+        raise AssertionError("lattice certificate computed")
+
+    monkeypatch.setattr(foliation, "_lattice", no_lattice)
+    monkeypatch.setattr(foliation, "_lattice_floor", no_lattice)
+    argvs = [_row_argv(*row) for row in cli._CLASSIFICATION_ROWS]
+    path = _planted_document(tmp_path, np.random.default_rng(5), "planted.json")
+    argvs.append(["--input", path])
+    admitting = 0
+    for argv in argvs:
+        if argv[:2] in (["--group", "G4"], ["--group", "Sol3"]):
+            continue
+        doc = _foliations_json(capsys, argv)
+        assert doc["admits"] is True and doc["lattice_min_residual"] is None, argv
+        admitting += not doc["constant_curvature"]
+    # Nil3, H2xR, SL2R~ and the planted input
+    assert admitting == 4
+
+
+def _random_metric_argvs(tmp_path, groups, seed, per_group):
+    rng = np.random.default_rng(seed)
+    for k, (group, alpha) in enumerate(groups):
+        for j in range(per_group):
+            g = random_spd(rng)
+            path = write_doc(tmp_path, g.tolist(), name=f"metric-{k}-{j}.json")
+            yield group, alpha, g, [*_row_argv(group, alpha), "--metric", path]
+
+
+def test_floor_is_null_exactly_on_admitting_results(capsys, tmp_path):
+    argvs = [_row_argv(*row) for row in cli._CLASSIFICATION_ROWS]
+    argvs += [
+        argv
+        for *_, argv in _random_metric_argvs(
+            tmp_path, cli._CLASSIFICATION_ROWS, seed=11, per_group=2
+        )
+    ]
+    seen = set()
+    for argv in argvs:
+        doc = _foliations_json(capsys, argv)
+        assert (doc["lattice_min_residual"] is None) == doc["admits"], argv
+        seen.add((doc["admits"], doc["constant_curvature"]))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_non_admitting_floor_matches_the_library(capsys, tmp_path):
+    groups = [("G4", None), ("Sol3", 0.5), ("Sol3", 2.0)]
+    for group, alpha, g, argv in _random_metric_argvs(tmp_path, groups, seed=12, per_group=3):
+        doc = _foliations_json(capsys, argv)
+        sc = orthonormalize(catalog(group, alpha).constants, algebra.MetricSpec(g))
+        want = search_directions(sc).lattice_min_residual
+        assert doc["admits"] is False
+        assert doc["lattice_min_residual"] == float(f"{want:.12g}"), argv
+
+
 _GOLDEN = Path(__file__).parent / "data" / "foliations_golden.json"
 _GOLDEN_EXACT = {
     "admits",
@@ -489,7 +587,10 @@ def test_foliations_json_matches_golden(capsys):
     the search returned its direction Z exactly: ``orthonormal_frame`` then
     breaks the tie ``|u_x| = |u_y| = 0`` toward the x axis, where the
     round-off had picked the y axis, so the frame, and with it (x, y), turns
-    by 90 degrees.
+    by 90 degrees.  ``lattice_min_residual`` of Nil3, H2xR and SL2R~ was
+    re-recorded as null once the CLI stopped reporting the floor on
+    admitting results, where it only measured the lattice spacing next to
+    the direction found.
     """
     golden = json.loads(_GOLDEN.read_text())
     assert [(g["group"], g["alpha"]) for g in golden] == [
@@ -578,8 +679,9 @@ def test_json_12_digit_rounding(capsys, tmp_path):
 def test_cold_certificate_is_warning_free_and_matches(capsys):
     """In a fresh interpreter the lattice table and the interpolation
     inverse are built cold, under ``-W error::RuntimeWarning``; the
-    certificate must come out as in this warm process."""
-    argv = ["--json", "foliations", "--group", "H2xR"]
+    certificate of G4, which admits no foliation, must come out as in this
+    warm process."""
+    argv = ["--json", "foliations", "--group", "G4"]
     src = str(Path(lie3geo.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

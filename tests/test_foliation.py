@@ -207,6 +207,29 @@ def test_adapt_basis_params_classify_like_parent():
             assert same_type(classify_family(params), classify(sc), tol=1e-6)
 
 
+def test_adapt_basis_matches_change_basis_route():
+    """The frame (h1, h2, u) is orthonormal, so rebasing by its transpose
+    reads off the coefficients that change_basis, which inverts the frame
+    through an SVD, gives, up to round-off."""
+    checked = 0
+    for sc, metric in _scale_inputs(seed=31, per_row=1, per_family=20):
+        sc = orthonormalize(sc, metric)
+        for cand in search_directions(sc).directions:
+            u = cand.direction
+            t = change_basis(sc, np.column_stack([*orthonormal_frame(u), u])).c
+            want = (
+                0.5 * (t[2, 0, 0] + t[2, 1, 1]),
+                0.5 * (t[2, 0, 1] - t[2, 1, 0]),
+                t[0, 1, 0],
+                t[0, 1, 1],
+                t[0, 1, 2],
+            )
+            gap = np.abs(np.subtract(cand.adapted.as_tuple(), want)).max()
+            assert gap <= 1e-15 * np.linalg.norm(sc.c)
+            checked += 1
+    assert checked >= 40
+
+
 def test_jacobi_constraints_examples():
     assert jacobi_constraints(AdaptedBracketParams(0, 1, 0, 0, 5)) == 0.0
     assert jacobi_constraints(AdaptedBracketParams(1, 0, 1, 0, 0)) == 1.0
