@@ -46,19 +46,19 @@ carry at most two such directions, and at most one when the Ricci spectrum
 has exactly two distinct eigenvalues, so short direction lists are expected.
 
 A fixed Fibonacci lattice of ``LATTICE_DEFAULT`` (20000) points on the unit
-sphere certifies a non-admitting result (types IV and VI have no witness
-direction): its floor of ``r`` is bounded away from zero.  An admitting
-result is certified by its directions' own residuals, and there the floor
-only measures the lattice spacing next to them, so the CLI reads it only
-when no direction is found.  It decides no verdict, and the search never
-scans it.  The report computes it on the first read of
-``lattice_min_residual`` and caches it, so a caller that reads only the
-verdict never waits for it.  On the sphere ``r`` is a homogeneous sextic
-(``A`` becomes ``|u|^2 T - u du^T``), fixed by its values at 28 samples, so
-the certificate interpolates the search's own kernel from them: a float32
-product with a cached table screens the lattice, and the points within a
-rigorous round-off bound are measured again in float64.  The least value is
-the one a float64 scan of ``r`` would find.
+sphere certifies a non-admitting result, one with no witness direction (as
+every metric of types IV and VI has none): its floor of ``r`` shows how far
+from zero the residual stays.  An admitting result is certified by its
+directions' own residuals, and there the floor only measures the lattice
+spacing next to them, so the CLI reads it only when no direction is found.
+It decides no verdict, and the search never scans it.  The report computes
+it on the first read of ``lattice_min_residual`` and caches it, so a caller
+that reads only the verdict never waits for it.  On the sphere ``r`` is a
+homogeneous sextic (``A`` becomes ``|u|^2 T - u du^T``), fixed by its values
+at 28 samples, so the certificate interpolates the search's own kernel from
+them: a float32 product with a cached table screens the lattice, and the
+points within a rigorous round-off bound are measured again in float64.  The
+least value is the one a float64 scan of ``r`` would find.
 
 Each direction found carries the adapted bracket coefficients read off along
 it (:func:`adapt_basis`) and the Bianchi type of their family

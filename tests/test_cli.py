@@ -485,15 +485,6 @@ def _row_argv(group, alpha):
     return ["--group", group] + ([] if alpha is None else ["--alpha", repr(alpha)])
 
 
-def _planted_document(tmp_path, rng, name):
-    """An --input document of a type-II family sample in a random basis,
-    with the non-identity metric that keeps its adapted frame orthogonal."""
-    params = foliation.AdaptedBracketParams(0.0, 0.0, 0.0, 0.0, 1.0 + rng.random())
-    p = random_gl(rng)
-    sc = change_basis(foliation.adapted_constants(params), p)
-    return write_doc(tmp_path, {"c": sc.c.tolist(), "metric": (p.T @ p).tolist()}, name)
-
-
 def test_admitting_foliations_never_touch_the_lattice(capsys, tmp_path, monkeypatch):
     # a found direction certifies itself, so the CLI reads no floor for it
     def no_lattice(*args):
@@ -502,7 +493,11 @@ def test_admitting_foliations_never_touch_the_lattice(capsys, tmp_path, monkeypa
     monkeypatch.setattr(foliation, "_lattice", no_lattice)
     monkeypatch.setattr(foliation, "_lattice_floor", no_lattice)
     argvs = [_row_argv(*row) for row in cli._CLASSIFICATION_ROWS]
-    path = _planted_document(tmp_path, np.random.default_rng(5), "planted.json")
+    # a planted type II sample in a random basis, under the non-identity
+    # metric that keeps its adapted frame orthogonal
+    p = random_gl(np.random.default_rng(5))
+    nil = change_basis(catalog("Nil3").constants, p)
+    path = write_doc(tmp_path, {"c": nil.c.tolist(), "metric": (p.T @ p).tolist()})
     argvs.append(["--input", path])
     admitting = 0
     for argv in argvs:
@@ -542,7 +537,8 @@ def test_floor_is_null_exactly_on_admitting_results(capsys, tmp_path):
 
 def test_non_admitting_floor_matches_the_library(capsys, tmp_path):
     groups = [("G4", None), ("Sol3", 0.5), ("Sol3", 2.0)]
-    for group, alpha, g, argv in _random_metric_argvs(tmp_path, groups, seed=12, per_group=3):
+    cases = _random_metric_argvs(tmp_path, groups, seed=12, per_group=3)
+    for group, alpha, g, argv in cases:
         doc = _foliations_json(capsys, argv)
         sc = orthonormalize(catalog(group, alpha).constants, algebra.MetricSpec(g))
         want = search_directions(sc).lattice_min_residual
