@@ -88,7 +88,7 @@ class StructureConstants:
 
     def is_valid(self, tol: float = JACOBI_TOL) -> bool:
         """True if the Jacobi residual is within ``tol * |c|_F^2``."""
-        residual, scale_sq, _ = _scaled_jacobi(self)
+        _, residual, scale_sq, _ = _scaled_jacobi(self)
         return residual <= tol * scale_sq
 
 
@@ -162,22 +162,40 @@ def _jacobi(c: np.ndarray) -> float:
     return float(np.sqrt(np.vecdot(cyc, cyc).max()))
 
 
-def _scaled_jacobi(sc: StructureConstants) -> tuple[float, float, int]:
-    """``(r, s, k)``: the Jacobi residual ``r`` and ``s = |c|_F^2`` of
-    ``c * 2**-k``, whose largest entry lies in [0.5, 1).
+def _normalised(c: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(c * 2**-k, k)`` for an antisymmetric bracket array ``c``, with
+    ``k`` chosen so that the largest entry of ``c * 2**-k`` lies in [0.5, 1)
+    (``k = 0`` for the zero array).
 
-    Scaling by a power of two is exact, so ``r * 4**k`` and ``s * 4**k`` are
-    the unscaled values bit for bit wherever those neither overflow nor
-    underflow, and ``r <= tol * s`` decides Jacobi at any bracket scale.
+    Scaling by a power of two is exact, so sums and products computed on
+    the scaled array are the unscaled ones times a power of two, bit for
+    bit, wherever neither overflows nor underflows.  Quadratic quantities
+    such as ``|c|_F^2`` and curvatures, which lose precision once the
+    brackets fall below about 1e-154, are computed on the scaled array and
+    scaled back with ``ldexp``.
     """
-    k = math.frexp(float(np.abs(sc.c).max()))[1]
+    # c is antisymmetric, so its largest entry is its largest absolute value
+    k = math.frexp(float(c.max()))[1]
     # ldexp is exact, so the scaled array stays exactly antisymmetric
-    scaled = np.ldexp(sc.c, -k)
-    return _jacobi(scaled), float(np.sum(scaled * scaled)), k
+    return np.ldexp(c, -k), k
 
 
-def _require_lie(sc: StructureConstants, tol: float = JACOBI_TOL) -> float:
-    """The Jacobi residual of ``sc``, after checking it against ``tol``.
+def _scaled_jacobi(sc: StructureConstants) -> tuple[np.ndarray, float, float, int]:
+    """``(scaled, r, s, k)``: ``scaled = c * 2**-k`` of :func:`_normalised`,
+    its Jacobi residual ``r`` and ``s = |scaled|_F^2``.
+
+    ``r * 4**k`` and ``s * 4**k`` are the unscaled values bit for bit
+    wherever those neither overflow nor underflow, and ``r <= tol * s``
+    decides Jacobi at any bracket scale.
+    """
+    scaled, k = _normalised(sc.c)
+    return scaled, _jacobi(scaled), float(np.vdot(scaled, scaled)), k
+
+
+def _require_scaled_lie(
+    sc: StructureConstants, tol: float = JACOBI_TOL
+) -> tuple[np.ndarray, float, float, int]:
+    """:func:`_scaled_jacobi` of ``sc``, after checking it against ``tol``.
 
     Raises :class:`NotLieAlgebraError` unless the residual is at most
     ``tol * |c|_F^2``: the residual is quadratic in the brackets, so the
@@ -185,7 +203,7 @@ def _require_lie(sc: StructureConstants, tol: float = JACOBI_TOL) -> float:
     nothing, and neither does an infinite one at the zero algebra, where
     ``inf * 0`` is NaN.
     """
-    residual, scale_sq, k = _scaled_jacobi(sc)
+    scaled, residual, scale_sq, k = _scaled_jacobi(sc)
     # written so that NaN fails it too
     if not (residual <= tol * scale_sq):
         relative = residual / scale_sq if scale_sq else 0.0
@@ -193,6 +211,13 @@ def _require_lie(sc: StructureConstants, tol: float = JACOBI_TOL) -> float:
             f"not a Lie algebra: Jacobi residual {relative:.3e} * "
             f"|c|_F^2 exceeds {tol:.3e} * |c|_F^2"
         )
+    return scaled, residual, scale_sq, k
+
+
+def _require_lie(sc: StructureConstants, tol: float = JACOBI_TOL) -> float:
+    """The Jacobi residual of ``sc``, after :func:`_require_scaled_lie`
+    checked it against ``tol``."""
+    _, residual, _, k = _require_scaled_lie(sc, tol)
     return math.ldexp(residual, 2 * k)
 
 

@@ -6,25 +6,30 @@ a symmetric matrix ``n`` and a vector ``a``:
     c[i,j,k] = sum_l eps[i,j,l] n[l,k] + a[i] delta[j,k] - a[j] delta[i,k]
 
 ``a`` vanishes exactly for unimodular algebras, where the sign pattern of
-the eigenvalues of ``n`` decides the type.  Otherwise the kernel of the
-trace functional tau is a 2D abelian ideal.  Type III is the only
+the eigenvalues of ``n`` decides the type.  Otherwise the kernel ``u = a^perp``
+of the trace functional tau is a 2D abelian ideal.  Type III is the only
 non-unimodular type with a nonzero centre and is recognised by that first;
-otherwise the eigenvalue configuration of ad_w restricted to the ideal (with
-w normalized so tau(w) = 2) decides the type.
+otherwise the eigenvalues of ``M = ad_w|u``, ``w = a / |a|^2`` (so tau(w) = 2),
+decide the type.  As ``[w, v] = n (w x v) + v`` for ``v`` in ``u``, in any
+orthonormal basis of ``u`` (for any antisymmetric tensor, Jacobi or not)
+
+    M = I + N J / |a|,  so  tr M = 2,  det M = 1 + det N / |a|^2,
+    |M - I|_F = |N|_F / |a|,
+
+with ``N`` the restriction of ``n`` to ``u`` and ``J`` the quarter turn.  For
+``e = a / |a|`` and ``q = e . n e``, ``|N|_F^2 = |n|_F^2 - 2 |n e|^2 + q^2``
+and ``det N = e . adj(n) e = |n e|^2 - q tr n + sigma_2(n)`` (Cayley-Hamilton),
+where ``sigma_2`` sums the principal 2x2 minors of ``n``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    JACOBI_TOL,
-    StructureConstants,
-    _require_lie,
-    orthonormal_frame,
-)
+from .algebra import JACOBI_TOL, StructureConstants, _require_scaled_lie
 
 __all__ = [
     "TAGS",
@@ -40,16 +45,15 @@ TAGS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX")
 # Types that carry a continuous parameter.
 _PARAMETRIC = {"VI", "VII"}
 
-# Relative tolerance deciding unimodularity (norm of a against the bracket
-# scale).
+# Relative tolerance deciding unimodularity (|a| against |c|_F).
 _UNIMODULAR_TOL = 1e-9
 
 # Relative tolerance below which an eigenvalue of n counts as zero.
 _EIGEN_ZERO_TOL = 1e-8
 
 # Split/double decision for ad_w|u runs on the characteristic discriminant
-# (trace/2)^2 - det, measured against (trace/2)^2, which is 1 because w is
-# scaled so that tau(w) = tr M = 2.  A threshold on the raw eigenvalue gap is
+# (trace/2)^2 - det = -det N / |a|^2, measured against (trace/2)^2, which is
+# 1 because tau(w) = tr M = 2.  A threshold on the raw eigenvalue gap is
 # useless here: a defective (Jordan) block perturbed at machine precision eps
 # splits its eigenvalues by about sqrt(eps), far above any eps-sized gap
 # tolerance, while the discriminant itself stays at eps.  ||M||_F^2 is no
@@ -61,21 +65,14 @@ _DISC_TOL = 1e-6
 # a genuine Jordan block.
 _SCALAR_DEV_TOL = 1e-6
 
-_EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k, _s in (
-    (0, 1, 2, 1.0),
-    (1, 2, 0, 1.0),
-    (2, 0, 1, 1.0),
-    (0, 2, 1, -1.0),
-    (2, 1, 0, -1.0),
-    (1, 0, 2, -1.0),
-):
-    _EPS3[_i, _j, _k] = _s
-_EPS3.setflags(write=False)
-
 # (i, j) of the cyclic index triples (i, j, l), l = 0, 1, 2
 _CYCLIC_I = np.array([1, 2, 0])
 _CYCLIC_J = np.array([2, 0, 1])
+
+_EPS3 = np.zeros((3, 3, 3))
+_EPS3[_CYCLIC_I, _CYCLIC_J, [0, 1, 2]] = 1.0
+_EPS3[_CYCLIC_J, _CYCLIC_I, [0, 1, 2]] = -1.0
+_EPS3.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -134,31 +131,26 @@ def milnor_decompose(sc: StructureConstants) -> MilnorDecomposition:
     return MilnorDecomposition(n=n, a=a)
 
 
-def _centre(sc: StructureConstants) -> tuple[float, np.ndarray]:
-    """How close the algebra is to having a centre, and its best direction.
+def _centre(c: np.ndarray) -> tuple[float, np.ndarray]:
+    """How close the brackets ``c`` come to having a centre, and its best direction.
 
     Returns ``sigma_min / sigma_max`` of the linear map ``u -> c[u]`` (that
     is, ``u -> ad_u``) and the unit right singular vector of ``sigma_min``,
     which spans the centre when the ratio is zero.  The brackets must not
     all vanish.
     """
-    _, sigma, vt = np.linalg.svd(sc.c.reshape(3, 9).T)
+    _, sigma, vt = np.linalg.svd(c.reshape(3, 9).T)
     return float(sigma[-1] / sigma[0]), vt[-1]
 
 
 def _classify_unimodular(n: np.ndarray) -> BianchiType:
-    eigenvalues = np.linalg.eigvalsh(n)
-    scale = float(np.linalg.norm(n))
-    if scale == 0.0:
-        return BianchiType("I")
-    signs = np.zeros(3, dtype=int)
-    nonzero = np.abs(eigenvalues) > _EIGEN_ZERO_TOL * scale
-    signs[nonzero] = np.sign(eigenvalues[nonzero]).astype(int)
-    if (signs < 0).sum() > (signs > 0).sum():
-        signs = -signs
-    pos = int((signs > 0).sum())
-    neg = int((signs < 0).sum())
-    if pos == 0 and neg == 0:
+    zero = _EIGEN_ZERO_TOL * float(np.linalg.norm(n))
+    eigenvalues = np.linalg.eigvalsh(n).tolist()
+    pos = sum(v > zero for v in eigenvalues)
+    neg = sum(v < -zero for v in eigenvalues)
+    if neg > pos:
+        pos, neg = neg, pos
+    if pos == 0:
         return BianchiType("I")
     if pos + neg == 1:
         return BianchiType("II")
@@ -171,55 +163,62 @@ def _classify_unimodular(n: np.ndarray) -> BianchiType:
     return BianchiType("VIII")  # pos == 2, neg == 1
 
 
-def _classify_nonunimodular(sc: StructureConstants, a: np.ndarray) -> BianchiType:
+def _ker_tau_invariants(n: np.ndarray, a: np.ndarray) -> tuple[float, float]:
+    """``(disc, |M - I|_F^2)`` of ``M = ad_w|u = I + N J / |a|`` (see the
+    module docstring), where ``disc = 1 - det M = -det N / |a|^2``."""
+    aa = float(a @ a)
+    na = n @ a
+    ne_sq, q = float(na @ na) / aa, float(a @ na) / aa  # |n e|^2, e . n e
+    (n00, n01, n02), (_, n11, n12), (_, _, n22) = n.tolist()
+    # sigma_2(n) sums the principal 2x2 minors of n
+    det_n = ne_sq - q * (n00 + n11 + n22) + (n00 * n11 - n01 * n01)
+    det_n += (n00 * n22 - n02 * n02) + (n11 * n22 - n12 * n12)
+    # |N|_F^2 >= 0; the max guards round-off in the difference
+    norm_sq = max(float(np.vdot(n, n)) - 2.0 * ne_sq + q * q, 0.0)
+    return -det_n / aa, norm_sq / aa
+
+
+def _classify_nonunimodular(c: np.ndarray, n, a) -> BianchiType:
     # III is the only non-unimodular type with a centre.  Next to type II its
     # discriminant rests on round-off, while the centre stays exact.
-    if _centre(sc)[0] <= _EIGEN_ZERO_TOL:
+    if _centre(c)[0] <= _EIGEN_ZERO_TOL:
         return BianchiType("III")
-    # u = ker(tau) is the Euclidean orthogonal complement of a; restrict
-    # ad_w to it with w scaled so that tau(w) = 2.
-    unit = a / np.linalg.norm(a)
-    w = a / float(a @ a)  # tau(w) = 2 <a, w> = 2
-    h1, h2 = orthonormal_frame(unit)
-    basis = np.column_stack([h1, h2])
-    images = np.einsum("i,ijk->jk", w, sc.c)  # images[j, k]: [w, e_j]_k
-    m = basis.T @ (images.T @ basis)
-    trace = float(np.trace(m))
-    det = float(np.linalg.det(m))
-    half = 0.5 * trace
-    disc = half * half - det
-    scale_sq = max(float(np.sum(m * m)), 1e-300)
-    if abs(disc) <= _DISC_TOL * half * half:
+    # tr M = 2, so the eigenvalues of M are 1 +- sqrt(disc)
+    disc, deviation_sq = _ker_tau_invariants(n, a)
+    scale = math.sqrt(2.0 + deviation_sq)  # |M|_F
+    if abs(disc) <= _DISC_TOL:
         # Double eigenvalue: scalar action is type V, a Jordan block is IV.
-        deviation = float(np.linalg.norm(m - half * np.eye(2)))
-        if deviation > _SCALAR_DEV_TOL * np.sqrt(scale_sq):
+        if math.sqrt(deviation_sq) > _SCALAR_DEV_TOL * scale:
             return BianchiType("IV")
         return BianchiType("V")
     if disc < 0.0:
-        # Complex pair half*(1 +- i beta) with beta = sqrt(-disc)/half.
-        return BianchiType("VII", float(abs(half) / np.sqrt(-disc)))
-    root = np.sqrt(disc)
-    mu1, mu2 = half + root, half - root
-    if min(abs(mu1), abs(mu2)) <= _EIGEN_ZERO_TOL * np.sqrt(scale_sq):
+        # Complex pair 1 +- i beta with beta = sqrt(-disc).
+        return BianchiType("VII", 1.0 / math.sqrt(-disc))
+    root = math.sqrt(disc)
+    mu1, mu2 = 1.0 + root, 1.0 - root
+    if min(abs(mu1), abs(mu2)) <= _EIGEN_ZERO_TOL * scale:
         return BianchiType("III")
     ratio = -mu1 / mu2
     if abs(ratio) < 1.0:
         ratio = 1.0 / ratio
-    return BianchiType("VI", float(ratio))
+    return BianchiType("VI", ratio)
 
 
 def classify(sc: StructureConstants, tol: float = JACOBI_TOL) -> BianchiType:
     """Classify a valid 3D Lie algebra into its Bianchi type.
 
     The result is invariant under any well-conditioned change of basis and
-    under rescaling of the bracket.  Raises :class:`NotLieAlgebraError` when
-    the Jacobi residual exceeds ``tol * |c|_F^2``.
+    under rescaling of the bracket, down to any scale: the decision runs on
+    ``(n, a)`` and the brackets times the exact power of two that the Jacobi
+    check scaled them by.  Raises :class:`NotLieAlgebraError` when the
+    Jacobi residual exceeds ``tol * |c|_F^2``.
     """
-    _require_lie(sc, tol)
+    scaled, _, scale_sq, k = _require_scaled_lie(sc, tol)
     dec = milnor_decompose(sc)
-    if float(np.linalg.norm(dec.a)) <= _UNIMODULAR_TOL * float(np.linalg.norm(sc.c)):
-        return _classify_unimodular(dec.n)
-    return _classify_nonunimodular(sc, dec.a)
+    n, a = np.ldexp(dec.n, -k), np.ldexp(dec.a, -k)
+    if float(a @ a) <= _UNIMODULAR_TOL * _UNIMODULAR_TOL * scale_sq:
+        return _classify_unimodular(n)
+    return _classify_nonunimodular(scaled, n, a)
 
 
 def same_type(first: BianchiType, second: BianchiType, tol: float = 1e-9) -> bool:

@@ -92,21 +92,23 @@ def _is_number(value) -> bool:
     return type(value) in (int, float)
 
 
-def _all_numbers(value) -> bool:
-    """Whether every leaf of nested lists is a number."""
+def _all_numbers(value, rank: int) -> bool:
+    """Whether ``value`` is a number or nested lists, at most ``rank`` deep,
+    of numbers.  The rank bounds the recursion however deep ``value`` nests."""
     if isinstance(value, list):
-        return all(map(_all_numbers, value))
+        return rank > 0 and all(_all_numbers(v, rank - 1) for v in value)
     return _is_number(value)
 
 
-def _floats(value, label: str) -> np.ndarray:
-    """``value`` as a float array, or a ValueError naming ``label``.
+def _floats(value, label: str, rank: int) -> np.ndarray:
+    """``value`` as a float array of at most ``rank`` dimensions, or a
+    ValueError naming ``label``.
 
     The leaves are checked first, because numpy reads ``"1"`` and ``true``
     as 1.0.  An integer beyond the float range makes numpy raise
     OverflowError, which is refused too.
     """
-    if not _all_numbers(value):
+    if not _all_numbers(value, rank):
         raise ValueError(f"{label} must be an array of numbers")
     try:
         return np.asarray(value, dtype=float)
@@ -115,7 +117,7 @@ def _floats(value, label: str) -> np.ndarray:
 
 
 def _parse_vector3(value, label: str) -> np.ndarray:
-    arr = _floats(value, label)
+    arr = _floats(value, label, 1)
     if arr.shape != (DIM,):
         raise ValueError(f"{label} must be a list of {DIM} numbers")
     if not np.all(np.isfinite(arr)):
@@ -171,14 +173,14 @@ def parse_algebra_document(doc) -> tuple[str | None, StructureConstants, MetricS
     if isinstance(spec, dict):
         sc = _constants_from_sparse(spec)
     else:
-        arr = _floats(spec, "'c'")
+        arr = _floats(spec, "'c'", 3)
         if arr.shape != (DIM, DIM, DIM):
             raise ValueError(
                 f"'c' must be a {DIM}x{DIM}x{DIM} array or a bracket map"
             )
         sc = StructureConstants(arr)
     if doc.get("metric") is not None:
-        metric = MetricSpec(_floats(doc["metric"], "metric"))
+        metric = MetricSpec(_floats(doc["metric"], "metric", 2))
     else:
         metric = MetricSpec.identity()
     params = doc.get("params")
@@ -216,8 +218,15 @@ def _fmt_vec(v) -> str:
 
 
 def _load_json_file(path: str):
+    """The JSON document in ``path``, or a ValueError naming the file when
+    it is not JSON or nests too deeply for the parser."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid JSON in {path}: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"invalid JSON in {path}: nested too deeply") from None
 
 
 def _with_alpha(name: str, alpha: float | None) -> str:
@@ -233,13 +242,9 @@ def _resolve_algebra(args) -> tuple[str | None, StructureConstants]:
     else:
         if args.alpha is not None:
             raise ValueError("--alpha is only meaningful with --group")
-        try:
-            doc = _load_json_file(args.input)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON in {args.input}: {exc}") from None
-        name, sc, metric = parse_algebra_document(doc)
+        name, sc, metric = parse_algebra_document(_load_json_file(args.input))
     if args.metric is not None:
-        metric = MetricSpec(_floats(_load_json_file(args.metric), "--metric file"))
+        metric = MetricSpec(_floats(_load_json_file(args.metric), "--metric file", 2))
     return name, orthonormalize(sc, metric)
 
 

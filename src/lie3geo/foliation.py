@@ -68,6 +68,7 @@ the search raise its ``ValueError`` instead of reporting a false positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -78,7 +79,7 @@ from .algebra import (
     MetricSpec,
     StructureConstants,
     _rebase,
-    _require_lie,
+    _require_scaled_lie,
     constants_from_brackets,
     jacobi_residual,
     orthonormal_frame,
@@ -156,7 +157,9 @@ class FoliationReport:
     identified) direction list is nonempty.  ``lattice_min_residual`` is the
     certificate of a non-admitting result, measured with the search's
     residual kernel on its connection table ``_gamma`` at the first read of
-    any non-constant report; ``admits`` never waits for it.
+    any non-constant report; ``admits`` never waits for it.  ``_gamma`` is
+    the table of the brackets times ``2**-_k``, so the floor is scaled back
+    by ``4**_k``.
     """
 
     constant_curvature: bool
@@ -164,6 +167,7 @@ class FoliationReport:
     admits: bool
     lattice_size: int
     _gamma: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _k: int = field(default=0, repr=False, compare=False)
 
     @cached_property
     def lattice_min_residual(self) -> float | None:
@@ -171,7 +175,7 @@ class FoliationReport:
         Fibonacci lattice; ``None`` on constant curvature."""
         if self._gamma is None:
             return None
-        return _lattice_floor(self._gamma)
+        return math.ldexp(_lattice_floor(self._gamma), 2 * self._k)
 
 
 @dataclass(frozen=True)
@@ -340,12 +344,15 @@ def search_directions(
     certified by its own residuals.  Each candidate carries its
     :func:`adapt_basis` coefficients and their :func:`classify_family` type;
     if ``adapt_basis`` rejects an accepted direction, its ``ValueError``
-    propagates.  The whole pipeline is deterministic.
+    propagates.  The whole pipeline is deterministic.  Candidates, their
+    acceptance and the constant-curvature test run on the brackets times the
+    exact power of two ``2**-k`` that the Jacobi check scaled them by, so
+    the verdict holds however small the brackets are; residuals and adapted
+    coefficients are scaled back with ``ldexp``.
     """
-    jacobi = _require_lie(sc, tol)
-    gamma = connection(sc).gamma
-    scale_sq = float(np.sum(sc.c * sc.c))
-    if _is_constant(_riemann(sc.c, gamma), scale_sq):
+    scaled, jacobi, scale_sq, k = _require_scaled_lie(sc, tol)
+    gamma = np.ldexp(connection(sc).gamma, -k)
+    if _is_constant(_riemann(scaled, gamma), scale_sq):
         return FoliationReport(
             constant_curvature=True,
             directions=(),
@@ -353,13 +360,14 @@ def search_directions(
             lattice_size=LATTICE_DEFAULT,
         )
     # rows: the eigenvectors of n and the direction closest to the centre
-    stack = np.vstack((np.linalg.eigh(milnor_decompose(sc).n)[1].T, _centre(sc)[1]))
+    n = np.ldexp(milnor_decompose(sc).n, -k)
+    stack = np.vstack((np.linalg.eigh(n)[1].T, _centre(scaled)[1]))
     v = _residual_vector(gamma, stack)
     r_stack = np.vecdot(v, v)
     found: list[tuple[np.ndarray, float, np.ndarray]] = [
         # u -> -u leaves both residual norms exactly unchanged
-        (_canonical_sign(stack[k]), float(r_stack[k]), v[k])
-        for k in np.flatnonzero(r_stack <= ACCEPT_RESIDUAL_SQ * scale_sq)
+        (_canonical_sign(stack[i]), float(r_stack[i]), v[i])
+        for i in np.flatnonzero(r_stack <= ACCEPT_RESIDUAL_SQ * scale_sq)
     ]
     found.sort(key=lambda item: (item[1], item[0][0], item[0][1], item[0][2]))
 
@@ -370,10 +378,12 @@ def search_directions(
             kept.append((u_ref, v_ref))
 
     candidates = []
+    # only a search that found a direction builds the scaled constants
+    normalised = StructureConstants(scaled) if kept else None
     for u_ref, v_ref in sorted(kept, key=lambda item: tuple(item[0])):
         geo = float(np.linalg.norm(v_ref[:3]))
         conf = float(np.linalg.norm(v_ref[3:]))
-        adapted = _adapt_basis(sc, u_ref, v_ref, jacobi)
+        adapted = _adapt_basis(normalised, u_ref, v_ref, jacobi)
         # Coefficients forced to zero by the foliation conditions carry noise
         # on the order of the measured residuals, so the family case analysis
         # runs on the coefficients over |c|_F with a zero threshold that
@@ -384,9 +394,11 @@ def search_directions(
         candidates.append(
             FoliationCandidate(
                 direction=u_ref,
-                geodesic_residual=geo,
-                conformal_residual=conf,
-                adapted=adapted,
+                geodesic_residual=math.ldexp(geo, k),
+                conformal_residual=math.ldexp(conf, k),
+                adapted=AdaptedBracketParams(
+                    *(math.ldexp(x, k) for x in adapted.as_tuple())
+                ),
                 family=family,
             )
         )
@@ -396,6 +408,7 @@ def search_directions(
         admits=bool(candidates),
         lattice_size=LATTICE_DEFAULT,
         _gamma=gamma,
+        _k=k,
     )
 
 
@@ -551,12 +564,15 @@ def enumerate_families() -> tuple[FoliationFamily, FoliationFamily, FoliationFam
 
 def random_metrics(count: int, seed: int = 42) -> list[MetricSpec]:
     """Reproducible well-conditioned random SPD metrics."""
+    return [metric for _, metric in zip(range(count), _metric_stream(seed))]
+
+
+def _metric_stream(seed: int):
+    """The metrics of :func:`random_metrics`, drawn one at a time."""
     rng = np.random.default_rng(seed)
-    metrics = []
-    for _ in range(count):
+    while True:
         a = rng.standard_normal((3, 3))
-        metrics.append(MetricSpec(a @ a.T + 0.5 * np.eye(3)))
-    return metrics
+        yield MetricSpec(a @ a.T + 0.5 * np.eye(3))
 
 
 def admits_harmonic_morphism(
@@ -568,11 +584,13 @@ def admits_harmonic_morphism(
 
     The first component searches the given orthonormal-basis constants as
     they are; the second repeats the search after orthonormalizing against
-    ``trials`` random SPD metrics from a seeded generator.
+    ``trials`` random SPD metrics from a seeded generator, the sequence of
+    :func:`random_metrics`, drawn one at a time and only until one admits.
     """
     first = search_directions(sc).admits
     second = False
-    for metric in random_metrics(trials, seed=seed):
+    # zip stops at the end of the range before it draws another metric
+    for _, metric in zip(range(trials), _metric_stream(seed)):
         if search_directions(orthonormalize(sc, metric)).admits:
             second = True
             break

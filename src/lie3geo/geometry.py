@@ -16,11 +16,12 @@ K(plane(e_i, e_j)) = R[i,j,j,i].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import StructureConstants
+from .algebra import StructureConstants, _normalised
 
 __all__ = [
     "CONSTANT_CURVATURE_TOL",
@@ -106,43 +107,48 @@ def connection(sc: StructureConstants) -> ConnectionCoefficients:
     return ConnectionCoefficients(gamma=gamma)
 
 
-def _merge_spectrum(values: np.ndarray, tol: float) -> tuple[tuple[float, int], ...]:
+def _merge_spectrum(values: list[float], tol: float) -> tuple[tuple[float, int], ...]:
+    """Ascending ``values`` merged into (mean, multiplicity) lines."""
     groups: list[list[float]] = []
-    for v in np.sort(values):
+    for v in values:
         if groups and v - groups[-1][-1] <= tol:
-            groups[-1].append(float(v))
+            groups[-1].append(v)
         else:
-            groups.append([float(v)])
+            groups.append([v])
     return tuple((sum(g) / len(g), len(g)) for g in groups)
 
 
 def curvature(sc: StructureConstants) -> CurvatureReport:
     """Full curvature report for the orthonormal-basis constants.
 
-    Its constant flag is :func:`_is_constant`, the one curvature test that
-    the foliation search asks for; the Ricci spectrum is the report's own.
+    Its constant flag is the test :func:`_is_constant` makes, the one
+    curvature test that the foliation search asks for; the Ricci spectrum is
+    the report's own.  Both decisions run on the brackets times the power of
+    two ``2**-k`` of ``_normalised``, so they hold at any bracket scale, and
+    every value is scaled back by ``4**k`` with ``ldexp``.
     """
-    c = sc.c
-    riemann = _riemann(c, connection(sc).gamma)
+    scaled, k = _normalised(sc.c)
+    riemann = _riemann(scaled, np.ldexp(connection(sc).gamma, -k))
     ricci = np.trace(riemann, axis1=0, axis2=3)
     scalar = float(np.trace(ricci))
-    sectional_basis = (
-        float(riemann[0, 1, 1, 0]),
-        float(riemann[0, 2, 2, 0]),
-        float(riemann[1, 2, 2, 1]),
-    )
-    scale_sq = float(np.sum(c * c))
-    constant = scalar / 6.0 if _is_constant(riemann, scale_sq) else None
+    k_fit = scalar / 6.0
+    scale_sq = float(np.vdot(scaled, scaled))
+    constant = _fits_constant(riemann, k_fit, scale_sq)
     spectrum = _merge_spectrum(
-        np.linalg.eigvalsh(ricci), SPECTRUM_MERGE_TOL * scale_sq
+        np.linalg.eigvalsh(ricci).tolist(), SPECTRUM_MERGE_TOL * scale_sq
     )
+    riemann = np.ldexp(riemann, 2 * k)
     return CurvatureReport(
         riemann=riemann,
-        ricci=ricci,
-        scalar=scalar,
-        sectional_basis=sectional_basis,
-        constant_curvature=constant,
-        ricci_spectrum=spectrum,
+        ricci=np.ldexp(ricci, 2 * k),
+        scalar=math.ldexp(scalar, 2 * k),
+        sectional_basis=(
+            float(riemann[0, 1, 1, 0]),
+            float(riemann[0, 2, 2, 0]),
+            float(riemann[1, 2, 2, 1]),
+        ),
+        constant_curvature=math.ldexp(k_fit, 2 * k) if constant else None,
+        ricci_spectrum=tuple((math.ldexp(v, 2 * k), m) for v, m in spectrum),
     )
 
 
@@ -156,13 +162,18 @@ def _riemann(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     return gg - gg.transpose(1, 0, 2, 3) - cg
 
 
-def _is_constant(riemann: np.ndarray, scale_sq: float) -> bool:
+def _fits_constant(riemann: np.ndarray, k_fit: float, scale_sq: float) -> bool:
     """Whether ``riemann`` is within ``CONSTANT_CURVATURE_TOL * scale_sq``,
-    entrywise, of the constant model of curvature ``scalar / 6``, for
-    ``scale_sq = |c|_F^2``.  No Ricci spectrum and no report are built."""
-    k_fit = float(np.trace(np.trace(riemann, axis1=0, axis2=3))) / 6.0
+    entrywise, of the constant model of curvature ``k_fit``."""
     deviation = float(np.abs(riemann - k_fit * _UNIT_MODEL).max())
     return deviation <= CONSTANT_CURVATURE_TOL * scale_sq
+
+
+def _is_constant(riemann: np.ndarray, scale_sq: float) -> bool:
+    """:func:`_fits_constant` for ``k_fit = scalar / 6``, with
+    ``scale_sq = |c|_F^2``.  No Ricci spectrum and no report are built."""
+    k_fit = float(np.trace(np.trace(riemann, axis1=0, axis2=3))) / 6.0
+    return _fits_constant(riemann, k_fit, scale_sq)
 
 
 def sectional(report: CurvatureReport, u: np.ndarray, v: np.ndarray) -> float:

@@ -33,3 +33,47 @@ def brackets_across_scales(seed, per_scale=20):
         for _ in range(per_scale):
             c = 10.0**k * rng.standard_normal((3, 3, 3))
             yield StructureConstants(c), random_gl(rng)
+
+
+def ad_w_on_ker_tau(sc):
+    """``M = B^T ad_w B``: ad_w, ``w = a / |a|^2``, restricted to
+    ``ker(tau) = a^perp`` in the orthonormal frame ``B`` of
+    ``orthonormal_frame(a / |a|)``.  The frame route to the matrix whose
+    invariants ``classify`` reads off Milnor's (n, a) in closed form."""
+    from lie3geo.algebra import orthonormal_frame
+    from lie3geo.bianchi import milnor_decompose
+
+    a = milnor_decompose(sc).a
+    basis = np.column_stack(orthonormal_frame(a / np.linalg.norm(a)))
+    images = np.einsum("i,ijk->jk", a / float(a @ a), sc.c)  # [w, e_j]_k
+    return basis.T @ (images.T @ basis)
+
+
+def classify_by_frame(sc):
+    """Bianchi type of a non-unimodular algebra from the eigenvalues of
+    :func:`ad_w_on_ker_tau`, with ``classify``'s thresholds and order of
+    tests: an oracle for its closed form."""
+    from lie3geo.bianchi import (
+        _DISC_TOL,
+        _EIGEN_ZERO_TOL,
+        _SCALAR_DEV_TOL,
+        BianchiType,
+        _centre,
+    )
+
+    if _centre(sc.c)[0] <= _EIGEN_ZERO_TOL:
+        return BianchiType("III")
+    m = ad_w_on_ker_tau(sc)
+    half = 0.5 * float(np.trace(m))
+    disc = half * half - float(np.linalg.det(m))
+    scale = np.sqrt(max(float(np.sum(m * m)), 1e-300))
+    if abs(disc) <= _DISC_TOL * half * half:
+        deviation = float(np.linalg.norm(m - half * np.eye(2)))
+        return BianchiType("IV" if deviation > _SCALAR_DEV_TOL * scale else "V")
+    if disc < 0.0:
+        return BianchiType("VII", float(abs(half) / np.sqrt(-disc)))
+    mu1, mu2 = half + np.sqrt(disc), half - np.sqrt(disc)
+    if min(abs(mu1), abs(mu2)) <= _EIGEN_ZERO_TOL * scale:
+        return BianchiType("III")
+    ratio = -mu1 / mu2
+    return BianchiType("VI", float(ratio if abs(ratio) >= 1.0 else 1.0 / ratio))

@@ -1,18 +1,27 @@
 import numpy as np
 import pytest
 
-from conftest import brackets_across_scales, random_gl
+from conftest import (
+    ad_w_on_ker_tau,
+    brackets_across_scales,
+    classify_by_frame,
+    random_gl,
+    random_spd,
+)
 
 from lie3geo.algebra import (
+    MetricSpec,
     NotLieAlgebraError,
     StructureConstants,
     catalog,
     change_basis,
     constants_from_brackets,
+    orthonormalize,
 )
 from lie3geo.bianchi import (
     _EPS3,
     BianchiType,
+    _ker_tau_invariants,
     MilnorDecomposition,
     classify,
     milnor_decompose,
@@ -241,3 +250,78 @@ def test_next_to_type_ii_never_types_iv_or_vi():
         for _ in range(300):
             got = classify(_next_to_type_ii(rng, eps))
             assert got.tag in {"II", "III"}, (eps, str(got))
+
+
+# non-unimodular catalog rows: Sol3(1) and G7(0) are unimodular
+_NON_UNIMODULAR = [
+    ("H2xR", None),
+    ("G4", None),
+    ("H3", None),
+    *(("Sol3", alpha) for alpha in (0.2, 0.5, 2.0, 3.7)),
+    *(("G7", alpha) for alpha in (-1.5, 0.3, 1.0, 2.5)),
+]
+
+
+@pytest.mark.parametrize("name, alpha", _NON_UNIMODULAR)
+def test_closed_form_matches_the_frame_route(name, alpha):
+    """200 random bases (cond < 1e3) and metrics at bracket scales 10^k, k
+    even in [-12, 12]: the closed form classifies as the frame route of
+    ``ad_w_on_ker_tau`` does, and its invariants are that route's."""
+    rng = np.random.default_rng(41)
+    base = catalog(name, alpha).constants
+    for i in range(200):
+        moved = change_basis(base, random_gl(rng))
+        sc = orthonormalize(
+            StructureConstants(10.0 ** (2 * (i % 13) - 12) * moved.c),
+            MetricSpec(random_spd(rng)),
+        )
+        got, want = classify(sc), classify_by_frame(sc)
+        assert got.tag == want.tag, (i, str(got), str(want))
+        dec = milnor_decompose(sc)
+        disc, deviation_sq = _ker_tau_invariants(dec.n, dec.a)
+        m = ad_w_on_ker_tau(sc)
+        scale_sq = float(np.sum(m * m))
+        if want.param is not None:
+            # Both routes lose about eps |M|_F^2 / |disc| of the parameter to
+            # round-off: up to 1.6e-12 here, under 1.2e-14 in bases of
+            # condition below 10.
+            slack = max(1e-12, 16 * np.finfo(float).eps * scale_sq / abs(disc))
+            assert abs(got.param - want.param) <= slack * want.param, (i, str(got))
+        bound = 1e-12 * scale_sq
+        assert abs(float(np.trace(m)) - 2.0) <= bound
+        assert abs(float(np.linalg.det(m)) - (1.0 - disc)) <= bound
+        deviation = float(np.linalg.norm(m - np.eye(2)))
+        assert abs(deviation - np.sqrt(deviation_sq)) <= bound
+
+
+def test_ker_tau_invariants_need_no_jacobi():
+    # M = I + N J / |a| holds for any antisymmetric tensor, Lie or not
+    for sc, _ in brackets_across_scales(seed=45):
+        dec = milnor_decompose(sc)
+        disc, deviation_sq = _ker_tau_invariants(dec.n, dec.a)
+        m = ad_w_on_ker_tau(sc)
+        bound = 1e-12 * float(np.sum(m * m))
+        assert abs(float(np.trace(m)) - 2.0) <= bound
+        assert abs(float(np.linalg.det(m)) - (1.0 - disc)) <= bound
+        assert abs(float(np.sum((m - np.eye(2)) ** 2)) - deviation_sq) <= bound
+
+
+@pytest.mark.parametrize("exponent", [-560, -1000])
+def test_classification_holds_where_the_brackets_square_to_zero(exponent):
+    # at 2**-560 |c|_F^2 underflows to 0, at 2**-1000 every product of two
+    # brackets does; the types must still be those at scale 1
+    rng = np.random.default_rng(43)
+    for name, alpha, _ in CATALOG_TYPES:
+        for _ in range(10):
+            sc = change_basis(catalog(name, alpha).constants, random_gl(rng))
+            tiny = StructureConstants(np.ldexp(sc.c, exponent))
+            assert same_type(classify(tiny), classify(sc), tol=1e-12), (name, alpha)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-300])
+def test_catalog_classification_at_tiny_decimal_scales(scale):
+    # H3 at 1e-160 used to come out as IV and Sol3(2) as VI(2.00002); at
+    # 1e-170 every group came out as type I
+    for name, alpha, expected in CATALOG_TYPES:
+        got = classify(StructureConstants(scale * catalog(name, alpha).constants.c))
+        assert same_type(got, expected, tol=1e-12), (name, alpha, str(got))

@@ -793,3 +793,67 @@ def test_readme_commands_parse():
             cli.build_parser().parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+# ---------------------------------------------------------------- nesting and underflow
+
+
+def _nested(depth, leaf=1):
+    value = leaf
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"c": _nested(900)}, "error: 'c' must be an array of numbers\n"),
+        ({"c": {"XY": _nested(900)}}, "error: bracket 'XY' must be an array of numbers\n"),
+        ({"c": _SPARSE, "metric": _nested(900)}, "error: metric must be an array of numbers\n"),
+    ],
+    ids=["dense-c", "sparse-c", "document-metric"],
+)
+def test_deeply_nested_document_exits_one(capsys, tmp_path, doc, message):
+    # the leaf check recursed once per level and raised RecursionError
+    code, out, err = run(capsys, ["classify", "--input", write_doc(tmp_path, doc)])
+    assert (code, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize("flag, depth", [("--input", 100000), ("--metric", 5000)])
+def test_file_too_deep_for_the_json_parser_exits_one(capsys, tmp_path, flag, depth):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "1" + "]" * depth)
+    argv = ["classify", flag, str(path)]
+    if flag == "--metric":
+        argv += ["--group", "Nil3"]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (1, "", f"error: invalid JSON in {path}: nested too deeply\n")
+
+
+@pytest.mark.parametrize("command", ["classify", "curvature", "foliations"])
+def test_cli_deep_nesting_prints_no_traceback(tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"c": _nested(900)}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lie3geo", command, "--input", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(lie3geo.__file__).parents[1])},
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: 'c' must be an array of numbers\n"
+
+
+def test_type_iv_does_not_admit_at_tiny_scale(capsys, tmp_path):
+    # the unscaled Riemann tensor and its threshold underflowed to 0, and G4
+    # at 1e-170 printed "constant curvature; admits harmonic morphisms"
+    doc = {"c": {"ZX": [1e-170, 0, 0], "ZY": [1e-170, 1e-170, 0]}}
+    path = write_doc(tmp_path, doc)
+    code, out, _ = run(capsys, ["foliations", "--input", path])
+    assert code == 0
+    assert "no conformal foliation by geodesics" in out
+    code, out, _ = run(capsys, ["classify", "--input", path])
+    assert out == "Bianchi type: IV\n"
+    code, out, _ = run(capsys, ["--json", "curvature", "--input", path])
+    assert json.loads(out)["constant_curvature"] is None

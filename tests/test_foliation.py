@@ -846,3 +846,80 @@ def test_search_jacobi_tolerance_is_relative():
     sol = StructureConstants(1e4 * catalog("Sol3", 2.0).constants.c)
     moved = change_basis(sol, random_gl(np.random.default_rng(0)))
     assert not search_directions(moved).admits
+
+
+# ------------------------------------------------ brackets whose squares underflow
+
+
+def test_search_holds_where_the_brackets_square_to_zero():
+    """At 2**-560, |c|_F^2 and every residual underflow to 0 unscaled; the
+    search runs on the brackets times 2**-k, so its verdict, constant flag,
+    directions and family types are those at scale 1."""
+    rng = np.random.default_rng(47)
+    for name, alpha in _CATALOG_ENTRIES:
+        sc = change_basis(catalog(name, alpha).constants, random_gl(rng))
+        sc = orthonormalize(sc, MetricSpec(random_spd(rng)))
+        want = search_directions(sc)
+        got = search_directions(StructureConstants(np.ldexp(sc.c, -560)))
+        assert (got.admits, got.constant_curvature) == (want.admits, want.constant_curvature)
+        assert [c.family.tag for c in got.directions] == [c.family.tag for c in want.directions]
+        for g, w in zip(got.directions, want.directions):
+            assert np.abs(g.direction - w.direction).max() <= 1e-15
+            assert same_type(g.family, w.family, tol=1e-12)
+            # reported values are scaled back, here to 2**-560 times the values
+            assert g.adapted.as_tuple() == tuple(
+                math.ldexp(x, -560) for x in w.adapted.as_tuple()
+            )
+        if name in ("G4", "Sol3"):
+            assert not got.admits
+            assert got.lattice_min_residual == math.ldexp(want.lattice_min_residual, -1120)
+
+
+@pytest.mark.parametrize("name, alpha", [("G4", None), ("Sol3", 2.0), ("Sol3", 1.0)])
+def test_types_iv_and_vi_never_admit_at_tiny_decimal_scales(name, alpha):
+    # at 1e-170 the unscaled Riemann tensor and its threshold both underflow
+    # to 0, which used to read as constant curvature and admit
+    sc = StructureConstants(1e-170 * catalog(name, alpha).constants.c)
+    rep = search_directions(sc)
+    assert not rep.constant_curvature and not rep.admits
+    assert curvature(sc).constant_curvature is None
+    assert admits_harmonic_morphism(sc, trials=3) == (False, False)
+
+
+def test_admits_draws_its_metrics_one_at_a_time(monkeypatch):
+    """A search that admits on the third sampled metric stops the draws
+    there: no list of ``trials`` metrics is built first."""
+    drawn = []
+    spec = foliation.MetricSpec
+
+    def counted(g):
+        drawn.append(g)
+        return spec(g)
+
+    searches = []
+
+    def search(sc):
+        searches.append(sc)
+        # the identity search, then the sampled metrics; admit on the third
+        return dataclasses.replace(
+            search_directions(catalog("G4").constants), admits=len(searches) == 4
+        )
+
+    monkeypatch.setattr(foliation, "MetricSpec", counted)
+    monkeypatch.setattr(foliation, "search_directions", search)
+    assert admits_harmonic_morphism(catalog("G4").constants, trials=100000) == (False, True)
+    assert len(searches) == 4 and len(drawn) == 3
+
+
+def test_admits_searches_the_metrics_of_random_metrics(monkeypatch):
+    seen = []
+    original = foliation.orthonormalize
+
+    def recorded(sc, metric):
+        seen.append(metric.g)
+        return original(sc, metric)
+
+    monkeypatch.setattr(foliation, "orthonormalize", recorded)
+    assert admits_harmonic_morphism(catalog("G4").constants, trials=7, seed=5) == (False, False)
+    want = random_metrics(7, seed=5)
+    assert [g.tobytes() for g in seen] == [m.g.tobytes() for m in want]

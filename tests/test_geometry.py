@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from conftest import brackets_across_scales, random_gl
+from conftest import brackets_across_scales, random_gl, random_orthogonal
 
 from lie3geo.algebra import StructureConstants, catalog, change_basis
 from lie3geo.foliation import AdaptedBracketParams, adapted_constants, enumerate_families
@@ -213,3 +215,28 @@ def test_ricci_spectrum_merges_close_eigenvalues():
     assert rep.ricci_spectrum[0][1] == 3
     multiplicities = [m for _, m in rep.ricci_spectrum]
     assert sum(multiplicities) == 3
+
+
+@pytest.mark.parametrize("exponent", [-520, -560])
+def test_curvature_decisions_hold_where_the_brackets_square_to_zero(exponent):
+    """At 2**-520 every curvature is subnormal and at 2**-560 it underflows
+    to 0, and so does the unscaled threshold CONSTANT_CURVATURE_TOL *
+    |c|_F^2; the flag and the spectrum merge run on the brackets times
+    2**-k, so they are those at scale 1, and each value is the scale-1 value
+    times 2**(2 * exponent), rounded once."""
+    rng = np.random.default_rng(53)
+    for name, alpha in [
+        ("R3", None), ("Nil3", None), ("H2xR", None), ("G4", None), ("H3", None),
+        ("Sol3", 2.0), ("G7", 0.5), ("SL2R~", None), ("SU2", None),
+    ]:
+        sc = change_basis(catalog(name, alpha).constants, random_orthogonal(rng))
+        want = curvature(sc)
+        got = curvature(StructureConstants(np.ldexp(sc.c, exponent)))
+        assert (got.constant_curvature is None) == (want.constant_curvature is None)
+        assert [m for _, m in got.ricci_spectrum] == [m for _, m in want.ricci_spectrum]
+        for field in ("riemann", "ricci"):
+            scaled_back = np.ldexp(getattr(want, field), 2 * exponent)
+            assert getattr(got, field).tobytes() == scaled_back.tobytes()
+        assert got.scalar == math.ldexp(want.scalar, 2 * exponent)
+        for (g, _), (w, _) in zip(got.ricci_spectrum, want.ricci_spectrum):
+            assert g == math.ldexp(w, 2 * exponent)
