@@ -78,6 +78,7 @@ from .algebra import (
     JACOBI_TOL,
     MetricSpec,
     StructureConstants,
+    _normalised,
     _rebase,
     _require_scaled_lie,
     constants_from_brackets,
@@ -304,10 +305,14 @@ def residuals(sc: StructureConstants, u: np.ndarray) -> tuple[float, float]:
 
     Both vanish together exactly when the left-invariant line field through
     ``u`` spans a conformal foliation by geodesics; both are invariant under
-    u -> -u and independent of the horizontal frame choice.
+    u -> -u and independent of the horizontal frame choice.  They are
+    measured on the brackets times an exact power of two and scaled back,
+    so their squares do not underflow however small the brackets are.
     """
-    v = _unit_residual_vector(sc, np.asarray(u, dtype=float))
-    return float(np.linalg.norm(v[:3])), float(np.linalg.norm(v[3:]))
+    scaled, k = _normalised(sc.c)
+    v = _unit_residual_vector(StructureConstants(scaled), np.asarray(u, dtype=float))
+    geo, conf = float(np.linalg.norm(v[:3])), float(np.linalg.norm(v[3:]))
+    return math.ldexp(geo, k), math.ldexp(conf, k)
 
 
 def _unit_residual_vector(sc: StructureConstants, u: np.ndarray) -> np.ndarray:
@@ -396,9 +401,7 @@ def search_directions(
                 direction=u_ref,
                 geodesic_residual=math.ldexp(geo, k),
                 conformal_residual=math.ldexp(conf, k),
-                adapted=AdaptedBracketParams(
-                    *(math.ldexp(x, k) for x in adapted.as_tuple())
-                ),
+                adapted=_ldexp_params(adapted, k),
                 family=family,
             )
         )
@@ -423,10 +426,20 @@ def adapt_basis(sc: StructureConstants, u: np.ndarray) -> AdaptedBracketParams:
     ``tol = sqrt(ACCEPT_RESIDUAL_SQ)``, the search's own threshold, and is
     relative: residuals and table entries scale like |c|_F and are compared
     with ``tol * |c|_F``, the quadratic Jacobi constraints with
-    ``tol * |c|_F^2``.
+    ``tol * |c|_F^2``.  As in :func:`search_directions`, these tests run on
+    the brackets times an exact power of two, and the coefficients are
+    scaled back.
     """
     u = np.asarray(u, dtype=float)
-    return _adapt_basis(sc, u, _unit_residual_vector(sc, u), jacobi_residual(sc))
+    scaled, k = _normalised(sc.c)
+    normalised = StructureConstants(scaled)
+    v = _unit_residual_vector(normalised, u)
+    return _ldexp_params(_adapt_basis(normalised, u, v, jacobi_residual(normalised)), k)
+
+
+def _ldexp_params(params: AdaptedBracketParams, k: int) -> AdaptedBracketParams:
+    """``params`` times ``2**k``, each coefficient rounded once."""
+    return AdaptedBracketParams(*(math.ldexp(x, k) for x in params.as_tuple()))
 
 
 def _adapt_basis(

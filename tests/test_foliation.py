@@ -923,3 +923,19 @@ def test_admits_searches_the_metrics_of_random_metrics(monkeypatch):
     assert admits_harmonic_morphism(catalog("G4").constants, trials=7, seed=5) == (False, False)
     want = random_metrics(7, seed=5)
     assert [g.tobytes() for g in seen] == [m.g.tobytes() for m in want]
+
+
+def test_residuals_and_adapt_basis_hold_where_the_brackets_square_to_zero():
+    # residuals of G4 along X at 1e-170 read (0, 0), a false foliation, and
+    # adapt_basis refused Nil3's vertical axis there
+    g4 = StructureConstants(1e-170 * catalog("G4").constants.c)
+    assert residuals(g4, X)[0] > 0.0
+    with pytest.raises(ValueError, match="foliation conditions violated"):
+        adapt_basis(g4, X)
+    for name, u in (("G4", X), ("Nil3", Z), ("H2xR", Z)):
+        sc = catalog(name).constants
+        tiny = StructureConstants(np.ldexp(sc.c, -560))
+        assert residuals(tiny, u) == tuple(math.ldexp(r, -560) for r in residuals(sc, u))
+        if name != "G4":
+            want = adapt_basis(sc, u).as_tuple()
+            assert adapt_basis(tiny, u).as_tuple() == tuple(math.ldexp(x, -560) for x in want)
