@@ -88,7 +88,7 @@ class StructureConstants:
 
     def is_valid(self, tol: float = JACOBI_TOL) -> bool:
         """True if the Jacobi residual is within ``tol * |c|_F^2``."""
-        _, residual, scale_sq, _ = _scaled_jacobi(self)
+        _, _, _, residual, scale_sq, _ = _scaled_jacobi(self)
         return residual <= tol * scale_sq
 
 
@@ -145,21 +145,80 @@ def bracket(sc: StructureConstants, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def jacobi_residual(sc: StructureConstants) -> float:
-    """Worst-case norm of the Jacobi cyclic sum over basis triples.
+    """Norm of the Jacobi cyclic sum, the worst case over basis triples.
 
-    For each triple (i, j, k) the cyclic sum
-    ``[e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]]`` is evaluated and
-    the maximum Euclidean norm is returned.  Exactly zero for a Lie algebra.
+    The cyclic sum ``J(x, y, z) = [x,[y,z]] + [y,[z,x]] + [z,[x,y]]`` of an
+    antisymmetric bracket is alternating, so in three dimensions one triple
+    fixes every triple: ``J(e_i, e_j, e_k) = eps[i,j,k] J(e_0, e_1, e_2)``.
+    The Euclidean norm of ``J(e_0, e_1, e_2)`` is therefore the maximum
+    over all 27 triples.  Exactly zero for a Lie algebra.
     """
-    return _jacobi(sc.c)
+    return _jacobi(_JACOBI_ROWS @ _products(sc.c)[1])
 
 
-def _jacobi(c: np.ndarray) -> float:
-    """:func:`jacobi_residual` of the antisymmetric bracket array ``c``."""
+def _jacobi(cyclic: np.ndarray) -> float:
+    """The Jacobi residual: the norm of the cyclic vector ``cyclic``, which
+    is ``J(e_0, e_1, e_2)`` in its first three entries."""
+    cyclic = cyclic[:3]
+    return math.sqrt(float(cyclic @ cyclic))
+
+
+def _cyclic_sum(c: np.ndarray) -> np.ndarray:
+    """The Jacobi cyclic sums ``cyc[i,j,k,:] = J(e_i, e_j, e_k)`` of the
+    antisymmetric bracket array ``c``, for every basis triple."""
     # t[i,j,k,:] = [e_i, [e_j, e_k]]: row (j, k) of c times the matrix c[i]
     t = (c.reshape(9, 3) @ c).reshape(3, 3, 3, 3)
-    cyc = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
-    return float(np.sqrt(np.vecdot(cyc, cyc).max()))
+    return t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
+
+
+# (i, j) of the cyclic index triples (i, j, l), l = 0, 1, 2
+_CYCLIC_I = np.array([1, 2, 0])
+_CYCLIC_J = np.array([2, 0, 1])
+
+
+def _products(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(m, p)`` for an antisymmetric bracket array ``c``: Milnor's rows
+    ``m = (c[1,2,:], c[2,0,:], c[0,1,:])``, the nine components that fix
+    ``c``, and their 81 pairwise products ``p[9 a + b] = m.flat[a] m.flat[b]``.
+
+    Every quantity quadratic in the brackets is a fixed linear map of ``p``
+    (see :func:`_polarize`).
+    """
+    m = c[_CYCLIC_I, _CYCLIC_J]
+    flat = m.reshape(9, 1)
+    return m, (flat * flat.T).ravel()
+
+
+def _polarize(kernel) -> np.ndarray:
+    """The read-only map ``M`` with ``M @ _products(c)[1]`` equal to
+    ``kernel(c).ravel()`` for every antisymmetric ``c``, for a ``kernel``
+    quadratic in the brackets.
+
+    It is read off the kernel on the basis tensors ``E_a``, the brackets
+    whose component ``m.flat[a]`` is 1 and all others 0: column ``9 a + a``
+    holds ``kernel(E_a)``, and columns ``9 a + b`` and ``9 b + a`` each hold
+    half the polarization ``kernel(E_a + E_b) - kernel(E_a) - kernel(E_b)``.
+    The kernels of this package take sums and halves of products of the
+    entries 0 and +-1 of the basis tensors, so their maps hold small
+    multiples of 1/4, exactly.
+    """
+    basis = np.zeros((9, DIM, DIM, DIM))
+    for a in range(9):
+        row, k = divmod(a, DIM)
+        basis[a, _CYCLIC_I[row], _CYCLIC_J[row], k] = 1.0
+        basis[a, _CYCLIC_J[row], _CYCLIC_I[row], k] = -1.0
+    square = [np.ravel(kernel(e)) for e in basis]
+    columns = np.empty((square[0].size, 9, 9))
+    for a in range(9):
+        columns[:, a, a] = square[a]
+        for b in range(a):
+            cross = np.ravel(kernel(basis[a] + basis[b])) - square[a] - square[b]
+            columns[:, a, b] = columns[:, b, a] = 0.5 * cross
+    return _readonly(columns.reshape(-1, 81))
+
+
+# The cyclic vector J(e_0, e_1, e_2) as a map of the products (3, 81).
+_JACOBI_ROWS = _polarize(lambda c: _cyclic_sum(c)[0, 1, 2])
 
 
 def _normalised(c: np.ndarray) -> tuple[np.ndarray, int]:
@@ -180,22 +239,30 @@ def _normalised(c: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(c, -k), k
 
 
-def _scaled_jacobi(sc: StructureConstants) -> tuple[np.ndarray, float, float, int]:
-    """``(scaled, r, s, k)``: ``scaled = c * 2**-k`` of :func:`_normalised`,
-    its Jacobi residual ``r`` and ``s = |scaled|_F^2``.
+def _scaled_jacobi(
+    sc: StructureConstants, rows: np.ndarray = _JACOBI_ROWS
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float, int]:
+    """``(scaled, m, q, r, s, k)``: ``scaled = c * 2**-k`` of
+    :func:`_normalised`, its components ``m`` of :func:`_products`, the
+    quadratic map ``rows`` applied to their products (``q``, whose first
+    three entries are the Jacobi cyclic vector), the Jacobi residual ``r``
+    read off ``q`` and ``s = |scaled|_F^2``.
 
     ``r * 4**k`` and ``s * 4**k`` are the unscaled values bit for bit
     wherever those neither overflow nor underflow, and ``r <= tol * s``
     decides Jacobi at any bracket scale.
     """
     scaled, k = _normalised(sc.c)
-    return scaled, _jacobi(scaled), float(np.vdot(scaled, scaled)), k
+    m, products = _products(scaled)
+    q = rows @ products
+    return scaled, m, q, _jacobi(q), float(np.vdot(scaled, scaled)), k
 
 
 def _require_scaled_lie(
-    sc: StructureConstants, tol: float = JACOBI_TOL
-) -> tuple[np.ndarray, float, float, int]:
-    """:func:`_scaled_jacobi` of ``sc``, after checking it against ``tol``.
+    sc: StructureConstants, tol: float = JACOBI_TOL, rows: np.ndarray = _JACOBI_ROWS
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float, int]:
+    """:func:`_scaled_jacobi` of ``sc`` and ``rows``, after checking it
+    against ``tol``.
 
     Raises :class:`NotLieAlgebraError` unless the residual is at most
     ``tol * |c|_F^2``: the residual is quadratic in the brackets, so the
@@ -203,7 +270,7 @@ def _require_scaled_lie(
     nothing, and neither does an infinite one at the zero algebra, where
     ``inf * 0`` is NaN.
     """
-    scaled, residual, scale_sq, k = _scaled_jacobi(sc)
+    scaled, m, q, residual, scale_sq, k = _scaled_jacobi(sc, rows)
     # written so that NaN fails it too
     if not (residual <= tol * scale_sq):
         relative = residual / scale_sq if scale_sq else 0.0
@@ -211,13 +278,13 @@ def _require_scaled_lie(
             f"not a Lie algebra: Jacobi residual {relative:.3e} * "
             f"|c|_F^2 exceeds {tol:.3e} * |c|_F^2"
         )
-    return scaled, residual, scale_sq, k
+    return scaled, m, q, residual, scale_sq, k
 
 
 def _require_lie(sc: StructureConstants, tol: float = JACOBI_TOL) -> float:
     """The Jacobi residual of ``sc``, after :func:`_require_scaled_lie`
     checked it against ``tol``."""
-    _, residual, _, k = _require_scaled_lie(sc, tol)
+    _, _, _, residual, _, k = _require_scaled_lie(sc, tol)
     return math.ldexp(residual, 2 * k)
 
 
@@ -237,9 +304,14 @@ def _rebase(
     sc: StructureConstants, p: np.ndarray, pinv: np.ndarray
 ) -> StructureConstants:
     """:func:`change_basis` by ``p`` given its inverse ``pinv``."""
+    return StructureConstants(_rebase_array(sc.c, p, pinv))
+
+
+def _rebase_array(c: np.ndarray, p: np.ndarray, pinv: np.ndarray) -> np.ndarray:
+    """The bracket array ``c`` in the basis ``p`` given its inverse ``pinv``,
+    before :class:`StructureConstants` antisymmetrizes it."""
     # new_c[a,b,m] = p[i,a] p[j,b] c[i,j,k] pinv[m,k], one index at a time
-    new_c = p.T @ (p.T @ (sc.c @ pinv.T).reshape(3, 9)).reshape(3, 3, 3)
-    return StructureConstants(new_c)
+    return p.T @ (p.T @ (c @ pinv.T).reshape(3, 9)).reshape(3, 3, 3)
 
 
 def change_basis(sc: StructureConstants, p: np.ndarray) -> StructureConstants:

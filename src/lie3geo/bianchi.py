@@ -29,7 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import JACOBI_TOL, StructureConstants, _require_scaled_lie
+from .algebra import (
+    JACOBI_TOL,
+    StructureConstants,
+    _CYCLIC_I,
+    _CYCLIC_J,
+    _require_scaled_lie,
+)
 
 __all__ = [
     "TAGS",
@@ -64,10 +70,6 @@ _DISC_TOL = 1e-6
 # A double-eigenvalue M further than this (relative) from a scalar matrix is
 # a genuine Jordan block.
 _SCALAR_DEV_TOL = 1e-6
-
-# (i, j) of the cyclic index triples (i, j, l), l = 0, 1, 2
-_CYCLIC_I = np.array([1, 2, 0])
-_CYCLIC_J = np.array([2, 0, 1])
 
 _EPS3 = np.zeros((3, 3, 3))
 _EPS3[_CYCLIC_I, _CYCLIC_J, [0, 1, 2]] = 1.0
@@ -124,11 +126,18 @@ def milnor_decompose(sc: StructureConstants) -> MilnorDecomposition:
     itself is equivalent to ``n @ a = 0``.
     """
     # m[l] = eps[i,j,l] c[i,j] / 2 = c[i,j] for (i, j, l) cyclic
-    m = sc.c[_CYCLIC_I, _CYCLIC_J]
-    n = 0.5 * (m + m.T)
+    return MilnorDecomposition(*_milnor(sc.c[_CYCLIC_I, _CYCLIC_J]))
+
+
+def _milnor_n(m: np.ndarray) -> np.ndarray:
+    """Milnor's ``n`` from the rows ``m = (c[1,2], c[2,0], c[0,1])``."""
+    return 0.5 * (m + m.T)
+
+
+def _milnor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Milnor's ``(n, a)`` from the rows ``m = (c[1,2], c[2,0], c[0,1])``."""
     # a[l] = eps[l,k,p] asym[p,k] / 2 = asym[j,i] for (i, j, l) cyclic
-    a = 0.5 * (m[_CYCLIC_J, _CYCLIC_I] - m[_CYCLIC_I, _CYCLIC_J])
-    return MilnorDecomposition(n=n, a=a)
+    return _milnor_n(m), 0.5 * (m[_CYCLIC_J, _CYCLIC_I] - m[_CYCLIC_I, _CYCLIC_J])
 
 
 def _centre(c: np.ndarray) -> tuple[float, np.ndarray]:
@@ -209,13 +218,13 @@ def classify(sc: StructureConstants, tol: float = JACOBI_TOL) -> BianchiType:
 
     The result is invariant under any well-conditioned change of basis and
     under rescaling of the bracket, down to any scale: the decision runs on
-    ``(n, a)`` and the brackets times the exact power of two that the Jacobi
-    check scaled them by.  Raises :class:`NotLieAlgebraError` when the
-    Jacobi residual exceeds ``tol * |c|_F^2``.
+    the brackets times the exact power of two that the Jacobi check scaled
+    them by, and on ``(n, a)`` read off the same nine components.  Raises
+    :class:`NotLieAlgebraError` when the Jacobi residual exceeds
+    ``tol * |c|_F^2``.
     """
-    scaled, _, scale_sq, k = _require_scaled_lie(sc, tol)
-    dec = milnor_decompose(sc)
-    n, a = np.ldexp(dec.n, -k), np.ldexp(dec.a, -k)
+    scaled, m, _, _, scale_sq, _ = _require_scaled_lie(sc, tol)
+    n, a = _milnor(m)
     if float(a @ a) <= _UNIMODULAR_TOL * _UNIMODULAR_TOL * scale_sq:
         return _classify_unimodular(n)
     return _classify_nonunimodular(scaled, n, a)

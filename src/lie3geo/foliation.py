@@ -79,15 +79,15 @@ from .algebra import (
     MetricSpec,
     StructureConstants,
     _normalised,
-    _rebase,
+    _rebase_array,
     _require_scaled_lie,
+    _scaled_jacobi,
     constants_from_brackets,
-    jacobi_residual,
     orthonormal_frame,
     orthonormalize,
 )
-from .bianchi import BianchiType, _centre, milnor_decompose
-from .geometry import _is_constant, _riemann, connection
+from .bianchi import BianchiType, _centre, _milnor_n
+from .geometry import _QUADRATIC, _gamma, _is_constant
 
 __all__ = [
     "LATTICE_DEFAULT",
@@ -118,6 +118,8 @@ ACCEPT_RESIDUAL_SQ = 1e-14
 # Accepted directions closer than this (radians, antipodally identified)
 # merge into one.
 CLUSTER_ANGLE = 1e-4
+
+_COS_CLUSTER = math.cos(CLUSTER_ANGLE)
 
 _COEFF_NAMES = ("a", "b", "x", "y", "z")
 
@@ -290,14 +292,16 @@ def _residual_vector(gamma: np.ndarray, u: np.ndarray) -> np.ndarray:
     ``u`` may be a stack of directions, shape (..., 3); the result then has
     shape (..., 12).
     """
+    shape = u.shape[:-1]
     # t[i, k] = Gamma[i, j, k] u_j, the matrix of h -> nabla_h u
-    t = (u @ gamma.transpose(1, 0, 2).reshape(3, 9)).reshape(u.shape[:-1] + (3, 3))
+    t = (u @ gamma.transpose(1, 0, 2).reshape(3, 9)).reshape(shape + (3, 3))
     du = (u[..., None, :] @ t)[..., 0, :]
     a = t - u[..., :, None] * du[..., None, :]
-    half_trace = 0.5 * np.trace(a, axis1=-2, axis2=-1)[..., None, None]
+    # the diagonal of a is every fourth entry of its rows
+    half_trace = 0.5 * a.reshape(shape + (9,))[..., ::4].sum(axis=-1)[..., None, None]
     tangent = _EYE - u[..., :, None] * u[..., None, :]
     s0 = 0.5 * (a + np.swapaxes(a, -1, -2)) - half_trace * tangent
-    return np.concatenate((du, _SQRT2 * s0.reshape(u.shape[:-1] + (9,))), axis=-1)
+    return np.concatenate((du, _SQRT2 * s0.reshape(shape + (9,))), axis=-1)
 
 
 def residuals(sc: StructureConstants, u: np.ndarray) -> tuple[float, float]:
@@ -310,16 +314,18 @@ def residuals(sc: StructureConstants, u: np.ndarray) -> tuple[float, float]:
     so their squares do not underflow however small the brackets are.
     """
     scaled, k = _normalised(sc.c)
-    v = _unit_residual_vector(StructureConstants(scaled), np.asarray(u, dtype=float))
+    v = _unit_residual_vector(scaled, np.asarray(u, dtype=float))
     geo, conf = float(np.linalg.norm(v[:3])), float(np.linalg.norm(v[3:]))
     return math.ldexp(geo, k), math.ldexp(conf, k)
 
 
-def _unit_residual_vector(sc: StructureConstants, u: np.ndarray) -> np.ndarray:
+def _unit_residual_vector(c: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`_residual_vector` of the bracket array ``c`` at ``u``, after
+    checking that ``u`` is a unit vector."""
     # written so that NaN and inf fail it too
     if not (abs(np.linalg.norm(u) - 1.0) <= 1e-10):
         raise ValueError("direction must be a unit vector")
-    return _residual_vector(connection(sc).gamma, u)
+    return _residual_vector(_gamma(c), u)
 
 
 def _canonical_sign(u: np.ndarray) -> np.ndarray:
@@ -353,20 +359,25 @@ def search_directions(
     acceptance and the constant-curvature test run on the brackets times the
     exact power of two ``2**-k`` that the Jacobi check scaled them by, so
     the verdict holds however small the brackets are; residuals and adapted
-    coefficients are scaled back with ``ldexp``.
+    coefficients are scaled back with ``ldexp``.  The Jacobi check and the
+    constant-curvature test read one product of the nine scaled components
+    through ``geometry._QUADRATIC``, and the connection table and Milnor's
+    ``n`` come from the same scaled brackets.
     """
-    scaled, jacobi, scale_sq, k = _require_scaled_lie(sc, tol)
-    gamma = np.ldexp(connection(sc).gamma, -k)
-    if _is_constant(_riemann(scaled, gamma), scale_sq):
+    scaled, m, quadratic, jacobi, scale_sq, k = _require_scaled_lie(
+        sc, tol, _QUADRATIC
+    )
+    if _is_constant(quadratic[3:], scale_sq):
         return FoliationReport(
             constant_curvature=True,
             directions=(),
             admits=True,
             lattice_size=LATTICE_DEFAULT,
         )
-    # rows: the eigenvectors of n and the direction closest to the centre
-    n = np.ldexp(milnor_decompose(sc).n, -k)
-    stack = np.vstack((np.linalg.eigh(n)[1].T, _centre(scaled)[1]))
+    gamma = _gamma(scaled)
+    # rows: the eigenvectors of Milnor's n and the direction closest to the centre
+    eigenvectors = np.linalg.eigh(_milnor_n(m))[1]
+    stack = np.concatenate((eigenvectors.T, _centre(scaled)[1][None]))
     v = _residual_vector(gamma, stack)
     r_stack = np.vecdot(v, v)
     found: list[tuple[np.ndarray, float, np.ndarray]] = [
@@ -376,24 +387,21 @@ def search_directions(
     ]
     found.sort(key=lambda item: (item[1], item[0][0], item[0][1], item[0][2]))
 
-    cos_cluster = np.cos(CLUSTER_ANGLE)
     kept: list[tuple[np.ndarray, np.ndarray]] = []
     for u_ref, _, v_ref in found:
-        if all(abs(u_ref @ other) < cos_cluster for other, _ in kept):
+        if all(abs(u_ref @ other) < _COS_CLUSTER for other, _ in kept):
             kept.append((u_ref, v_ref))
 
     candidates = []
-    # only a search that found a direction builds the scaled constants
-    normalised = StructureConstants(scaled) if kept else None
+    norm = math.sqrt(scale_sq)
     for u_ref, v_ref in sorted(kept, key=lambda item: tuple(item[0])):
         geo = float(np.linalg.norm(v_ref[:3]))
         conf = float(np.linalg.norm(v_ref[3:]))
-        adapted = _adapt_basis(normalised, u_ref, v_ref, jacobi)
+        adapted = _adapt_basis(scaled, u_ref, geo, conf, norm, jacobi)
         # Coefficients forced to zero by the foliation conditions carry noise
         # on the order of the measured residuals, so the family case analysis
         # runs on the coefficients over |c|_F with a zero threshold that
         # scales with the residuals over |c|_F.
-        norm = np.sqrt(scale_sq)
         unit = AdaptedBracketParams(*(x / norm for x in adapted.as_tuple()))
         family = classify_family(unit, tol=max(1e-9, 10.0 * max(geo, conf) / norm))
         candidates.append(
@@ -431,10 +439,11 @@ def adapt_basis(sc: StructureConstants, u: np.ndarray) -> AdaptedBracketParams:
     scaled back.
     """
     u = np.asarray(u, dtype=float)
-    scaled, k = _normalised(sc.c)
-    normalised = StructureConstants(scaled)
-    v = _unit_residual_vector(normalised, u)
-    return _ldexp_params(_adapt_basis(normalised, u, v, jacobi_residual(normalised)), k)
+    scaled, _, _, jacobi, scale_sq, k = _scaled_jacobi(sc)
+    v = _unit_residual_vector(scaled, u)
+    geo, conf = float(np.linalg.norm(v[:3])), float(np.linalg.norm(v[3:]))
+    params = _adapt_basis(scaled, u, geo, conf, math.sqrt(scale_sq), jacobi)
+    return _ldexp_params(params, k)
 
 
 def _ldexp_params(params: AdaptedBracketParams, k: int) -> AdaptedBracketParams:
@@ -443,13 +452,12 @@ def _ldexp_params(params: AdaptedBracketParams, k: int) -> AdaptedBracketParams:
 
 
 def _adapt_basis(
-    sc: StructureConstants, u: np.ndarray, v: np.ndarray, jacobi: float
+    c: np.ndarray, u: np.ndarray, geo: float, conf: float, scale: float, jacobi: float
 ) -> AdaptedBracketParams:
-    """:func:`adapt_basis` given the residual vector ``v`` of ``u`` and the
-    Jacobi residual of ``sc``."""
-    tol = np.sqrt(ACCEPT_RESIDUAL_SQ)
-    scale = float(np.linalg.norm(sc.c))
-    geo, conf = float(np.linalg.norm(v[:3])), float(np.linalg.norm(v[3:]))
+    """:func:`adapt_basis` of the bracket array ``c``, given the geodesic and
+    conformal residuals ``geo`` and ``conf`` of ``u``, ``scale = |c|_F`` and
+    the Jacobi residual of ``c``."""
+    tol = math.sqrt(ACCEPT_RESIDUAL_SQ)
     if geo > tol * scale or conf > tol * scale:
         raise ValueError(
             "foliation conditions violated along the given direction "
@@ -458,7 +466,9 @@ def _adapt_basis(
     u = u / np.linalg.norm(u)
     # orthonormal by construction, so its transpose is its inverse
     frame = np.column_stack([*orthonormal_frame(u), u])
-    table = _rebase(sc, frame, frame.T).c
+    # antisymmetrized as StructureConstants would
+    table = _rebase_array(c, frame, frame.T)
+    table = 0.5 * (table - table.transpose(1, 0, 2))
     deviations = (
         abs(table[2, 0, 2]),
         abs(table[2, 1, 2]),

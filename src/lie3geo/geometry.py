@@ -12,6 +12,16 @@ and the curvature tensor of R(A,B)C = nabla_A nabla_B C - nabla_B nabla_A C
 - nabla_{[A,B]} C reduces to quadratic expressions in Gamma and c.  The sign
 convention makes sectional curvature of the round sphere positive:
 K(plane(e_i, e_j)) = R[i,j,j,i].
+
+Gamma is linear in the brackets, so the Riemann tensor is quadratic in them:
+a fixed linear map of the 81 pairwise products of Milnor's nine components
+``m = (c[1,2,:], c[2,0,:], c[0,1,:])`` (``algebra._products``).
+``_QUADRATIC`` holds that map below the Jacobi cyclic vector's, polarized
+once at import from ``_riemann`` and the cyclic sum themselves, so no formula
+is written twice.  The constant-curvature decision of both :func:`curvature`
+and the foliation search reads the Riemann rows of that map
+(:func:`_is_constant`); the values that :func:`curvature` reports come from
+``_riemann``.
 """
 
 from __future__ import annotations
@@ -21,7 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import StructureConstants, _normalised
+from .algebra import (
+    StructureConstants,
+    _JACOBI_ROWS,
+    _normalised,
+    _polarize,
+    _products,
+)
 
 __all__ = [
     "CONSTANT_CURVATURE_TOL",
@@ -99,12 +115,18 @@ def connection(sc: StructureConstants) -> ConnectionCoefficients:
     """Levi-Civita coefficients of the metric making the basis orthonormal.
 
     Metric compatibility (antisymmetry in the last two slots) and the
-    torsion identity gamma[i,j,k] - gamma[j,i,k] = c[i,j,k] hold exactly.
+    torsion identity gamma[i,j,k] - gamma[j,i,k] = c[i,j,k] hold up to
+    round-off, a few eps times the largest bracket: each entry is one
+    rounded sum of three brackets, and the sums they compare add the same
+    brackets in another order.
     """
-    c = sc.c
+    return ConnectionCoefficients(gamma=_gamma(sc.c))
+
+
+def _gamma(c: np.ndarray) -> np.ndarray:
+    """The connection table of the bracket array ``c`` (Koszul formula)."""
     # c.transpose(2, 0, 1)[i,j,k] = c[j,k,i] and c.transpose(1, 2, 0)[i,j,k] = c[k,i,j]
-    gamma = 0.5 * (c - c.transpose(2, 0, 1) + c.transpose(1, 2, 0))
-    return ConnectionCoefficients(gamma=gamma)
+    return 0.5 * (c - c.transpose(2, 0, 1) + c.transpose(1, 2, 0))
 
 
 def _merge_spectrum(values: list[float], tol: float) -> tuple[tuple[float, int], ...]:
@@ -121,19 +143,19 @@ def _merge_spectrum(values: list[float], tol: float) -> tuple[tuple[float, int],
 def curvature(sc: StructureConstants) -> CurvatureReport:
     """Full curvature report for the orthonormal-basis constants.
 
-    Its constant flag is the test :func:`_is_constant` makes, the one
-    curvature test that the foliation search asks for; the Ricci spectrum is
-    the report's own.  Both decisions run on the brackets times the power of
+    Its constant flag is :func:`_is_constant`, the decision the foliation
+    search makes too; the reported values and the Ricci spectrum come from
+    :func:`_riemann`.  Both decisions run on the brackets times the power of
     two ``2**-k`` of ``_normalised``, so they hold at any bracket scale, and
     every value is scaled back by ``4**k`` with ``ldexp``.
     """
     scaled, k = _normalised(sc.c)
-    riemann = _riemann(scaled, np.ldexp(connection(sc).gamma, -k))
+    riemann = _riemann(scaled, _gamma(scaled))
     ricci = np.trace(riemann, axis1=0, axis2=3)
     scalar = float(np.trace(ricci))
-    k_fit = scalar / 6.0
     scale_sq = float(np.vdot(scaled, scaled))
-    constant = _fits_constant(riemann, k_fit, scale_sq)
+    # the search's product, so both read the same Riemann rows bit for bit
+    constant = _is_constant((_QUADRATIC @ _products(scaled)[1])[3:], scale_sq)
     spectrum = _merge_spectrum(
         np.linalg.eigvalsh(ricci).tolist(), SPECTRUM_MERGE_TOL * scale_sq
     )
@@ -147,7 +169,7 @@ def curvature(sc: StructureConstants) -> CurvatureReport:
             float(riemann[0, 2, 2, 0]),
             float(riemann[1, 2, 2, 1]),
         ),
-        constant_curvature=math.ldexp(k_fit, 2 * k) if constant else None,
+        constant_curvature=math.ldexp(scalar / 6.0, 2 * k) if constant else None,
         ricci_spectrum=tuple((math.ldexp(v, 2 * k), m) for v, m in spectrum),
     )
 
@@ -162,6 +184,20 @@ def _riemann(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     return gg - gg.transpose(1, 0, 2, 3) - cg
 
 
+# The quadratic map of the verdict path, read-only, shape (84, 81): applied
+# to the products of _products(c), rows 0-2 give the Jacobi cyclic vector and
+# rows 3-83 the Riemann tensor of c, flat, as _riemann(c, _gamma(c)) does.
+_QUADRATIC = _readonly(
+    np.vstack((_JACOBI_ROWS, _polarize(lambda c: _riemann(c, _gamma(c)))))
+)
+
+# Ones at the flat indices of riemann[i, j, j, i], whose sum is the scalar
+# curvature.
+_SCALAR_WEIGHTS = np.zeros(81)
+_SCALAR_WEIGHTS[[28 * i + 12 * j for i in range(3) for j in range(3)]] = 1.0
+_SCALAR_WEIGHTS.setflags(write=False)
+
+
 def _fits_constant(riemann: np.ndarray, k_fit: float, scale_sq: float) -> bool:
     """Whether ``riemann`` is within ``CONSTANT_CURVATURE_TOL * scale_sq``,
     entrywise, of the constant model of curvature ``k_fit``."""
@@ -170,10 +206,15 @@ def _fits_constant(riemann: np.ndarray, k_fit: float, scale_sq: float) -> bool:
 
 
 def _is_constant(riemann: np.ndarray, scale_sq: float) -> bool:
-    """:func:`_fits_constant` for ``k_fit = scalar / 6``, with
-    ``scale_sq = |c|_F^2``.  No Ricci spectrum and no report are built."""
-    k_fit = float(np.trace(np.trace(riemann, axis1=0, axis2=3))) / 6.0
-    return _fits_constant(riemann, k_fit, scale_sq)
+    """The constant-curvature decision of the search and of :func:`curvature`.
+
+    ``riemann`` is the flat Riemann tensor of the scaled brackets as rows
+    3-83 of ``_QUADRATIC`` read it off their products, and ``scale_sq`` is
+    their ``|c|_F^2``; the test is :func:`_fits_constant` for
+    ``k_fit = scalar / 6``.  No Ricci spectrum and no report are built.
+    """
+    k_fit = float(riemann @ _SCALAR_WEIGHTS) / 6.0
+    return _fits_constant(riemann.reshape(3, 3, 3, 3), k_fit, scale_sq)
 
 
 def sectional(report: CurvatureReport, u: np.ndarray, v: np.ndarray) -> float:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import brackets_across_scales, random_gl, random_orthogonal, random_spd
 
-from lie3geo import algebra, foliation
+from lie3geo import algebra, bianchi, foliation, geometry
 
 from lie3geo.algebra import (
     MetricSpec,
@@ -36,7 +36,7 @@ from lie3geo.foliation import (
     residuals,
     search_directions,
 )
-from lie3geo.geometry import _is_constant, _riemann, connection, curvature
+from lie3geo.geometry import _QUADRATIC, _is_constant, connection, curvature
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -757,10 +757,58 @@ def test_verdict_path_skips_report_only_work(monkeypatch):
     assert calls == ["eigvalsh", "inv"]
 
 
+def test_search_reads_its_tables_off_the_scaled_components(monkeypatch):
+    """A non-constant search builds its connection table, Milnor's n and the
+    Riemann rows from the scaled brackets and their products: it calls none
+    of connection, milnor_decompose and _riemann.  curvature and the search
+    take their constant flag from the one _is_constant, on the same rows."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the search called a report-side kernel")
+
+    with monkeypatch.context() as patch:
+        for module in (algebra, bianchi, geometry, foliation):
+            for name in ("connection", "milnor_decompose", "_riemann"):
+                if hasattr(module, name):
+                    patch.setattr(module, name, refused)
+        rng = np.random.default_rng(3)
+        for name, alpha in (("Sol3", 2.0), ("G4", None), ("Nil3", None)):
+            sc = change_basis(catalog(name, alpha).constants, random_gl(rng))
+            sc = orthonormalize(sc, MetricSpec(random_spd(rng)))
+            rep = search_directions(sc)
+            assert not rep.constant_curvature and rep.admits == (name == "Nil3")
+
+    decisions = []
+    decide = geometry._is_constant
+
+    def recorded(riemann, scale_sq):
+        flag = decide(riemann, scale_sq)
+        decisions.append((riemann.tobytes(), scale_sq, flag))
+        return flag
+
+    monkeypatch.setattr(geometry, "_is_constant", recorded)
+    monkeypatch.setattr(foliation, "_is_constant", recorded)
+    rng = np.random.default_rng(5)
+    flags = set()
+    for name, alpha in (("SU2", None), ("H3", None), ("G7", 1.0), ("G4", None)):
+        entry = catalog(name, alpha)
+        for metric in (entry.metric, MetricSpec(random_spd(rng))):
+            sc = orthonormalize(entry.constants, metric)
+            report = curvature(sc)
+            constant = search_directions(sc).constant_curvature
+            assert len(decisions) == 2 and decisions[0] == decisions[1]
+            assert constant == decisions[0][2] == (report.constant_curvature is not None)
+            flags.add(constant)
+            decisions.clear()
+    assert flags == {True, False}
+
+
 def _constant_flags(sc):
-    """The search's constant-curvature test and the report's flag."""
-    gamma = connection(sc).gamma
-    lean = _is_constant(_riemann(sc.c, gamma), float(np.sum(sc.c * sc.c)))
+    """The search's constant-curvature test, on the Riemann rows of the
+    quadratic map of the scaled brackets, and the report's flag."""
+    scaled, _ = algebra._normalised(sc.c)
+    riemann = (_QUADRATIC @ algebra._products(scaled)[1])[3:]
+    lean = _is_constant(riemann, float(np.vdot(scaled, scaled)))
     return lean, curvature(sc).constant_curvature is not None
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import brackets_across_scales, random_gl, random_orthogonal
 
+from lie3geo import algebra, geometry
 from lie3geo.algebra import StructureConstants, catalog, change_basis
 from lie3geo.foliation import AdaptedBracketParams, adapted_constants, enumerate_families
 from lie3geo.geometry import connection, curvature, sectional
@@ -240,3 +241,31 @@ def test_curvature_decisions_hold_where_the_brackets_square_to_zero(exponent):
         assert got.scalar == math.ldexp(want.scalar, 2 * exponent)
         for (g, _), (w, _) in zip(got.ricci_spectrum, want.ricci_spectrum):
             assert g == math.ldexp(w, 2 * exponent)
+
+
+def test_quadratic_map_matches_its_kernels():
+    """Rows 0-2 of the map give the Jacobi cyclic vector J(e_0, e_1, e_2) and
+    rows 3-83 the Riemann tensor, as the kernels they were polarized from do.
+
+    The map sums at most 13 terms a row, each rounded at most 15 times, whose
+    absolute values add up to at most (sum_a |m_a|)^2 <= 9 |m|^2 =
+    4.5 |c|_F^2 (every |entry| <= 1).  The kernels sum at most 9 products of
+    entries of c and Gamma, each at most (1.5 max|c|)^2 <= 1.125 |c|_F^2,
+    rounded at most 8 times.  So the two routes differ by less than
+    (15 * 4.5 + 8 * 9 * 1.125) eps |c|_F^2 < 150 eps |c|_F^2."""
+    quadratic = geometry._QUADRATIC
+    assert quadratic.shape == (84, 81)
+    assert not quadratic.flags.writeable
+    assert np.array_equal(quadratic[:3], algebra._JACOBI_ROWS)
+    assert np.array_equal(4.0 * quadratic, np.round(4.0 * quadratic))
+    assert np.abs(quadratic).max() <= 1.0
+    assert np.count_nonzero(quadratic, axis=1).max() <= 13
+    bound = 150 * np.finfo(float).eps
+    for sc, _ in brackets_across_scales(seed=31):
+        c = sc.c
+        scale_sq = float(np.vdot(c, c))
+        got = quadratic @ algebra._products(c)[1]
+        cyclic = algebra._cyclic_sum(c)[0, 1, 2]
+        assert np.abs(got[:3] - cyclic).max() <= bound * scale_sq
+        riemann = geometry._riemann(c, connection(sc).gamma).ravel()
+        assert np.abs(got[3:] - riemann).max() <= bound * scale_sq
