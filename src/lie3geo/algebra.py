@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,13 +84,18 @@ class StructureConstants:
         # NaN, inf and overflow of |c|_F^2 all show in the sum of squares
         if not math.isfinite(float(np.vdot(c, c))):
             raise ValueError("structure constants and |c|_F^2 must be finite")
-        c = 0.5 * (c - c.transpose(1, 0, 2))
-        object.__setattr__(self, "c", _readonly(c))
+        object.__setattr__(self, "c", _readonly(_antisymmetrized(c)))
 
     def is_valid(self, tol: float = JACOBI_TOL) -> bool:
         """True if the Jacobi residual is within ``tol * |c|_F^2``."""
-        _, _, _, residual, scale_sq, _ = _scaled_jacobi(self)
-        return residual <= tol * scale_sq
+        check = _scaled_jacobi(self)
+        return check.residual <= tol * check.scale_sq
+
+
+def _antisymmetrized(c: np.ndarray) -> np.ndarray:
+    """The bracket array ``c`` antisymmetrized in its first two indices, as
+    :class:`StructureConstants` stores it."""
+    return 0.5 * (c - c.transpose(1, 0, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,28 +245,44 @@ def _normalised(c: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(c, -k), k
 
 
+class _ScaledJacobi(NamedTuple):
+    """The Jacobi check of :func:`_scaled_jacobi`, on the brackets rescaled
+    exactly by ``2**-k``."""
+
+    # c * 2**-k of _normalised
+    scaled: np.ndarray
+    # Milnor's rows of scaled, the components of _products
+    m: np.ndarray
+    # the quadratic map applied to the products of m; its first three
+    # entries are the Jacobi cyclic vector J(e_0, e_1, e_2)
+    quadratic: np.ndarray
+    # the Jacobi residual, read off quadratic
+    residual: float
+    # |scaled|_F^2
+    scale_sq: float
+    k: int
+
+
 def _scaled_jacobi(
     sc: StructureConstants, rows: np.ndarray = _JACOBI_ROWS
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float, int]:
-    """``(scaled, m, q, r, s, k)``: ``scaled = c * 2**-k`` of
-    :func:`_normalised`, its components ``m`` of :func:`_products`, the
-    quadratic map ``rows`` applied to their products (``q``, whose first
-    three entries are the Jacobi cyclic vector), the Jacobi residual ``r``
-    read off ``q`` and ``s = |scaled|_F^2``.
+) -> _ScaledJacobi:
+    """The Jacobi check of ``sc`` on ``scaled = c * 2**-k`` of
+    :func:`_normalised`, with the quadratic map ``rows`` (whose first three
+    rows are ``_JACOBI_ROWS``) applied to the products of its components.
 
-    ``r * 4**k`` and ``s * 4**k`` are the unscaled values bit for bit
-    wherever those neither overflow nor underflow, and ``r <= tol * s``
-    decides Jacobi at any bracket scale.
+    ``residual * 4**k`` and ``scale_sq * 4**k`` are the unscaled values bit
+    for bit wherever those neither overflow nor underflow, and
+    ``residual <= tol * scale_sq`` decides Jacobi at any bracket scale.
     """
     scaled, k = _normalised(sc.c)
     m, products = _products(scaled)
     q = rows @ products
-    return scaled, m, q, _jacobi(q), float(np.vdot(scaled, scaled)), k
+    return _ScaledJacobi(scaled, m, q, _jacobi(q), float(np.vdot(scaled, scaled)), k)
 
 
 def _require_scaled_lie(
     sc: StructureConstants, tol: float = JACOBI_TOL, rows: np.ndarray = _JACOBI_ROWS
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float, int]:
+) -> _ScaledJacobi:
     """:func:`_scaled_jacobi` of ``sc`` and ``rows``, after checking it
     against ``tol``.
 
@@ -270,7 +292,8 @@ def _require_scaled_lie(
     nothing, and neither does an infinite one at the zero algebra, where
     ``inf * 0`` is NaN.
     """
-    scaled, m, q, residual, scale_sq, k = _scaled_jacobi(sc, rows)
+    check = _scaled_jacobi(sc, rows)
+    residual, scale_sq = check.residual, check.scale_sq
     # written so that NaN fails it too
     if not (residual <= tol * scale_sq):
         relative = residual / scale_sq if scale_sq else 0.0
@@ -278,14 +301,14 @@ def _require_scaled_lie(
             f"not a Lie algebra: Jacobi residual {relative:.3e} * "
             f"|c|_F^2 exceeds {tol:.3e} * |c|_F^2"
         )
-    return scaled, m, q, residual, scale_sq, k
+    return check
 
 
 def _require_lie(sc: StructureConstants, tol: float = JACOBI_TOL) -> float:
     """The Jacobi residual of ``sc``, after :func:`_require_scaled_lie`
     checked it against ``tol``."""
-    _, _, _, residual, _, k = _require_scaled_lie(sc, tol)
-    return math.ldexp(residual, 2 * k)
+    check = _require_scaled_lie(sc, tol)
+    return math.ldexp(check.residual, 2 * check.k)
 
 
 _SINGULAR = "basis-change matrix is singular or too ill conditioned"
@@ -309,7 +332,7 @@ def _rebase(
 
 def _rebase_array(c: np.ndarray, p: np.ndarray, pinv: np.ndarray) -> np.ndarray:
     """The bracket array ``c`` in the basis ``p`` given its inverse ``pinv``,
-    before :class:`StructureConstants` antisymmetrizes it."""
+    before it is antisymmetrized (:func:`_antisymmetrized`)."""
     # new_c[a,b,m] = p[i,a] p[j,b] c[i,j,k] pinv[m,k], one index at a time
     return p.T @ (p.T @ (c @ pinv.T).reshape(3, 9)).reshape(3, 3, 3)
 

@@ -223,11 +223,11 @@ def classify(sc: StructureConstants, tol: float = JACOBI_TOL) -> BianchiType:
     :class:`NotLieAlgebraError` when the Jacobi residual exceeds
     ``tol * |c|_F^2``.
     """
-    scaled, m, _, _, scale_sq, _ = _require_scaled_lie(sc, tol)
-    n, a = _milnor(m)
-    if float(a @ a) <= _UNIMODULAR_TOL * _UNIMODULAR_TOL * scale_sq:
+    check = _require_scaled_lie(sc, tol)
+    n, a = _milnor(check.m)
+    if float(a @ a) <= _UNIMODULAR_TOL * _UNIMODULAR_TOL * check.scale_sq:
         return _classify_unimodular(n)
-    return _classify_nonunimodular(scaled, n, a)
+    return _classify_nonunimodular(check.scaled, n, a)
 
 
 def same_type(first: BianchiType, second: BianchiType, tol: float = 1e-9) -> bool:

@@ -78,6 +78,7 @@ from .algebra import (
     JACOBI_TOL,
     MetricSpec,
     StructureConstants,
+    _antisymmetrized,
     _normalised,
     _rebase_array,
     _require_scaled_lie,
@@ -364,10 +365,9 @@ def search_directions(
     through ``geometry._QUADRATIC``, and the connection table and Milnor's
     ``n`` come from the same scaled brackets.
     """
-    scaled, m, quadratic, jacobi, scale_sq, k = _require_scaled_lie(
-        sc, tol, _QUADRATIC
-    )
-    if _is_constant(quadratic[3:], scale_sq):
+    check = _require_scaled_lie(sc, tol, _QUADRATIC)
+    scaled, scale_sq = check.scaled, check.scale_sq
+    if _is_constant(check.quadratic[3:], scale_sq):
         return FoliationReport(
             constant_curvature=True,
             directions=(),
@@ -376,7 +376,7 @@ def search_directions(
         )
     gamma = _gamma(scaled)
     # rows: the eigenvectors of Milnor's n and the direction closest to the centre
-    eigenvectors = np.linalg.eigh(_milnor_n(m))[1]
+    eigenvectors = np.linalg.eigh(_milnor_n(check.m))[1]
     stack = np.concatenate((eigenvectors.T, _centre(scaled)[1][None]))
     v = _residual_vector(gamma, stack)
     r_stack = np.vecdot(v, v)
@@ -393,11 +393,11 @@ def search_directions(
             kept.append((u_ref, v_ref))
 
     candidates = []
-    norm = math.sqrt(scale_sq)
+    norm, k = math.sqrt(scale_sq), check.k
     for u_ref, v_ref in sorted(kept, key=lambda item: tuple(item[0])):
         geo = float(np.linalg.norm(v_ref[:3]))
         conf = float(np.linalg.norm(v_ref[3:]))
-        adapted = _adapt_basis(scaled, u_ref, geo, conf, norm, jacobi)
+        adapted = _adapt_basis(scaled, u_ref, geo, conf, norm, check.residual)
         # Coefficients forced to zero by the foliation conditions carry noise
         # on the order of the measured residuals, so the family case analysis
         # runs on the coefficients over |c|_F with a zero threshold that
@@ -439,11 +439,12 @@ def adapt_basis(sc: StructureConstants, u: np.ndarray) -> AdaptedBracketParams:
     scaled back.
     """
     u = np.asarray(u, dtype=float)
-    scaled, _, _, jacobi, scale_sq, k = _scaled_jacobi(sc)
-    v = _unit_residual_vector(scaled, u)
+    check = _scaled_jacobi(sc)
+    v = _unit_residual_vector(check.scaled, u)
     geo, conf = float(np.linalg.norm(v[:3])), float(np.linalg.norm(v[3:]))
-    params = _adapt_basis(scaled, u, geo, conf, math.sqrt(scale_sq), jacobi)
-    return _ldexp_params(params, k)
+    scale = math.sqrt(check.scale_sq)
+    params = _adapt_basis(check.scaled, u, geo, conf, scale, check.residual)
+    return _ldexp_params(params, check.k)
 
 
 def _ldexp_params(params: AdaptedBracketParams, k: int) -> AdaptedBracketParams:
@@ -466,9 +467,7 @@ def _adapt_basis(
     u = u / np.linalg.norm(u)
     # orthonormal by construction, so its transpose is its inverse
     frame = np.column_stack([*orthonormal_frame(u), u])
-    # antisymmetrized as StructureConstants would
-    table = _rebase_array(c, frame, frame.T)
-    table = 0.5 * (table - table.transpose(1, 0, 2))
+    table = _antisymmetrized(_rebase_array(c, frame, frame.T))
     deviations = (
         abs(table[2, 0, 2]),
         abs(table[2, 1, 2]),
