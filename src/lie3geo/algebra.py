@@ -117,7 +117,9 @@ class MetricSpec:
             raise ValueError("metric must be finite")
         if float(np.abs(g - g.T).max()) > 1e-8 * float(np.abs(g).max()):
             raise ValueError("metric must be symmetric")
-        g = 0.5 * (g + g.T)
+        # halving first cannot overflow, unlike 0.5 * (g + g.T); the two
+        # agree bit for bit wherever the entries exceed 2**-1021
+        g = 0.5 * g + 0.5 * g.T
         try:
             lower = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
@@ -315,8 +317,14 @@ _SINGULAR = "basis-change matrix is singular or too ill conditioned"
 
 
 def _conditioned_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The SVD ``(u, s, vt)`` of the finite matrix ``m``, after checking its
-    2-norm condition number ``s[0] / s[-1]`` against ``CONDITION_LIMIT``."""
+    """The SVD ``(u, s, vt)`` of the matrix ``m``, after checking its 2-norm
+    condition number ``s[0] / s[-1]`` against ``CONDITION_LIMIT``.
+
+    A non-finite ``m`` is rejected before LAPACK sees it: its SVD need
+    not return.
+    """
+    if not np.isfinite(m).all():
+        raise ValueError(_SINGULAR)
     u, s, vt = np.linalg.svd(m)
     if s[-1] == 0.0 or s[0] / s[-1] > CONDITION_LIMIT:
         raise ValueError(_SINGULAR)
@@ -347,8 +355,6 @@ def change_basis(sc: StructureConstants, p: np.ndarray) -> StructureConstants:
     p = np.asarray(p, dtype=float)
     if p.shape != (DIM, DIM):
         raise ValueError(f"basis-change matrix must be {DIM}x{DIM}, got {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError(_SINGULAR)
     u, s, vt = _conditioned_svd(p)
     return _rebase(sc, p, (vt.T / s) @ u.T)
 
@@ -398,14 +404,29 @@ def orthonormalize(sc: StructureConstants, metric: MetricSpec) -> StructureConst
 
     The basis is the (deterministic) Cholesky one: with ``g = L L^T`` lower
     triangular (the factor the metric kept when it checked ``g``), the new
-    basis is ``f_j = sum_i (L^-T)[i, j] e_i``.  One SVD
-    ``L = U S V^T`` gives the condition number, checked as in
-    :func:`change_basis`, and ``L^-T = U S^-1 V^T``, whose inverse is
-    ``L^T`` exactly.  For the identity metric the constants are unchanged.
+    basis is ``f_j = sum_i (L^-T)[i, j] e_i``, and its inverse is ``L^T``
+    exactly.  ``L^-1`` is formed in closed form by forward substitution.
+    Its condition number is checked as in :func:`change_basis`:
+    ``|L|_F |L^-1|_F`` bounds the 2-norm one from above, so a product
+    within ``CONDITION_LIMIT`` accepts at once, and only past that bound
+    does an SVD of ``L`` decide.  For the identity metric the constants are
+    unchanged.
     """
     lower = metric._lower
-    u, s, vt = _conditioned_svd(lower)
-    return _rebase(sc, (u / s) @ vt, lower.T)
+    (l00, _, _), (l10, l11, _), (l20, l21, l22) = lower.tolist()
+    # L^-1 by forward substitution; no product overflows while cond(L) is
+    # within CONDITION_LIMIT
+    i00, i11, i22 = 1.0 / l00, 1.0 / l11, 1.0 / l22
+    i10 = -l10 * i00 * i11
+    i21 = -l21 * i11 * i22
+    i20 = -(l20 * i00 + l21 * i10) * i22
+    bound = math.hypot(l00, l10, l11, l20, l21, l22)
+    bound *= math.hypot(i00, i10, i11, i20, i21, i22)
+    # written so that inf and NaN go to the SVD too
+    if not (bound <= CONDITION_LIMIT):
+        _conditioned_svd(lower)
+    upper = np.array([[i00, i10, i20], [0.0, i11, i21], [0.0, 0.0, i22]])
+    return _rebase(sc, upper, lower.T)
 
 
 def constants_from_brackets(

@@ -134,10 +134,30 @@ def _milnor_n(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _milnor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Milnor's ``(n, a)`` from the rows ``m = (c[1,2], c[2,0], c[0,1])``."""
+def _milnor_a(m: np.ndarray) -> np.ndarray:
+    """Milnor's ``a`` from the rows ``m = (c[1,2], c[2,0], c[0,1])``."""
     # a[l] = eps[l,k,p] asym[p,k] / 2 = asym[j,i] for (i, j, l) cyclic
-    return _milnor_n(m), 0.5 * (m[_CYCLIC_J, _CYCLIC_I] - m[_CYCLIC_I, _CYCLIC_J])
+    return 0.5 * (m[_CYCLIC_J, _CYCLIC_I] - m[_CYCLIC_I, _CYCLIC_J])
+
+
+# (n, a) as one linear map of m.ravel(), read-only, shape (12, 9): column b
+# holds n.ravel() and a of the rows with m.flat[b] = 1 and all others 0.  Its
+# entries are 0, +-0.5 and 1, so it gives the bits of the formulas above
+# wherever the entries of m are normal numbers.
+_MILNOR = np.array(
+    [
+        np.concatenate((_milnor_n(e).ravel(), _milnor_a(e)))
+        for e in np.eye(9).reshape(9, 3, 3)
+    ]
+).T.copy()
+_MILNOR.setflags(write=False)
+
+
+def _milnor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Milnor's ``(n, a)`` from the rows ``m = (c[1,2], c[2,0], c[0,1])``,
+    through one product with ``_MILNOR``."""
+    na = _MILNOR @ m.ravel()
+    return na[:9].reshape(3, 3), na[9:]
 
 
 def _centre(c: np.ndarray) -> tuple[float, np.ndarray]:

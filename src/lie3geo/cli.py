@@ -47,7 +47,7 @@ from .algebra import (
     CatalogEntry,
     MetricSpec,
     StructureConstants,
-    _require_lie,
+    _require_scaled_lie,
     catalog,
     catalog_info,
     catalog_names,
@@ -65,7 +65,7 @@ from .foliation import (
     residuals,
     search_directions,
 )
-from .geometry import curvature
+from .geometry import _QUADRATIC, _curvature
 
 __all__ = [
     "build_parser",
@@ -272,8 +272,7 @@ def cmd_classify(args):
 
 def cmd_curvature(args):
     name, sc = _resolve_algebra(args)
-    _require_lie(sc, args.tol)
-    rep = curvature(sc)
+    rep = _curvature(_require_scaled_lie(sc, args.tol, _QUADRATIC))
     doc = {
         "name": name,
         "ricci": rep.ricci.tolist(),

@@ -18,12 +18,13 @@ a fixed linear map of the 81 pairwise products of Milnor's nine components
 ``m = (c[1,2,:], c[2,0,:], c[0,1,:])`` (``algebra._products``).
 ``_QUADRATIC`` holds that map below the Jacobi cyclic vector's, polarized
 once at import from ``_riemann`` and the cyclic sum themselves, so no formula
-is written twice.  :func:`_is_constant` is the one constant-curvature
-decision: the foliation search makes it on the Riemann rows of that map,
-which it already holds from its Jacobi check, and :func:`curvature` on the
-``_riemann`` whose values it reports, so the tensor is formed once on each
-path.  The two routes round differently, by at most 150 eps |c|_F^2 an
-entry.
+is written twice.  The foliation search and :func:`curvature` both read
+their Riemann tensor off one product of that map, the search's Jacobi
+check, and :func:`_is_constant` makes the one constant-curvature decision
+on those rows: for any one input the two flags are one decision, bit for
+bit.  ``_riemann`` forms the tensor directly from ``Gamma``; it builds the
+map and serves the tests as an independent route, which rounds
+differently from the map's, by at most 150 eps |c|_F^2 an entry.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ import numpy as np
 from .algebra import (
     StructureConstants,
     _JACOBI_ROWS,
-    _normalised,
+    _ScaledJacobi,
     _polarize,
+    _scaled_jacobi,
 )
 
 __all__ = [
@@ -144,18 +146,27 @@ def _merge_spectrum(values: list[float], tol: float) -> tuple[tuple[float, int],
 def curvature(sc: StructureConstants) -> CurvatureReport:
     """Full curvature report for the orthonormal-basis constants.
 
-    Its constant flag is :func:`_is_constant`, the decision the foliation
-    search makes too, here on the :func:`_riemann` tensor that gives the
-    reported values and the Ricci spectrum.  Both decisions run on the brackets times the power of
-    two ``2**-k`` of ``_normalised``, so they hold at any bracket scale, and
+    The Riemann tensor is read off the products of the nine scaled bracket
+    components through ``_QUADRATIC``, by the very call of the foliation
+    search's Jacobi check (no Jacobi verdict is taken here), and Ricci and
+    the scalar curvature are its traces, so ``ricci`` is the contraction of
+    the reported ``riemann`` exactly.  The constant flag is
+    :func:`_is_constant` on those rows, the search's decision bit for bit.
+    Everything runs on the brackets times the power of two ``2**-k`` of
+    ``algebra._normalised``, so the decisions hold at any bracket scale, and
     every value is scaled back by ``4**k`` with ``ldexp``.
     """
-    scaled, k = _normalised(sc.c)
-    riemann = _riemann(scaled, _gamma(scaled))
+    return _curvature(_scaled_jacobi(sc, _QUADRATIC))
+
+
+def _curvature(check: _ScaledJacobi) -> CurvatureReport:
+    """:func:`curvature` from the check ``_scaled_jacobi(sc, _QUADRATIC)``,
+    which a caller that verifies Jacobi on it first can reuse."""
+    rows, scale_sq, k = check.quadratic[3:], check.scale_sq, check.k
+    riemann = rows.reshape(3, 3, 3, 3)
     ricci = np.trace(riemann, axis1=0, axis2=3)
     scalar = float(np.trace(ricci))
-    scale_sq = float(np.vdot(scaled, scaled))
-    constant = _is_constant(riemann.ravel(), scale_sq)
+    constant = _is_constant(rows, scale_sq)
     spectrum = _merge_spectrum(
         np.linalg.eigvalsh(ricci).tolist(), SPECTRUM_MERGE_TOL * scale_sq
     )
@@ -209,8 +220,8 @@ def _is_constant(riemann: np.ndarray, scale_sq: float) -> bool:
     """The constant-curvature decision of the search and of :func:`curvature`.
 
     ``riemann`` is the flat Riemann tensor of the scaled brackets, as rows
-    3-83 of ``_QUADRATIC`` read it off their products (the search) or as
-    :func:`_riemann` forms it (:func:`curvature`), and ``scale_sq`` is their
+    3-83 of ``_QUADRATIC`` read it off their products in both callers (the
+    tests also pass :func:`_riemann`'s tensor), and ``scale_sq`` is their
     ``|c|_F^2``; the test is :func:`_fits_constant` for ``k_fit = scalar /
     6``.  No Ricci spectrum and no report are built.
     """

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import brackets_across_scales, random_gl, random_spd
+from conftest import brackets_across_scales, random_gl, random_orthogonal, random_spd
 
 from lie3geo import algebra
 from lie3geo.algebra import (
@@ -266,20 +266,127 @@ def test_orthonormalize_matches_cholesky_change_basis():
         change_basis(sc, np.linalg.inv(np.linalg.cholesky(ill.g)).T)
 
 
+def _lower_inverse(lower):
+    """The inverse of a lower triangular matrix by forward substitution,
+    one entry at a time."""
+    l = lower.tolist()
+    x = [[0.0] * 3 for _ in range(3)]
+    for i in range(3):
+        x[i][i] = 1.0 / l[i][i]
+        for j in range(i):
+            x[i][j] = -sum(l[i][k] * x[k][j] for k in range(j, i)) * x[i][i]
+    return np.array(x)
+
+
 def test_orthonormalize_reuses_the_metric_cholesky_factor():
     # the factor kept by MetricSpec is the one a fresh factorization of the
-    # stored g gives, so the constants come out bit for bit the same
+    # stored g gives, and the constants are rebased by its closed-form
+    # inverse transpose and by L^T, bit for bit
     rng = np.random.default_rng(23)
     for sc, _ in brackets_across_scales(seed=23, per_scale=4):
         metric = MetricSpec(random_spd(rng))
         lower = np.linalg.cholesky(metric.g)
         assert metric._lower.tobytes() == lower.tobytes()
         assert not metric._lower.flags.writeable
-        u, s, vt = algebra._conditioned_svd(lower)
-        want = algebra._rebase(sc, (u / s) @ vt, lower.T).c
+        inverse = _lower_inverse(lower)
+        assert np.abs(inverse - np.linalg.inv(lower)).max() <= 1e-13 * np.abs(inverse).max()
+        want = algebra._rebase(sc, inverse.T, lower.T).c
         assert orthonormalize(sc, metric).c.tobytes() == want.tobytes()
     with pytest.raises(TypeError):
         MetricSpec(np.eye(3), np.eye(3))
+
+
+def test_orthonormalize_accepts_and_rejects_as_the_svd_does(monkeypatch):
+    """Rotated metrics with cond(L) from 1e7 to 1e9.  Where the Frobenius
+    bound |L|_F |L^-1|_F is within CONDITION_LIMIT orthonormalize takes no
+    SVD; past it, _conditioned_svd decides.  Either way the verdict is the
+    2-norm one of _conditioned_svd(metric._lower)."""
+    svd = algebra._conditioned_svd
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return svd(m)
+
+    monkeypatch.setattr(algebra, "_conditioned_svd", counted)
+    rng = np.random.default_rng(31)
+    sc = catalog("Nil3").constants
+    outcomes, conds = set(), []
+    for i in range(400):
+        cond = 10.0 ** rng.uniform(7.0, 9.0)
+        # singular values of L: 1, 1/cond and the middle one anywhere from
+        # either end, where |L|_F |L^-1|_F is sqrt(2) cond, to the other
+        middle = rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)])
+        s = np.array([1.0, cond**-middle, 1.0 / cond])
+        if i % 2:
+            # a random rotation: past cond(L) ~ 1e8 the rounding of g
+            # decides the small singular value
+            q = random_orthogonal(rng)
+        else:
+            # a rotation of the two largest axes only, which keeps g's
+            # smallest eigenvalue exact up to cond(L) = 1e9
+            q = np.eye(3)
+            q[:2, :2] = random_orthogonal(rng)[:2, :2]
+            q[:2, :2] = np.linalg.qr(q[:2, :2])[0]
+            q = q[rng.permutation(3)]
+        g = (q * s**2) @ q.T
+        try:
+            metric = MetricSpec(0.5 * (g + g.T))
+        except ValueError:
+            continue
+        lower = metric._lower
+        try:
+            svd(lower)
+            want = True
+        except ValueError:
+            want = False
+        calls.clear()
+        try:
+            orthonormalize(sc, metric)
+            got = True
+        except ValueError:
+            got = False
+        assert got == want
+        bound = np.linalg.norm(lower) * np.linalg.norm(np.linalg.inv(lower))
+        if bound < CONDITION_LIMIT * (1 - 1e-9):
+            assert calls == []
+        elif bound > CONDITION_LIMIT * (1 + 1e-9):
+            assert len(calls) == 1 and calls[0] is lower
+        outcomes.add((want, bool(calls)))
+        conds.append(np.linalg.cond(lower))
+    # both sides of the bound, and both verdicts past it
+    assert outcomes == {(True, False), (True, True), (False, True)}
+    assert min(conds) < 2e7 and max(conds) > 5e8
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        [[1e308, 9e307, 0.0], [9e307, 1e308, 0.0], [0.0, 0.0, 1.0]],
+        np.diag([1.7e308, 1.0, 1.0]),
+        1e308 * np.eye(3),
+    ],
+)
+def test_huge_metrics_stay_finite(g, monkeypatch):
+    # 0.5 * (g + g.T) overflowed to inf, whose Cholesky factor then reached
+    # an SVD that never returned
+    g = np.asarray(g, dtype=float)
+    metric = MetricSpec(g)
+    assert metric.g.tobytes() == g.tobytes()
+    assert np.isfinite(metric._lower).all()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("LAPACK saw a non-finite matrix")
+
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    message = "basis-change matrix is singular or too ill conditioned"
+    for bad in (np.inf, -np.inf, np.nan):
+        m = np.array(metric._lower)
+        m[1, 0] = bad
+        with pytest.raises(ValueError, match=message):
+            algebra._conditioned_svd(m)
+        with pytest.raises(ValueError, match=message):
+            change_basis(catalog("Nil3").constants, m)
 
 
 def test_metric_spec_validation():

@@ -9,7 +9,10 @@ from conftest import (
     random_spd,
 )
 
+from lie3geo import bianchi
 from lie3geo.algebra import (
+    _CYCLIC_I,
+    _CYCLIC_J,
     MetricSpec,
     NotLieAlgebraError,
     StructureConstants,
@@ -95,6 +98,19 @@ def test_milnor_decompose_matches_einsum_oracle():
         dec = milnor_decompose(sc)
         assert np.array_equal(dec.n, 0.5 * (m + m.T))
         assert np.array_equal(dec.a, 0.5 * np.einsum("mk,pkm->p", asym, _EPS3))
+
+
+def test_milnor_map_matches_the_formula():
+    # the read-only (12, 9) map gives the bits of 0.5 * (m + m.T) and of the
+    # antisymmetric part's axial vector wherever m is normal (signed zeros
+    # aside, which == does not tell apart)
+    assert bianchi._MILNOR.shape == (12, 9)
+    assert not bianchi._MILNOR.flags.writeable
+    for sc, _ in brackets_across_scales(seed=15):
+        m = sc.c[_CYCLIC_I, _CYCLIC_J]
+        n, a = bianchi._milnor(m)
+        assert np.array_equal(n, 0.5 * (m + m.T))
+        assert np.array_equal(a, 0.5 * (m[_CYCLIC_J, _CYCLIC_I] - m[_CYCLIC_I, _CYCLIC_J]))
 
 
 def test_milnor_reconstruct_inverts():

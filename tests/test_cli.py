@@ -844,6 +844,31 @@ def test_cli_deep_nesting_prints_no_traceback(tmp_path):
     assert proc.stderr == "error: 'c' must be an array of numbers\n"
 
 
+@pytest.mark.parametrize("command", ["classify", "curvature", "foliations"])
+def test_huge_metrics_exit_or_answer_in_time(tmp_path, command):
+    # symmetrizing as 0.5 * (g + g.T) overflowed to inf, and the SVD of the
+    # inf Cholesky factor never returned; the timeout fails a regression
+    # instead of stalling the suite
+    env = {**os.environ, "PYTHONPATH": str(Path(lie3geo.__file__).parents[1])}
+    for metric, code, out in (
+        ([[1e308, 9e307, 0], [9e307, 1e308, 0], [0, 0, 1]], 1, ""),
+        ([[1.7e308, 0, 0], [0, 1, 0], [0, 0, 1]], 1, ""),
+        ((1e308 * np.eye(3)).tolist(), 0, "Bianchi type: II\n"),
+    ):
+        path = write_doc(tmp_path, {"c": {"XY": [0, 0, 1]}, "metric": metric})
+        proc = subprocess.run(
+            [sys.executable, "-m", "lie3geo", command, "--input", path],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == code
+        if code:
+            assert (proc.stdout, proc.stderr) == (
+                "", "error: basis-change matrix is singular or too ill conditioned\n"
+            )
+        elif command == "classify":
+            assert proc.stdout == out
+
+
 def test_type_iv_does_not_admit_at_tiny_scale(capsys, tmp_path):
     # the unscaled Riemann tensor and its threshold underflowed to 0, and G4
     # at 1e-170 printed "constant curvature; admits harmonic morphisms"

@@ -858,19 +858,25 @@ def test_constant_curvature_test_matches_the_report_at_the_tolerance(name, alpha
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if _constant_flags(moved(mid))[1] else (lo, mid)
-    for t, want in ((lo, True), (hi, False), (lo * (1 - 1e-3), True), (hi * (1 + 1e-3), False)):
+    # at the edge itself the report and the search read the same rows of the
+    # quadratic map, so their flags agree at every scale, bit for bit
+    for t, want in ((lo, True), (hi, False)):
+        sc = moved(t)
+        assert _constant_flags(sc)[1] == want
+        for k in range(-12, 13, 4):
+            rescaled = StructureConstants(10.0**k * sc.c)
+            report = curvature(rescaled).constant_curvature is not None
+            assert search_directions(rescaled).constant_curvature == report
+    # _riemann rounds differently from the map, so the independent route is
+    # held to the report only 1e-3 off the edge
+    for t, want in ((lo * (1 - 1e-3), True), (hi * (1 + 1e-3), False)):
         sc = moved(t)
         assert _constant_flags(sc) == (want, want)
         assert search_directions(sc).constant_curvature == want
         for k in range(-12, 13, 4):
             rescaled = StructureConstants(10.0**k * sc.c)
-            lean, report = _constant_flags(rescaled)
-            assert lean == report
-            if t not in (lo, hi):
-                # the search's rows of the quadratic map round differently
-                # from _riemann, so only the points 1e-3 off the edge are
-                # held to the report at every scale
-                assert search_directions(rescaled).constant_curvature == want
+            assert _constant_flags(rescaled) == (want, want)
+            assert search_directions(rescaled).constant_curvature == want
 
 
 def _residual_vector_oracle(gamma, u):
