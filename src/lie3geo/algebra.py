@@ -28,12 +28,8 @@ __all__ = [
     "StructureConstants",
     "MetricSpec",
     "CatalogEntry",
-    "bracket",
     "jacobi_residual",
     "change_basis",
-    "killing_form",
-    "ad_matrix",
-    "trace_form",
     "orthonormal_frame",
     "orthonormalize",
     "catalog",
@@ -143,13 +139,6 @@ class CatalogEntry:
     constants: StructureConstants
     metric: MetricSpec
     bianchi: tuple[str, float | None]
-
-
-def bracket(sc: StructureConstants, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Lie bracket [u, v] of two coefficient vectors."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return np.einsum("i,j,ijk->k", u, v, sc.c)
 
 
 def jacobi_residual(sc: StructureConstants) -> float:
@@ -306,13 +295,6 @@ def _require_scaled_lie(
     return check
 
 
-def _require_lie(sc: StructureConstants, tol: float = JACOBI_TOL) -> float:
-    """The Jacobi residual of ``sc``, after :func:`_require_scaled_lie`
-    checked it against ``tol``."""
-    check = _require_scaled_lie(sc, tol)
-    return math.ldexp(check.residual, 2 * check.k)
-
-
 _SINGULAR = "basis-change matrix is singular or too ill conditioned"
 
 
@@ -357,22 +339,6 @@ def change_basis(sc: StructureConstants, p: np.ndarray) -> StructureConstants:
         raise ValueError(f"basis-change matrix must be {DIM}x{DIM}, got {p.shape}")
     u, s, vt = _conditioned_svd(p)
     return _rebase(sc, p, (vt.T / s) @ u.T)
-
-
-def killing_form(sc: StructureConstants) -> np.ndarray:
-    """Killing form K(i, j) = trace(ad_{e_i} ad_{e_j})."""
-    return np.einsum("ikl,jlk->ij", sc.c, sc.c)
-
-
-def ad_matrix(sc: StructureConstants, u: np.ndarray) -> np.ndarray:
-    """Matrix of ad_u = [u, .] acting on coefficient vectors."""
-    u = np.asarray(u, dtype=float)
-    return np.einsum("i,ijk->kj", u, sc.c)
-
-
-def trace_form(sc: StructureConstants, u: np.ndarray) -> float:
-    """Unimodularity functional tau(u) = trace(ad_u)."""
-    return float(np.trace(ad_matrix(sc, u)))
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:

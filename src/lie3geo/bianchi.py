@@ -71,12 +71,6 @@ _DISC_TOL = 1e-6
 # a genuine Jordan block.
 _SCALAR_DEV_TOL = 1e-6
 
-_EPS3 = np.zeros((3, 3, 3))
-_EPS3[_CYCLIC_I, _CYCLIC_J, [0, 1, 2]] = 1.0
-_EPS3[_CYCLIC_J, _CYCLIC_I, [0, 1, 2]] = -1.0
-_EPS3.setflags(write=False)
-
-
 @dataclass(frozen=True)
 class BianchiType:
     """Classification result: a tag I..IX plus a parameter for VI and VII.
@@ -108,15 +102,6 @@ class MilnorDecomposition:
 
     n: np.ndarray
     a: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        """Bracket tensor rebuilt from (n, a); inverts milnor_decompose."""
-        eye = np.eye(3)
-        c = np.einsum("ijl,lk->ijk", _EPS3, self.n)
-        c += np.einsum("i,jk->ijk", self.a, eye)
-        c -= np.einsum("j,ik->ijk", self.a, eye)
-        return c
-
 
 def milnor_decompose(sc: StructureConstants) -> MilnorDecomposition:
     """Split the bracket tensor into its (n, a) components.

@@ -488,6 +488,8 @@ def run_verification(samples: int = 100, seed: int = 42) -> tuple[dict, bool]:
     """Full verification report; ``ok`` is True when no section fails."""
     if samples < 0:
         raise ValueError("samples must be nonnegative")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     sections = [
         _verify_families(seed),
         _verify_positives(),

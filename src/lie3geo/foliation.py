@@ -80,6 +80,7 @@ from .algebra import (
     StructureConstants,
     _antisymmetrized,
     _normalised,
+    _readonly,
     _rebase_array,
     _require_scaled_lie,
     _scaled_jacobi,
@@ -123,12 +124,6 @@ CLUSTER_ANGLE = 1e-4
 _COS_CLUSTER = math.cos(CLUSTER_ANGLE)
 
 _COEFF_NAMES = ("a", "b", "x", "y", "z")
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,6 +39,7 @@ from .algebra import (
     _JACOBI_ROWS,
     _ScaledJacobi,
     _polarize,
+    _readonly,
     _scaled_jacobi,
 )
 
@@ -70,12 +71,6 @@ _UNIT_MODEL = np.einsum("il,jk->ijkl", _EYE, _EYE) - np.einsum(
 _UNIT_MODEL.setflags(write=False)
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class ConnectionCoefficients:
     """Connection table gamma[i,j,k] = <nabla_{e_i} e_j, e_k>."""
@@ -84,11 +79,6 @@ class ConnectionCoefficients:
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", _readonly(self.gamma))
-
-    def derivative(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """nabla_u v for coefficient vectors of left-invariant fields."""
-        return np.einsum("ijk,i,j->k", self.gamma, u, v)
-
 
 @dataclass(frozen=True, eq=False)
 class CurvatureReport:
@@ -209,24 +199,20 @@ _SCALAR_WEIGHTS[[28 * i + 12 * j for i in range(3) for j in range(3)]] = 1.0
 _SCALAR_WEIGHTS.setflags(write=False)
 
 
-def _fits_constant(riemann: np.ndarray, k_fit: float, scale_sq: float) -> bool:
-    """Whether ``riemann`` is within ``CONSTANT_CURVATURE_TOL * scale_sq``,
-    entrywise, of the constant model of curvature ``k_fit``."""
-    deviation = float(np.abs(riemann - k_fit * _UNIT_MODEL).max())
-    return deviation <= CONSTANT_CURVATURE_TOL * scale_sq
-
-
 def _is_constant(riemann: np.ndarray, scale_sq: float) -> bool:
     """The constant-curvature decision of the search and of :func:`curvature`.
 
     ``riemann`` is the flat Riemann tensor of the scaled brackets, as rows
     3-83 of ``_QUADRATIC`` read it off their products in both callers (the
     tests also pass :func:`_riemann`'s tensor), and ``scale_sq`` is their
-    ``|c|_F^2``; the test is :func:`_fits_constant` for ``k_fit = scalar /
-    6``.  No Ricci spectrum and no report are built.
+    ``|c|_F^2``.  The test is whether ``riemann`` lies within
+    ``CONSTANT_CURVATURE_TOL * scale_sq``, entrywise, of the constant model
+    of curvature ``k_fit = scalar / 6``.  No Ricci spectrum and no report
+    are built.
     """
     k_fit = float(riemann @ _SCALAR_WEIGHTS) / 6.0
-    return _fits_constant(riemann.reshape(3, 3, 3, 3), k_fit, scale_sq)
+    deviation = float(np.abs(riemann.reshape(3, 3, 3, 3) - k_fit * _UNIT_MODEL).max())
+    return deviation <= CONSTANT_CURVATURE_TOL * scale_sq
 
 
 def sectional(report: CurvatureReport, u: np.ndarray, v: np.ndarray) -> float:

@@ -2,6 +2,27 @@
 
 import numpy as np
 
+# The Levi-Civita symbol eps[i, j, k].
+EPS3 = np.zeros((3, 3, 3))
+for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    EPS3[_i, _j, _k] = 1.0
+    EPS3[_j, _i, _k] = -1.0
+
+
+def bracket(sc, u, v):
+    """Lie bracket [u, v] of two coefficient vectors."""
+    return np.einsum("i,j,ijk->k", u, v, sc.c)
+
+
+def reconstruct(n, a):
+    """The bracket tensor with Milnor decomposition ``(n, a)``:
+    ``c[i,j,k] = eps[i,j,l] n[l,k] + a[i] delta[j,k] - a[j] delta[i,k]``."""
+    eye = np.eye(3)
+    c = np.einsum("ijl,lk->ijk", EPS3, n)
+    c += np.einsum("i,jk->ijk", a, eye)
+    c -= np.einsum("j,ik->ijk", a, eye)
+    return c
+
 
 def random_orthogonal(rng):
     """Haar-ish random rotation or reflection from a QR factorization."""

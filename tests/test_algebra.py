@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import brackets_across_scales, random_gl, random_orthogonal, random_spd
+from conftest import (
+    bracket,
+    brackets_across_scales,
+    random_gl,
+    random_orthogonal,
+    random_spd,
+)
 
 from lie3geo import algebra
 from lie3geo.algebra import (
@@ -9,16 +15,12 @@ from lie3geo.algebra import (
     MetricSpec,
     NotLieAlgebraError,
     StructureConstants,
-    bracket,
     catalog,
     catalog_info,
     catalog_names,
     change_basis,
     constants_from_brackets,
     jacobi_residual,
-    killing_form,
-    ad_matrix,
-    trace_form,
     orthonormal_frame,
     orthonormalize,
 )
@@ -109,15 +111,16 @@ def test_jacobi_tolerance_is_relative():
     tiny = StructureConstants(1e-5 * bad.c)
     assert not tiny.is_valid()
     with pytest.raises(NotLieAlgebraError, match="not a Lie algebra"):
-        algebra._require_lie(tiny)
-    assert algebra._require_lie(StructureConstants(np.zeros((3, 3, 3)))) == 0.0
+        algebra._require_scaled_lie(tiny)
+    zero = StructureConstants(np.zeros((3, 3, 3)))
+    assert algebra._require_scaled_lie(zero).residual == 0.0
 
 
 def test_nan_tolerance_accepts_nothing():
     # NaN compares false, so the check is written to fail on it
     for sc in (catalog("Nil3").constants, StructureConstants(np.zeros((3, 3, 3)))):
         with pytest.raises(NotLieAlgebraError, match="not a Lie algebra"):
-            algebra._require_lie(sc, float("nan"))
+            algebra._require_scaled_lie(sc, float("nan"))
         assert not sc.is_valid(float("nan"))
 
 
@@ -135,11 +138,11 @@ def test_jacobi_verdict_at_extreme_scales(scale):
         sc = StructureConstants(scale * c)
         assert sc.is_valid() is lie
         if lie:
-            assert algebra._require_lie(sc) == 0.0
+            assert algebra._require_scaled_lie(sc).residual == 0.0
             assert classify(sc).tag == "II"
         else:
             with pytest.raises(NotLieAlgebraError, match="not a Lie algebra"):
-                algebra._require_lie(sc)
+                algebra._require_scaled_lie(sc)
 
 
 def test_change_basis_functorial():
@@ -170,39 +173,6 @@ def test_change_basis_rejects_singular():
     assert np.linalg.cond(np.diag([1.0, 1.0, 1e-12])) > CONDITION_LIMIT
     with pytest.raises(ValueError):
         change_basis(sc, np.diag([1.0, 1.0, 1e-12]))
-
-
-def test_killing_form_signatures():
-    su2 = catalog("SU2").constants
-    assert np.allclose(killing_form(su2), -8.0 * np.eye(3))
-    sl2 = catalog("SL2R~").constants
-    assert np.allclose(killing_form(sl2), np.diag([8.0, 8.0, -8.0]))
-    h3 = catalog("H3").constants
-    assert np.allclose(killing_form(h3), np.diag([0.0, 0.0, 2.0]))
-    # swapping one bracket sign in the SU2 table flips the signature to the
-    # split form, i.e. it is not the compact algebra any more
-    wrong = constants_from_brackets(xy=(0, 0, 2), zx=(0, 2, 0), zy=(2, 0, 0))
-    eig = np.sort(np.linalg.eigvalsh(killing_form(wrong)))
-    assert eig[2] > 0
-
-
-def test_trace_form_values():
-    h3 = catalog("H3").constants
-    assert trace_form(h3, np.array([0.0, 0.0, 1.0])) == pytest.approx(2.0)
-    sol = catalog("Sol3", 0.5).constants
-    assert trace_form(sol, np.array([0.0, 0.0, 1.0])) == pytest.approx(-0.5)
-    for name in ["R3", "Nil3", "SU2", "SL2R~"]:
-        sc = catalog(name).constants
-        for v in np.eye(3):
-            assert abs(trace_form(sc, v)) < 1e-14
-
-
-def test_ad_matrix_matches_bracket():
-    rng = np.random.default_rng(4)
-    sc = catalog("G4").constants
-    for _ in range(10):
-        u, v = rng.standard_normal(3), rng.standard_normal(3)
-        assert np.allclose(ad_matrix(sc, u) @ v, bracket(sc, u, v))
 
 
 def test_orthonormal_frame_is_right_handed():

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import (
+    EPS3,
     ad_w_on_ker_tau,
     brackets_across_scales,
     classify_by_frame,
     random_gl,
     random_spd,
+    reconstruct,
 )
 
 from lie3geo import bianchi
@@ -22,10 +24,8 @@ from lie3geo.algebra import (
     orthonormalize,
 )
 from lie3geo.bianchi import (
-    _EPS3,
     BianchiType,
     _ker_tau_invariants,
-    MilnorDecomposition,
     classify,
     milnor_decompose,
     same_type,
@@ -93,11 +93,11 @@ def test_milnor_decompose_oracles():
 
 def test_milnor_decompose_matches_einsum_oracle():
     for sc, _ in brackets_across_scales(seed=14):
-        m = 0.5 * np.einsum("ijm,ijk->mk", _EPS3, sc.c)
+        m = 0.5 * np.einsum("ijm,ijk->mk", EPS3, sc.c)
         asym = 0.5 * (m - m.T)
         dec = milnor_decompose(sc)
         assert np.array_equal(dec.n, 0.5 * (m + m.T))
-        assert np.array_equal(dec.a, 0.5 * np.einsum("mk,pkm->p", asym, _EPS3))
+        assert np.array_equal(dec.a, 0.5 * np.einsum("mk,pkm->p", asym, EPS3))
 
 
 def test_milnor_map_matches_the_formula():
@@ -118,11 +118,11 @@ def test_milnor_reconstruct_inverts():
     entries = [catalog(n, a).constants for n, a, _ in CATALOG_TYPES]
     for sc in entries:
         dec = milnor_decompose(sc)
-        assert np.allclose(dec.reconstruct(), sc.c, atol=1e-13)
+        assert np.allclose(reconstruct(dec.n, dec.a), sc.c, atol=1e-13)
     for _ in range(50):
         sc = StructureConstants(rng.standard_normal((3, 3, 3)))
         dec = milnor_decompose(sc)
-        assert np.allclose(dec.reconstruct(), sc.c, atol=1e-12)
+        assert np.allclose(reconstruct(dec.n, dec.a), sc.c, atol=1e-12)
 
 
 def test_jacobi_iff_na_zero():
@@ -139,7 +139,7 @@ def test_jacobi_iff_na_zero():
             k = int(np.argmin(np.abs(vals)))
             n = n - vals[k] * np.outer(vecs[:, k], vecs[:, k])
             a = float(rng.standard_normal()) * vecs[:, k]
-        sc = StructureConstants(MilnorDecomposition(n=n, a=a).reconstruct())
+        sc = StructureConstants(reconstruct(n, a))
         lhs = float(np.linalg.norm(n @ a)) < 1e-12
         rhs = sc.is_valid(1e-10)
         assert lhs == rhs

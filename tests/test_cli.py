@@ -747,6 +747,13 @@ def test_verify_paper_negative_samples_rejected(capsys):
     assert "nonnegative" in err
 
 
+def test_verify_paper_negative_seed_rejected(capsys):
+    # numpy's own refusal names no flag
+    code, _, err = run(capsys, ["verify-paper", "--seed", "-1"])
+    assert code == 1
+    assert err == "error: seed must be nonnegative\n"
+
+
 def test_verify_paper_detects_corruption(monkeypatch):
     # a wrong SU2 bracket table must fail the classification section
     wrong = constants_from_brackets(xy=(0, 0, 2), zx=(0, 2, 0), zy=(2, 0, 0))

@@ -77,15 +77,6 @@ def test_kernels_match_einsum_oracles():
         assert rep.ricci.tobytes() == np.einsum("kijk->ij", rep.riemann).tobytes()
 
 
-def test_connection_derivative_helper():
-    sc = catalog("Nil3").constants
-    conn = connection(sc)
-    x, y, z = np.eye(3)
-    assert np.allclose(conn.derivative(x, y), 0.5 * z)
-    assert np.allclose(conn.derivative(y, x), -0.5 * z)
-    assert np.allclose(conn.derivative(z, z), 0.0)
-
-
 def test_connection_is_metric_and_torsion_free():
     for sc in random_valid_algebras(100, seed=0):
         gamma = connection(sc).gamma

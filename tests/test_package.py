@@ -1,3 +1,7 @@
+import ast
+import importlib
+from pathlib import Path
+
 import lie3geo
 from lie3geo import algebra, bianchi, foliation, geometry
 
@@ -5,10 +9,9 @@ from lie3geo import algebra, bianchi, foliation, geometry
 _EXPORTED = {
     algebra: [
         "DIM", "JACOBI_TOL", "CatalogEntry", "MetricSpec", "NotLieAlgebraError",
-        "StructureConstants", "ad_matrix", "bracket", "catalog", "catalog_info",
-        "catalog_names", "change_basis", "constants_from_brackets",
-        "jacobi_residual", "killing_form", "orthonormal_frame", "orthonormalize",
-        "trace_form",
+        "StructureConstants", "catalog", "catalog_info", "catalog_names",
+        "change_basis", "constants_from_brackets", "jacobi_residual",
+        "orthonormal_frame", "orthonormalize",
     ],
     bianchi: [
         "BianchiType", "MilnorDecomposition", "classify", "milnor_decompose",
@@ -28,7 +31,7 @@ _EXPORTED = {
 
 
 def test_package_exports_module_names():
-    assert sum(len(names) for names in _EXPORTED.values()) == 41
+    assert sum(len(names) for names in _EXPORTED.values()) == 37
     for module, names in _EXPORTED.items():
         for name in names:
             assert name in lie3geo.__all__, name
@@ -37,3 +40,36 @@ def test_package_exports_module_names():
     assert len(set(lie3geo.__all__)) == len(lie3geo.__all__)
     for name in lie3geo.__all__:
         assert hasattr(lie3geo, name), name
+
+
+def _traced_names() -> tuple[str, ...]:
+    """``TRACED`` of the benchmark's span recorder, read off the text of
+    ``bench/tracing.py`` so that nothing under ``bench/`` is imported."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracing.py defines no TRACED")
+
+
+def test_traced_benchmark_names_resolve():
+    # the traced benchmark run looks each of these up with getattr and fails
+    # on a missing one, a failure no other test here would show
+    names = _traced_names()
+    assert "geometry.connection" in names and "bianchi.milnor_decompose" in names
+    for name in names:
+        module_name, fn_name = name.split(".")
+        module = importlib.import_module(f"lie3geo.{module_name}")
+        assert callable(getattr(module, fn_name, None)), name
+
+
+def test_search_report_has_what_the_traced_run_reads():
+    # the traced run's observer reads these off every search report that is
+    # not of constant curvature
+    report = foliation.search_directions(algebra.catalog("G4").constants)
+    assert not report.constant_curvature
+    assert report.lattice_size > 0
+    assert report.lattice_min_residual > 0.0
+    assert report.directions == ()
