@@ -103,6 +103,7 @@ class MilnorDecomposition:
     n: np.ndarray
     a: np.ndarray
 
+
 def milnor_decompose(sc: StructureConstants) -> MilnorDecomposition:
     """Split the bracket tensor into its (n, a) components.
 

@@ -80,6 +80,7 @@ class ConnectionCoefficients:
     def __post_init__(self):
         object.__setattr__(self, "gamma", _readonly(self.gamma))
 
+
 @dataclass(frozen=True, eq=False)
 class CurvatureReport:
     """Curvature data of one left-invariant metric.
@@ -205,10 +206,10 @@ def _is_constant(riemann: np.ndarray, scale_sq: float) -> bool:
     ``riemann`` is the flat Riemann tensor of the scaled brackets, as rows
     3-83 of ``_QUADRATIC`` read it off their products in both callers (the
     tests also pass :func:`_riemann`'s tensor), and ``scale_sq`` is their
-    ``|c|_F^2``.  The test is whether ``riemann`` lies within
-    ``CONSTANT_CURVATURE_TOL * scale_sq``, entrywise, of the constant model
-    of curvature ``k_fit = scalar / 6``.  No Ricci spectrum and no report
-    are built.
+    ``|c|_F^2``; the test is whether ``riemann`` is entrywise within
+    ``CONSTANT_CURVATURE_TOL * scale_sq`` of the constant model of
+    curvature ``k_fit = scalar / 6``.  No Ricci spectrum and no report are
+    built.
     """
     k_fit = float(riemann @ _SCALAR_WEIGHTS) / 6.0
     deviation = float(np.abs(riemann.reshape(3, 3, 3, 3) - k_fit * _UNIT_MODEL).max())

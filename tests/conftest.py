@@ -4,9 +4,8 @@ import numpy as np
 
 # The Levi-Civita symbol eps[i, j, k].
 EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    EPS3[_i, _j, _k] = 1.0
-    EPS3[_j, _i, _k] = -1.0
+EPS3[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
+EPS3[[1, 2, 0], [0, 1, 2], [2, 0, 1]] = -1.0
 
 
 def bracket(sc, u, v):
