@@ -34,7 +34,6 @@ machine-readable document.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -94,10 +93,20 @@ def _is_number(value) -> bool:
 
 def _all_numbers(value, rank: int) -> bool:
     """Whether ``value`` is a number or nested lists, at most ``rank`` deep,
-    of numbers.  The rank bounds the recursion however deep ``value`` nests."""
-    if isinstance(value, list):
-        return rank > 0 and all(_all_numbers(v, rank - 1) for v in value)
-    return _is_number(value)
+    of numbers.  Checked one nesting level at a time, so ``rank`` bounds the
+    work however deep ``value`` nests."""
+    level = [value]
+    while level:
+        nested = []
+        for v in level:
+            if isinstance(v, list):
+                if rank == 0:
+                    return False
+                nested.extend(v)
+            elif not _is_number(v):
+                return False
+        level, rank = nested, rank - 1
+    return True
 
 
 def _floats(value, label: str, rank: int) -> np.ndarray:
@@ -192,21 +201,75 @@ def parse_algebra_document(doc) -> tuple[str | None, StructureConstants, MetricS
     return name, sc, metric
 
 
-def _round_floats(obj):
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    raise TypeError(f"cannot render {type(obj).__name__} as JSON")
-
-
 def render_json(doc: dict) -> str:
-    """Deterministic JSON rendering at 12 significant digits."""
-    return json.dumps(_round_floats(doc), indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON rendering at 12 significant digits.
+
+    The text is that of ``json.dumps(doc, indent=2, sort_keys=True)`` after
+    rounding each float to ``float(f"{x:.12g}")``, written in one walk.
+    """
+    out: list[str] = []
+    _write_json(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(obj, out: list[str], newline: str) -> None:
+    """Append ``obj`` to ``out`` as ``render_json`` writes it.  ``newline``
+    is a line break and the indentation of the line ``obj`` starts on.
+    Tuples are written as lists, and any type JSON lacks is a TypeError."""
+    if isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, str):
+        out.append(json.encoder.encode_basestring_ascii(obj))
+    elif isinstance(obj, float):
+        x = float(f"{obj:.12g}")
+        # the non-finite floats take the names json.dumps gives them
+        if x - x == 0.0:
+            out.append(repr(x))
+        else:
+            out.append("NaN" if x != x else "Infinity" if x > 0 else "-Infinity")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep)
+            out.append(json.encoder.encode_basestring_ascii(_key_text(key)))
+            out.append(": ")
+            _write_json(obj[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json.dumps`` names it: a string as it is, and a bool,
+    None, int or float (not rounded) as its JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+    )
 
 
 def _fmt(x: float) -> str:
@@ -317,7 +380,9 @@ def cmd_foliations(args):
                 "direction": cand.direction.tolist(),
                 "geodesic_residual": cand.geodesic_residual,
                 "conformal_residual": cand.conformal_residual,
-                "adapted": dataclasses.asdict(cand.adapted),
+                "adapted": dict(
+                    zip(("a", "b", "x", "y", "z"), cand.adapted.as_tuple())
+                ),
                 "family_type": cand.family.tag,
                 "family_alpha": cand.family.param,
             }

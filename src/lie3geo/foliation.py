@@ -390,8 +390,9 @@ def search_directions(
     candidates = []
     norm, k = math.sqrt(scale_sq), check.k
     for u_ref, v_ref in sorted(kept, key=lambda item: tuple(item[0])):
-        geo = float(np.linalg.norm(v_ref[:3]))
-        conf = float(np.linalg.norm(v_ref[3:]))
+        # the arithmetic of np.linalg.norm on a 1-D array, without its overhead
+        geo = math.sqrt(v_ref[:3] @ v_ref[:3])
+        conf = math.sqrt(v_ref[3:] @ v_ref[3:])
         adapted = _adapt_basis(scaled, u_ref, geo, conf, norm, check.residual)
         # Coefficients forced to zero by the foliation conditions carry noise
         # on the order of the measured residuals, so the family case analysis
@@ -459,15 +460,17 @@ def _adapt_basis(
             "foliation conditions violated along the given direction "
             f"(geodesic residual {geo:.3e}, conformal residual {conf:.3e})"
         )
-    u = u / np.linalg.norm(u)
+    u = u / math.sqrt(u @ u)
     # orthonormal by construction, so its transpose is its inverse
     frame = np.column_stack([*orthonormal_frame(u), u])
-    table = _antisymmetrized(_rebase_array(c, frame, frame.T))
+    table = _antisymmetrized(_rebase_array(c, frame, frame.T)).tolist()
+    # the brackets [X,Y], [Z,X] and [Z,Y], read as Python floats
+    (_, xy, _), _, (zx, zy, _) = table
     deviations = (
-        abs(table[2, 0, 2]),
-        abs(table[2, 1, 2]),
-        abs(table[2, 0, 0] - table[2, 1, 1]),
-        abs(table[2, 0, 1] + table[2, 1, 0]),
+        abs(zx[2]),
+        abs(zy[2]),
+        abs(zx[0] - zy[1]),
+        abs(zx[1] + zy[0]),
     )
     if max(deviations) > tol * scale:
         raise ValueError(
@@ -475,11 +478,11 @@ def _adapt_basis(
             f"adapted form (max deviation {max(deviations):.3e})"
         )
     params = AdaptedBracketParams(
-        a=float(0.5 * (table[2, 0, 0] + table[2, 1, 1])),
-        b=float(0.5 * (table[2, 0, 1] - table[2, 1, 0])),
-        x=float(table[0, 1, 0]),
-        y=float(table[0, 1, 1]),
-        z=float(table[0, 1, 2]),
+        a=0.5 * (zx[0] + zy[1]),
+        b=0.5 * (zx[1] - zy[0]),
+        x=xy[0],
+        y=xy[1],
+        z=xy[2],
     )
     worst = jacobi_constraints(params)
     if not (worst <= max(tol * scale * scale, 10.0 * jacobi)):
@@ -506,8 +509,9 @@ def jacobi_constraints(params: AdaptedBracketParams) -> float:
     sqrt(6) times this value.  A NaN coefficient gives NaN.
     """
     a, b, x, y, z = params.as_tuple()
-    # np.max, unlike max, returns NaN wherever a NaN stands
-    return float(np.max(np.abs((a * z, a * x + b * y, b * x - a * y))))
+    terms = (abs(a * z), abs(a * x + b * y), abs(b * x - a * y))
+    # max can pass over a NaN, which fails every comparison, so test first
+    return math.nan if any(map(math.isnan, terms)) else float(max(terms))
 
 
 def classify_family(
@@ -533,7 +537,8 @@ def classify_family(
         max(abs(x), abs(y), abs(z)),
         max(abs(x), abs(y), abs(a)),
     )
-    family = int(np.argmin(distances))
+    # the first least distance, as np.argmin picks it
+    family = distances.index(min(distances))
     if family == 0:
         if abs(x) <= tol and abs(y) <= tol:
             return BianchiType("II") if abs(z) > tol else BianchiType("I")
@@ -581,15 +586,24 @@ def enumerate_families() -> tuple[FoliationFamily, FoliationFamily, FoliationFam
 
 def random_metrics(count: int, seed: int = 42) -> list[MetricSpec]:
     """Reproducible well-conditioned random SPD metrics."""
-    return [metric for _, metric in zip(range(count), _metric_stream(seed))]
+    return list(_metric_stream(count, seed, "count"))
 
 
-def _metric_stream(seed: int):
-    """The metrics of :func:`random_metrics`, drawn one at a time."""
+def _metric_stream(count: int, seed: int, label: str):
+    """The metrics of :func:`random_metrics`, drawn one at a time.  A
+    negative ``count`` (called ``label`` in the message) or ``seed`` is
+    refused at the call, before any metric is drawn."""
+    if count < 0:
+        raise ValueError(f"{label} must be nonnegative")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
-    while True:
-        a = rng.standard_normal((3, 3))
-        yield MetricSpec(a @ a.T + 0.5 * np.eye(3))
+    return (_random_metric(rng) for _ in range(count))
+
+
+def _random_metric(rng: np.random.Generator) -> MetricSpec:
+    a = rng.standard_normal((3, 3))
+    return MetricSpec(a @ a.T + 0.5 * np.eye(3))
 
 
 def admits_harmonic_morphism(
@@ -603,12 +617,9 @@ def admits_harmonic_morphism(
     they are; the second repeats the search after orthonormalizing against
     ``trials`` random SPD metrics from a seeded generator, the sequence of
     :func:`random_metrics`, drawn one at a time and only until one admits.
+    A negative ``trials`` or ``seed`` is refused before any search.
     """
+    metrics = _metric_stream(trials, seed, "trials")
     first = search_directions(sc).admits
-    second = False
-    # zip stops at the end of the range before it draws another metric
-    for _, metric in zip(range(trials), _metric_stream(seed)):
-        if search_directions(orthonormalize(sc, metric)).admits:
-            second = True
-            break
+    second = any(search_directions(orthonormalize(sc, m)).admits for m in metrics)
     return first, second

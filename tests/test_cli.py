@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import shlex
@@ -178,6 +179,7 @@ def test_sparse_pair_given_twice_rejected(capsys, tmp_path):
 _OBJECT = {"a": 1}  # where a number belongs
 _ZERO = [0, 0, 0]
 _SPARSE = {"XY": [0, 0, 1]}
+_SPARSE_DOC = json.dumps({"c": _SPARSE}).encode()
 
 
 def _dense(leaf):
@@ -201,6 +203,10 @@ def _diagonal(leaf):
         (None, {"c": {"XY": _OBJECT}}, "bracket 'XY' must be an array of numbers"),
         (None, {"c": {"XY": ["0", "0", "1"]}}, "bracket 'XY' must be an array of numbers"),
         (None, {"c": _SPARSE, "params": {"alpha": True}}, "params.alpha must be a number"),
+        (None, {"c": _dense(True)}, "'c' must be an array of numbers"),
+        (None, {"c": {"XY": [0, 0, True]}}, "bracket 'XY' must be an array of numbers"),
+        (None, {"c": _dense([1])}, "'c' must be an array of numbers"),
+        (None, {"c": {"XY": [0, 0, [1]]}}, "bracket 'XY' must be an array of numbers"),
     ],
     ids=[
         "metric-file",
@@ -212,6 +218,10 @@ def _diagonal(leaf):
         "sparse-c",
         "sparse-c-string",
         "params-alpha-boolean",
+        "dense-c-boolean",
+        "sparse-c-boolean",
+        "dense-c-one-level-too-deep",
+        "sparse-c-one-level-too-deep",
     ],
 )
 def test_non_numeric_json_exits_one(capsys, tmp_path, metric_file, doc, message):
@@ -224,6 +234,65 @@ def test_non_numeric_json_exits_one(capsys, tmp_path, metric_file, doc, message)
         argv = ["classify", "--input", write_doc(tmp_path, doc)]
     code, out, err = run(capsys, argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+_NIL_METRIC = '{"c": {"XY": [0, 0, 1]}, "metric": %s}'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            json.dumps({"c": [[_ZERO] * 3, [_ZERO] * 3, [_ZERO] * 2]}),
+            "setting an array element with a sequence. The requested array has an"
+            " inhomogeneous shape after 1 dimensions. The detected shape was (3,)"
+            " + inhomogeneous part.",
+        ),
+        (_NIL_METRIC % "[]", "metric must be 3x3, got shape (0,)"),
+        (_NIL_METRIC % "[[NaN, 0, 0], [0, 1, 0], [0, 0, 1]]", "metric must be finite"),
+        (_NIL_METRIC % "[[1, 0, 0], [0, Infinity, 0], [0, 0, 1]]", "metric must be finite"),
+        (_NIL_METRIC % "[[1, 0, 0], [0, 1, 0], [0, 0, -Infinity]]", "metric must be finite"),
+        (_NIL_METRIC % "[[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]", "metric must be symmetric"),
+        # the asymmetry may reach 1e-8 max|g| = 4e-8, and not one ulp more
+        (_NIL_METRIC % "[[4, 4e-8, 0], [0, 1, 0], [0, 0, 1]]", None),
+        (
+            _NIL_METRIC % f"[[4, {math.nextafter(4e-8, 1)!r}, 0], [0, 1, 0], [0, 0, 1]]",
+            "metric must be symmetric",
+        ),
+        # |g01 - g10| overflows to inf, which is asymmetric, not a warning
+        (_NIL_METRIC % "[[1, 1e308, 0], [-1e308, 1, 0], [0, 0, 1]]", "metric must be symmetric"),
+        (b"\xef\xbb\xbf" + _SPARSE_DOC, "invalid JSON in {path}: Unexpected UTF-8 BOM"
+         " (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (
+            b'{"name": "\xff", "c": {"XY": [0, 0, 1]}}',
+            "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte",
+        ),
+    ],
+    ids=[
+        "ragged-c",
+        "empty-metric",
+        "nan-metric",
+        "inf-metric",
+        "minus-inf-metric",
+        "asymmetric-metric",
+        "metric-at-the-symmetry-threshold",
+        "metric-one-ulp-past-the-symmetry-threshold",
+        "metric-asymmetry-overflows",
+        "utf8-bom",
+        "invalid-utf8",
+    ],
+)
+def test_input_edge_cases_keep_their_messages(capsys, tmp_path, text, message):
+    path = tmp_path / "alg.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    code, out, err = run(capsys, ["classify", "--input", str(path)])
+    if message is None:
+        assert (code, out, err) == (0, "Bianchi type: II\n", "")
+    else:
+        assert (code, out, err) == (1, "", f"error: {message.format(path=path)}\n")
 
 
 def test_integer_beyond_float_range_exits_one(capsys, tmp_path):
@@ -691,6 +760,89 @@ def test_cold_certificate_is_warning_free_and_matches(capsys):
     want = json.loads(out)["lattice_min_residual"]
     assert want is not None
     assert json.loads(cold.stdout)["lattice_min_residual"] == want
+
+
+def _round_floats_oracle(obj):
+    """Each float of ``obj`` rounded to 12 significant digits, tuples made
+    lists, in a walk of its own: with ``json.dumps`` the reference that
+    ``render_json``'s one-walk writer must match byte for byte."""
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+        return obj
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: _round_floats_oracle(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats_oracle(v) for v in obj]
+    raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+
+
+def _render_json_oracle(doc):
+    return json.dumps(_round_floats_oracle(doc), indent=2, sort_keys=True) + "\n"
+
+
+def _command_documents():
+    """The ``--json`` document of every command on the golden inputs: the
+    catalog, each catalog row through classify, curvature and foliations,
+    and verify-paper."""
+    parser = cli.build_parser()
+    argvs = [["catalog"]]
+    for group, alpha in cli._CLASSIFICATION_ROWS:
+        row = ["--group", group] + ([] if alpha is None else ["--alpha", repr(alpha)])
+        argvs += [[command, *row] for command in ("classify", "curvature", "foliations")]
+    for argv in argvs:
+        args = parser.parse_args(argv)
+        yield args.func(args)[0]
+    yield cli.run_verification(samples=5, seed=42)[0]
+
+
+def test_render_json_matches_json_dumps_on_every_command_document():
+    docs = list(_command_documents())
+    assert len(docs) == 2 + 3 * len(cli._CLASSIFICATION_ROWS)
+    for doc in docs:
+        assert cli.render_json(doc) == _render_json_oracle(doc)
+
+
+_SUBNORMAL = 5e-324
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        {"empty list": [], "empty dict": {}, "empty tuple": ()},
+        {"zeros": [0.0, -0.0, 0, -0]},
+        {"subnormals": [_SUBNORMAL, -_SUBNORMAL, 1e-320, 2.2250738585072014e-308 / 3]},
+        {"huge": [1e308, -1.7976931348623157e308, 10**30, -(10**30)]},
+        {"non-finite": [math.nan, math.inf, -math.inf, 1e308 * 10]},
+        {"rounding": [0.1 + 0.2, 1 / 3, 2 / 3, 123456789012345678.0, 1.23456789012e-5]},
+        {"types": [True, False, None, 7, -7, "seven", 7.0, np.float64(1 / 7)]},
+        {"name": "Bianchi–Milnor ü 日本 \U0001f600", "lone": "\ud800 and \udfff"},
+        {"escapes": "quote \" backslash \\ tab \t newline \n bell \x07"},
+        {"tuples": (1, (2.5, ()), [(), {}]), "nested": [[{"b": [1], "a": {}}]]},
+        {"keys sort": {"b": 1, "a": 2, "B": 3, "é": 4, "": 5, "10": 6, "9": 7}},
+        {1: "int", 2.5: "float", 3: [1 / 3]},
+        {True: "bool"},
+        {None: "null"},
+        {math.nan: "nan key"},
+    ],
+)
+def test_render_json_matches_json_dumps_on_edge_values(doc):
+    assert cli.render_json(doc) == _render_json_oracle(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"set": {1.0}}, "cannot render set as JSON"),
+        ({"deep": [[{"x": np.int64(1)}]]}, "cannot render int64 as JSON"),
+        ({"array": np.zeros(2)}, "cannot render ndarray as JSON"),
+        ({(1, 2): 0}, "keys must be str, int, float, bool or None, not tuple"),
+    ],
+)
+def test_render_json_refuses_what_json_cannot_hold(doc, message):
+    with pytest.raises(TypeError, match=re.escape(message)):
+        cli.render_json(doc)
 
 
 def test_json_deterministic(capsys):

@@ -22,7 +22,7 @@ from lie3geo.algebra import (
     orthonormal_frame,
     orthonormalize,
 )
-from lie3geo.bianchi import classify, milnor_decompose, same_type
+from lie3geo.bianchi import BianchiType, classify, milnor_decompose, same_type
 from lie3geo.foliation import (
     LATTICE_DEFAULT,
     AdaptedBracketParams,
@@ -242,6 +242,16 @@ def test_jacobi_constraints_examples():
         assert math.isnan(jacobi_constraints(AdaptedBracketParams(*values)))
 
 
+def test_jacobi_constraints_scalar_semantics():
+    # finite coefficients whose middle product overflows to inf - inf: the
+    # other two read 0 and inf, and builtin max alone would return inf
+    assert math.isnan(jacobi_constraints(AdaptedBracketParams(1e308, 1e308, 10, -10, 0)))
+    # a NaN in the first product only, from inf * 0
+    assert math.isnan(jacobi_constraints(AdaptedBracketParams(math.inf, 0, 0, 0, 0)))
+    worst = jacobi_constraints(AdaptedBracketParams(1, 0, 1, 0, 2))
+    assert type(worst) is float and worst == 2.0
+
+
 def test_adapted_constants_brackets():
     params = AdaptedBracketParams(a=1.0, b=2.0, x=3.0, y=4.0, z=5.0)
     sc = adapted_constants(params)
@@ -281,6 +291,16 @@ def test_classify_family_examples():
     assert got.tag == "VII" and got.param == pytest.approx(2.0)
     got = classify_family(AdaptedBracketParams(0, 3, 0, 0, 0))
     assert got.tag == "VII" and got.param == pytest.approx(0.0)
+
+
+def test_classify_family_breaks_distance_ties_toward_the_first_family():
+    # at tol 0.3 these violate the constraints by 0.25 and sit at equal
+    # distance from two or three families, whose case analyses disagree;
+    # the first family wins, as np.argmin picks the first minimum
+    got = classify_family(AdaptedBracketParams(0.5, 0.6, 0, 0, 0.5), tol=0.3)
+    assert got == BianchiType("VII", 0.5 / 0.6)  # family x=y=a=0 gives IX
+    got = classify_family(AdaptedBracketParams(0.5, 0, 0.5, 0, 0), tol=0.3)
+    assert got == BianchiType("III")  # the other two give V and I
 
 
 def test_classify_family_rejects_violations():
@@ -348,6 +368,23 @@ def test_admits_harmonic_morphism():
         False,
         False,
     )
+
+
+def test_negative_counts_and_seeds_are_refused_before_any_search(monkeypatch):
+    # trials=-5 used to answer (False, False), random_metrics(-3) [], and a
+    # negative seed failed only once a metric was drawn, in numpy's words
+    monkeypatch.setattr(foliation, "search_directions", None)
+    g4 = catalog("G4").constants
+    for call, message in (
+        (lambda: admits_harmonic_morphism(g4, trials=-5), "trials"),
+        (lambda: admits_harmonic_morphism(g4, trials=0, seed=-1), "seed"),
+        (lambda: admits_harmonic_morphism(g4, trials=3, seed=-1), "seed"),
+        (lambda: random_metrics(-3), "count"),
+        (lambda: random_metrics(0, seed=-1), "seed"),
+        (lambda: random_metrics(2, seed=-1), "seed"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message} must be nonnegative$"):
+            call()
 
 
 def test_random_metrics_deterministic_and_spd():
