@@ -190,24 +190,34 @@ def _products(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m, (flat * flat.T).ravel()
 
 
-def _polarize(kernel) -> np.ndarray:
-    """The read-only map ``M`` with ``M @ _products(c)[1]`` equal to
-    ``kernel(c).ravel()`` for every antisymmetric ``c``, for a ``kernel``
-    quadratic in the brackets.
-
-    It is read off the kernel on the basis tensors ``E_a``, the brackets
-    whose component ``m.flat[a]`` is 1 and all others 0: column ``9 a + a``
-    holds ``kernel(E_a)``, and columns ``9 a + b`` and ``9 b + a`` each hold
-    half the polarization ``kernel(E_a + E_b) - kernel(E_a) - kernel(E_b)``.
-    The kernels of this package take sums and halves of products of the
-    entries 0 and +-1 of the basis tensors, so their maps hold small
-    multiples of 1/4, exactly.
-    """
+def _basis_tensors() -> np.ndarray:
+    """The nine basis tensors ``E_a``, shape (9, 3, 3, 3), read-only: the
+    antisymmetric brackets whose component ``m.flat[a]`` of
+    :func:`_products` is 1 and all others 0."""
     basis = np.zeros((9, DIM, DIM, DIM))
     for a in range(9):
         row, k = divmod(a, DIM)
         basis[a, _CYCLIC_I[row], _CYCLIC_J[row], k] = 1.0
         basis[a, _CYCLIC_J[row], _CYCLIC_I[row], k] = -1.0
+    return _readonly(basis)
+
+
+_BASIS_TENSORS = _basis_tensors()
+
+
+def _polarize(kernel) -> np.ndarray:
+    """The read-only map ``M`` with ``M @ _products(c)[1]`` equal to
+    ``kernel(c).ravel()`` for every antisymmetric ``c``, for a ``kernel``
+    quadratic in the brackets.
+
+    It is read off the kernel on the basis tensors ``E_a`` of
+    ``_BASIS_TENSORS``: column ``9 a + a`` holds ``kernel(E_a)``, and columns
+    ``9 a + b`` and ``9 b + a`` each hold half the polarization
+    ``kernel(E_a + E_b) - kernel(E_a) - kernel(E_b)``.  The kernels of this
+    package take sums and halves of products of the entries 0 and +-1 of the
+    basis tensors, so their maps hold small multiples of 1/4, exactly.
+    """
+    basis = _BASIS_TENSORS
     square = [np.ravel(kernel(e)) for e in basis]
     columns = np.empty((square[0].size, 9, 9))
     for a in range(9):

@@ -154,7 +154,7 @@ def _centre(c: np.ndarray) -> tuple[float, np.ndarray]:
     which spans the centre when the ratio is zero.  The brackets must not
     all vanish.
     """
-    _, sigma, vt = np.linalg.svd(c.reshape(3, 9).T)
+    _, sigma, vt = np.linalg.svd(c.reshape(3, 9).T, full_matrices=False)
     return float(sigma[-1] / sigma[0]), vt[-1]
 
 

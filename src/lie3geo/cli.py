@@ -115,7 +115,8 @@ def _floats(value, label: str, rank: int) -> np.ndarray:
 
     The leaves are checked first, because numpy reads ``"1"`` and ``true``
     as 1.0.  An integer beyond the float range makes numpy raise
-    OverflowError, which is refused too.
+    OverflowError, and ragged nesting makes it raise ValueError; both are
+    refused with messages naming ``label``.
     """
     if not _all_numbers(value, rank):
         raise ValueError(f"{label} must be an array of numbers")
@@ -123,6 +124,8 @@ def _floats(value, label: str, rank: int) -> np.ndarray:
         return np.asarray(value, dtype=float)
     except OverflowError:
         raise ValueError(f"{label} must be finite") from None
+    except ValueError:
+        raise ValueError(f"{label} must be a rectangular array of numbers") from None
 
 
 def _parse_vector3(value, label: str) -> np.ndarray:

@@ -78,6 +78,7 @@ from .algebra import (
     JACOBI_TOL,
     MetricSpec,
     StructureConstants,
+    _BASIS_TENSORS,
     _antisymmetrized,
     _normalised,
     _readonly,
@@ -234,24 +235,30 @@ _SAMPLES = _fibonacci_points(56)[:28]
 _EYE = np.eye(3)
 _SQRT2 = np.sqrt(2.0)
 
-# The float32 screen's slack, in units of sum|coeff| (see _lattice_floor).
-_SCREEN_SLACK = 128 * 2.0**-24
+# The inverse of the interpolation matrix (s_i . s_j)^6 of the samples,
+# read-only: it maps r at the samples to the coefficients of the sextic r in
+# the basis (s_j . u)^6.
+_INVERSE = _readonly(np.linalg.inv((_SAMPLES @ _SAMPLES.T) ** 6))
+
+# The float32 lattice screen's slack, in units of sum|coeff| (see
+# _lattice_floor).
+_LATTICE_SLACK = 128 * 2.0**-24
 
 
 @lru_cache(maxsize=1)
 def _lattice():
     """The lattice points, shape (n, 3) for ``n = LATTICE_DEFAULT``; the
     read-only float32 (28, n) table of the float64 powers ``(s . p)^6`` for
-    samples ``s`` and points ``p``; and the inverse of ``(s_i . s_j)^6``.
-    Built row by row, so one float64 row is the only temporary."""
+    samples ``s`` and points ``p``; and ``_INVERSE``, the inverse of
+    ``(s_i . s_j)^6``.  Built row by row, so one float64 row is the only
+    temporary."""
     points = _fibonacci_points(LATTICE_DEFAULT)
     table = np.empty((len(_SAMPLES), LATTICE_DEFAULT), dtype=np.float32)
     for row, s in zip(table, _SAMPLES):
         square = (points @ s) ** 2
         np.multiply(square * square, square, out=row)
     table.setflags(write=False)
-    inverse = _readonly(np.linalg.inv((_SAMPLES @ _SAMPLES.T) ** 6))
-    return points, table, inverse
+    return points, table, _INVERSE
 
 
 def _lattice_floor(gamma: np.ndarray) -> float:
@@ -268,7 +275,7 @@ def _lattice_floor(gamma: np.ndarray) -> float:
     within ``63 e S`` of the float32 minimum (one ``e S`` rounds the
     threshold), plus twice the float64 gap between interpolant and ``r``:
     sample round-off times the Lebesgue constant, under ``0.02 e S`` even at
-    ``max r = 2.5e-15 |Gamma|^2``.  ``_SCREEN_SLACK * S = 128 e S`` covers
+    ``max r = 2.5e-15 |Gamma|^2``.  ``_LATTICE_SLACK * S = 128 e S`` covers
     both.  The points that pass are measured again, each by a vector-matrix
     product of its own, so no value depends on which other points passed.
     """
@@ -277,7 +284,7 @@ def _lattice_floor(gamma: np.ndarray) -> float:
     r = np.vecdot(v, v)
     coeff = inverse @ (r / r.max())
     r32 = coeff.astype(np.float32) @ table
-    bound = np.float32(float(r32.min()) + _SCREEN_SLACK * float(np.abs(coeff).sum()))
+    bound = np.float32(float(r32.min()) + _LATTICE_SLACK * float(np.abs(coeff).sum()))
     v = _residual_vector(gamma, points[np.flatnonzero(r32 <= bound), None, :])
     return float(np.vecdot(v, v).min())
 
@@ -298,6 +305,55 @@ def _residual_vector(gamma: np.ndarray, u: np.ndarray) -> np.ndarray:
     tangent = _EYE - u[..., :, None] * u[..., None, :]
     s0 = 0.5 * (a + np.swapaxes(a, -1, -2)) - half_trace * tangent
     return np.concatenate((du, _SQRT2 * s0.reshape(shape + (9,))), axis=-1)
+
+
+def _sextic_rows() -> np.ndarray:
+    """The (28, 81) map ``W`` with ``W @ _products(c)[1]`` the coefficients
+    of ``r`` in the basis ``(s_j . u)^6`` of the samples ``s_j``.
+
+    At a fixed ``u`` the residual vector is linear in the brackets, so the
+    kernel on the nine basis tensors gives its (12, 9) map ``B_j`` at each
+    sample, and ``r(s_j) = m . (B_j^T B_j) m`` is row ``j`` of ``R``, flat,
+    applied to the products of ``m``; ``W = _INVERSE @ R``.
+    """
+    b = np.stack([_residual_vector(_gamma(e), _SAMPLES) for e in _BASIS_TENSORS], axis=-1)
+    return _INVERSE @ (np.swapaxes(b, 1, 2) @ b).reshape(len(_SAMPLES), 81)
+
+
+# The quadratic map of the search, read-only, shape (112, 81): rows 0-83 are
+# geometry._QUADRATIC (the Jacobi vector and the Riemann tensor), rows 84-111
+# the sextic coefficients of r (_sextic_rows).
+_SEARCH = _readonly(np.vstack((_QUADRATIC, _sextic_rows())))
+
+# The screen's slack, relative to |c|_F^2: 2**20 e, e = 2**-53 (see _screen).
+_SCREEN_SLACK = 2.0**-33
+
+
+def _screen(stack: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """``r`` at the rows of ``stack``, unit directions, through the sextic
+    coefficients ``coeff`` of rows 84-111 of ``_SEARCH``.
+
+    Each value is within ``_SCREEN_SLACK * C`` of the kernel's, for
+    ``C = |c|_F^2`` of the brackets.  With ``e = 2**-53``: ``m`` holds each
+    bracket once, so ``|m|^2 = C / 2`` and every product is at most
+    ``C / 2``; on the sphere ``r <= C``; and ``w = sum_j || |W_j| ||_2 =
+    21.5``, for ``|W_j|`` the 9x9 matrix of absolute values of row ``j`` of
+    ``W``, bounds ``sum |W_jk p_k| <= w C / 2`` and so ``sum |coeff|``.
+    Rounding ``W`` (the inverse of a 28x28 matrix of condition 231, then a
+    product with ``R``) costs at most ``28 * 231 * sum|W| e = 1.17e6 e`` in
+    ``sum |dW|`` (``sum|W| = 181``; 60-digit arithmetic finds 1.8e4 e), so
+    ``5.9e5 e C`` on a value, since every power is at most 1.  The
+    81-term products and their rounded factors add ``82 e w C / 2 = 880 e
+    C``; the powers, with rows unit only to ``8 e``, at most ``45 e`` each,
+    so ``480 e C``; the 28-term sum ``28 e w C / 2 = 300 e C``; and the
+    kernel's own rounding, on values at most ``C`` and at rows unit only to
+    a few ulps, under ``1e3 e C``.  The total is under ``6e5 e C <
+    2**20 e C``.  Measured on the tests' corpus, the gap stays below
+    ``40 e C``.
+    """
+    y = stack @ _SAMPLES.T
+    y *= y
+    return (y * y * y) @ coeff
 
 
 def residuals(sc: StructureConstants, u: np.ndarray) -> tuple[float, float]:
@@ -360,9 +416,9 @@ def search_directions(
     through ``geometry._QUADRATIC``, and the connection table and Milnor's
     ``n`` come from the same scaled brackets.
     """
-    check = _require_scaled_lie(sc, tol, _QUADRATIC)
+    check = _require_scaled_lie(sc, tol, _SEARCH)
     scaled, scale_sq = check.scaled, check.scale_sq
-    if _is_constant(check.quadratic[3:], scale_sq):
+    if _is_constant(check.quadratic[3:84], scale_sq):
         return FoliationReport(
             constant_curvature=True,
             directions=(),
@@ -373,6 +429,18 @@ def search_directions(
     # rows: the eigenvectors of Milnor's n and the direction closest to the centre
     eigenvectors = np.linalg.eigh(_milnor_n(check.m))[1]
     stack = np.concatenate((eigenvectors.T, _centre(scaled)[1][None]))
+    # np.min propagates NaN, which fails the test and falls through to the kernel
+    if _screen(stack, check.quadratic[84:]).min() > (
+        ACCEPT_RESIDUAL_SQ + _SCREEN_SLACK
+    ) * scale_sq:
+        return FoliationReport(
+            constant_curvature=False,
+            directions=(),
+            admits=False,
+            lattice_size=LATTICE_DEFAULT,
+            _gamma=gamma,
+            _k=check.k,
+        )
     v = _residual_vector(gamma, stack)
     r_stack = np.vecdot(v, v)
     found: list[tuple[np.ndarray, float, np.ndarray]] = [

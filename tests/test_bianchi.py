@@ -341,3 +341,24 @@ def test_catalog_classification_at_tiny_decimal_scales(scale):
     for name, alpha, expected in CATALOG_TYPES:
         got = classify(StructureConstants(scale * catalog(name, alpha).constants.c))
         assert same_type(got, expected, tol=1e-12), (name, alpha, str(got))
+
+
+def test_centre_matches_the_full_svd_bit_for_bit():
+    """``_centre`` asks for the thin SVD, which skips the 9x9 left factor;
+    its singular values and right vectors are those of the full SVD."""
+
+    def full(c):
+        _, sigma, vt = np.linalg.svd(c.reshape(3, 9).T)
+        return float(sigma[-1] / sigma[0]), vt[-1]
+
+    rng = np.random.default_rng(53)
+    inputs = [sc for sc, _ in brackets_across_scales(seed=53)]
+    # R3's brackets vanish, which _centre refuses
+    for name, alpha, _ in CATALOG_TYPES[1:]:
+        for _ in range(10):
+            inputs.append(change_basis(catalog(name, alpha).constants, random_gl(rng)))
+    for sc in inputs:
+        ratio, vector = bianchi._centre(sc.c)
+        want_ratio, want_vector = full(sc.c)
+        assert ratio.hex() == want_ratio.hex()
+        assert vector.tobytes() == want_vector.tobytes()

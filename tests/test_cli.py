@@ -207,6 +207,11 @@ def _diagonal(leaf):
         (None, {"c": {"XY": [0, 0, True]}}, "bracket 'XY' must be an array of numbers"),
         (None, {"c": _dense([1])}, "'c' must be an array of numbers"),
         (None, {"c": {"XY": [0, 0, [1]]}}, "bracket 'XY' must be an array of numbers"),
+        (
+            [[1, 0, 0], [0, 1], [0, 0, 1]],
+            None,
+            "--metric file must be a rectangular array of numbers",
+        ),
     ],
     ids=[
         "metric-file",
@@ -222,6 +227,7 @@ def _diagonal(leaf):
         "sparse-c-boolean",
         "dense-c-one-level-too-deep",
         "sparse-c-one-level-too-deep",
+        "ragged-metric-file",
     ],
 )
 def test_non_numeric_json_exits_one(capsys, tmp_path, metric_file, doc, message):
@@ -244,9 +250,11 @@ _NIL_METRIC = '{"c": {"XY": [0, 0, 1]}, "metric": %s}'
     [
         (
             json.dumps({"c": [[_ZERO] * 3, [_ZERO] * 3, [_ZERO] * 2]}),
-            "setting an array element with a sequence. The requested array has an"
-            " inhomogeneous shape after 1 dimensions. The detected shape was (3,)"
-            " + inhomogeneous part.",
+            "'c' must be a rectangular array of numbers",
+        ),
+        (
+            _NIL_METRIC % "[[1, 0, 0], [0, 1], [0, 0, 1]]",
+            "metric must be a rectangular array of numbers",
         ),
         (_NIL_METRIC % "[]", "metric must be 3x3, got shape (0,)"),
         (_NIL_METRIC % "[[NaN, 0, 0], [0, 1, 0], [0, 0, 1]]", "metric must be finite"),
@@ -270,6 +278,7 @@ _NIL_METRIC = '{"c": {"XY": [0, 0, 1]}, "metric": %s}'
     ],
     ids=[
         "ragged-c",
+        "ragged-metric",
         "empty-metric",
         "nan-metric",
         "inf-metric",

@@ -12,6 +12,7 @@ from conftest import brackets_across_scales, random_gl, random_orthogonal, rando
 from lie3geo import algebra, bianchi, foliation, geometry
 
 from lie3geo.algebra import (
+    JACOBI_TOL,
     MetricSpec,
     NotLieAlgebraError,
     StructureConstants,
@@ -947,6 +948,190 @@ def test_search_jacobi_tolerance_is_relative():
     sol = StructureConstants(1e4 * catalog("Sol3", 2.0).constants.c)
     moved = change_basis(sol, random_gl(np.random.default_rng(0)))
     assert not search_directions(moved).admits
+
+
+# ------------------------------------------------ the screen
+
+
+def _screen_corpus():
+    """(constants, tol): random antisymmetric tensors across scales,
+    orthonormalized against random metrics and searched with ``tol = inf``
+    (they are not Lie algebras); catalog rows in random bases and metrics at
+    1e-160 .. 1e150; and G7 and H3 under ``I + t S``, ``t`` from 1e-12 to
+    1e-2, where the curvature is constant only at ``t = 0``."""
+    rng = np.random.default_rng(59)
+    for sc, _ in brackets_across_scales(seed=59, per_scale=4):
+        yield orthonormalize(sc, MetricSpec(random_spd(rng))), math.inf
+    for name, alpha in _CATALOG_ENTRIES:
+        for k in range(-160, 151, 31):
+            sc = change_basis(catalog(name, alpha).constants, random_gl(rng))
+            sc = StructureConstants(10.0**k * sc.c)
+            yield orthonormalize(sc, MetricSpec(random_spd(rng))), JACOBI_TOL
+    s = random_spd(np.random.default_rng(29))
+    for name, alpha in (("G7", 1.0), ("G7", 2.0), ("H3", None)):
+        for t in np.geomspace(1e-12, 1e-2, 11):
+            metric = MetricSpec(np.eye(3) + t * s)
+            yield orthonormalize(catalog(name, alpha).constants, metric), JACOBI_TOL
+
+
+def _report_bits(report):
+    """Every field of a search report, floats as their hex strings."""
+    hexed = lambda values: tuple(float(x).hex() for x in values)  # noqa: E731
+    gamma = report._gamma
+    return (
+        report.constant_curvature,
+        report.admits,
+        report.lattice_size,
+        report._k,
+        None if gamma is None else gamma.tobytes(),
+        [
+            (
+                cand.direction.tobytes(),
+                hexed((cand.geodesic_residual, cand.conformal_residual)),
+                hexed(cand.adapted.as_tuple()),
+                cand.family.tag,
+                None if cand.family.param is None else hexed((cand.family.param,)),
+            )
+            for cand in report.directions
+        ],
+    )
+
+
+def _search_bits(sc, tol):
+    try:
+        return _report_bits(search_directions(sc, tol))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_screen_keeps_every_reported_bit(monkeypatch):
+    """With the screen off, the kernel measures the four candidates of every
+    search; with it on, every report is the same in every bit."""
+    corpus = list(_screen_corpus())
+    screened = [_search_bits(sc, tol) for sc, tol in corpus]
+    monkeypatch.setattr(foliation, "_SCREEN_SLACK", math.inf)
+    assert [_search_bits(sc, tol) for sc, tol in corpus] == screened
+    verdicts = {bits[:2] for bits in screened if len(bits) > 2}
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+def test_screen_is_within_its_slack_of_the_kernel(monkeypatch):
+    """At the candidates and at random unit directions, the screened r is
+    within a thousandth of ``_SCREEN_SLACK * |c|_F^2`` of the kernel's."""
+    calls = []
+    screen = foliation._screen
+
+    def recorded(stack, coeff):
+        calls.append((stack, coeff))
+        return screen(stack, coeff)
+
+    monkeypatch.setattr(foliation, "_screen", recorded)
+    rng = np.random.default_rng(61)
+    for sc, tol in _screen_corpus():
+        search_directions(sc, tol)
+        if not calls:  # constant curvature
+            continue
+        (stack, coeff), = calls
+        calls.clear()
+        u = rng.standard_normal((8, 3))
+        check = algebra._scaled_jacobi(sc)
+        gamma = geometry._gamma(check.scaled)
+        for directions in (stack, u / np.linalg.norm(u, axis=1, keepdims=True)):
+            v = foliation._residual_vector(gamma, directions)
+            gap = np.abs(screen(directions, coeff) - np.vecdot(v, v)).max()
+            assert gap <= foliation._SCREEN_SLACK / 1000 * check.scale_sq
+
+
+def test_search_runs_the_kernel_only_where_a_candidate_might_pass(monkeypatch):
+    shapes = []
+    kernel = foliation._residual_vector
+
+    def counted(gamma, u):
+        shapes.append(u.shape)
+        return kernel(gamma, u)
+
+    monkeypatch.setattr(foliation, "_residual_vector", counted)
+    rng = np.random.default_rng(67)
+    for name, alpha in (("G4", None), ("Sol3", 0.5), ("Sol3", 1.0), ("Sol3", 2.0)):
+        for _ in range(10):
+            sc = change_basis(catalog(name, alpha).constants, random_gl(rng))
+            rep = search_directions(orthonormalize(sc, MetricSpec(random_spd(rng))))
+            assert not rep.admits and rep._gamma is not None
+    for name in ("R3", "H3", "SU2"):
+        assert search_directions(catalog(name).constants).constant_curvature
+    assert shapes == []
+    # types II and III admit under every metric, and p^T p keeps a planted
+    # family's adapted frame orthonormal; the family x = y = z = 0 is the
+    # hyperbolic space, of constant curvature
+    admitting = [
+        (change_basis(catalog(name).constants, random_gl(rng)), MetricSpec(random_spd(rng)))
+        for name in ("Nil3", "H2xR")
+    ]
+    a_b_zero, _, x_y_a_zero = enumerate_families()
+    for family in (a_b_zero, x_y_a_zero) * 2:
+        p = random_gl(rng)
+        admitting.append(
+            (change_basis(adapted_constants(family.sample(rng)), p), MetricSpec(p.T @ p))
+        )
+    for sc, metric in admitting:
+        rep = search_directions(orthonormalize(sc, metric))
+        assert rep.admits and not rep.constant_curvature
+        assert shapes == [(4, 3)]
+        shapes.clear()
+
+
+def test_sextic_rows_carry_the_constants_of_the_screen_bound():
+    """The figures of ``_screen``'s bound: the interpolation matrix has
+    condition 231, ``sum|W| = 181`` and ``w = 21.5``; and ``W`` is within
+    a tenth of its rounding budget ``28 * 231 * 181 e`` of the map formed in
+    40-digit arithmetic from the same samples."""
+    mp = pytest.importorskip("mpmath")
+    samples = foliation._SAMPLES
+    rows = foliation._SEARCH[84:]
+    assert np.linalg.cond((samples @ samples.T) ** 6) <= 231
+    assert np.abs(rows).sum() <= 181
+    w = sum(np.linalg.norm(np.abs(row).reshape(9, 9), 2) for row in rows)
+    assert w <= 21.5
+    assert foliation._lattice()[2] is foliation._INVERSE
+    with mp.workdps(40):
+        points = [[mp.mpf(x) for x in s] for s in samples.tolist()]
+        gram = mp.matrix([[mp.fdot(s, t) ** 6 for t in points] for s in points])
+        exact = []
+        for u in points:
+            # (du, S0) of each basis tensor at u, exactly: r = |du|^2 + 2 |S0|_F^2
+            parts = []
+            for e in algebra._BASIS_TENSORS:
+                g = geometry._gamma(e)
+                t = [[mp.fdot(g[i, :, k].tolist(), u) for k in range(3)] for i in range(3)]
+                du = [mp.fdot(u, [t[i][k] for i in range(3)]) for k in range(3)]
+                a = [[t[i][k] - u[i] * du[k] for k in range(3)] for i in range(3)]
+                half = (a[0][0] + a[1][1] + a[2][2]) / 2
+                s0 = [
+                    (a[i][k] + a[k][i]) / 2 - half * (int(i == k) - u[i] * u[k])
+                    for i in range(3)
+                    for k in range(3)
+                ]
+                parts.append((du, s0))
+            exact.append(
+                [mp.fdot(da, db) + 2 * mp.fdot(sa, sb) for da, sa in parts for db, sb in parts]
+            )
+        exact = gram**-1 * mp.matrix(exact)
+        error = sum(
+            abs(mp.mpf(x) - exact[j, k]) for (j, k), x in np.ndenumerate(rows)
+        )
+    assert float(error) <= 28 * 231 * 181 * 2.0**-53 / 10
+
+
+def test_search_map_keeps_the_quadratic_rows_bit_for_bit():
+    """Rows 0-83 of the search's product are ``_QUADRATIC``'s product, bit
+    for bit, so the search and ``curvature`` make one constant decision."""
+    search = foliation._SEARCH
+    assert search.shape == (112, 81) and not search.flags.writeable
+    assert np.array_equal(search[:84], geometry._QUADRATIC)
+    for sc, _ in brackets_across_scales(seed=71):
+        products = algebra._products(algebra._normalised(sc.c)[0])[1]
+        got = search @ products
+        assert got[:84].tobytes() == (geometry._QUADRATIC @ products).tobytes()
 
 
 # ------------------------------------------------ brackets whose squares underflow
