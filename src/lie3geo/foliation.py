@@ -44,6 +44,18 @@ The candidates whose squared residual is at most
 others are rejected by their residual.  Non-constant-curvature metrics can
 carry at most two such directions, and at most one when the Ricci spectrum
 has exactly two distinct eigenvalues, so short direction lists are expected.
+A screen measures the four candidates before the residual kernel does: on
+the sphere ``r`` is a homogeneous sextic, and its 28 coefficients in the
+basis ``(s_j . u)^6`` of the interpolation samples below are a fixed linear
+map of the 81 products that the Jacobi check already forms (rows 84-111 of
+``_SEARCH``).  The screened values are within ``_SCREEN_SLACK * |c|_F^2``
+(``2**-33``, derived in ``_screen``) of the kernel's, so when all four
+exceed ``(ACCEPT_RESIDUAL_SQ + _SCREEN_SLACK) * |c|_F^2`` no candidate can
+pass and the search returns the empty result without the kernel; on types
+IV and VI this decides every search whose candidates stay above the slack.
+Otherwise the kernel measures all four.  The screen only rejects, and only
+all four at once, so every accepted direction and every reported value is
+the kernel's, bit for bit.
 
 A fixed Fibonacci lattice of ``LATTICE_DEFAULT`` (20000) points on the unit
 sphere certifies a non-admitting result, one with no witness direction (as
@@ -395,8 +407,12 @@ def search_directions(
     the Riemann deviation alone (no curvature report is built), and reported
     with an empty direction list.  Otherwise four candidates are tried: the
     eigenvectors of Milnor's ``n`` and the direction closest to the centre,
-    which hold every foliation direction (see the module docstring).  Those
-    with squared residual at most
+    which hold every foliation direction (see the module docstring).  When
+    the screen (``_screen``) puts all four above
+    ``(ACCEPT_RESIDUAL_SQ + _SCREEN_SLACK) * |c|_F^2``, which no candidate
+    within its slack of the kernel can pass, the empty result is returned
+    without the residual kernel.  Otherwise the kernel measures all four;
+    those with squared residual at most
     ``ACCEPT_RESIDUAL_SQ * |c|_F^2`` are antipodally canonicalized,
     deduplicated at ``CLUSTER_ANGLE``, and returned sorted by direction
     components.  The search does not scan the lattice: the report's
@@ -411,10 +427,12 @@ def search_directions(
     acceptance and the constant-curvature test run on the brackets times the
     exact power of two ``2**-k`` that the Jacobi check scaled them by, so
     the verdict holds however small the brackets are; residuals and adapted
-    coefficients are scaled back with ``ldexp``.  The Jacobi check and the
-    constant-curvature test read one product of the nine scaled components
-    through ``geometry._QUADRATIC``, and the connection table and Milnor's
-    ``n`` come from the same scaled brackets.
+    coefficients are scaled back with ``ldexp``.  The Jacobi check, the
+    constant-curvature test and the screen read one product of the nine
+    scaled components through ``_SEARCH``, whose rows 0-83 are
+    ``geometry._QUADRATIC``'s (the product's rows 0-83 are its product, bit
+    for bit), and the connection table and Milnor's ``n`` come from the same
+    scaled brackets.
     """
     check = _require_scaled_lie(sc, tol, _SEARCH)
     scaled, scale_sq = check.scaled, check.scale_sq

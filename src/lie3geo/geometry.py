@@ -20,9 +20,10 @@ a fixed linear map of the 81 pairwise products of Milnor's nine components
 once at import from ``_riemann`` and the cyclic sum themselves, so no formula
 is written twice.  The foliation search and :func:`curvature` both read
 their Riemann tensor off one product of that map, the search's Jacobi
-check, and :func:`_is_constant` makes the one constant-curvature decision
-on those rows: for any one input the two flags are one decision, bit for
-bit.  ``_riemann`` forms the tensor directly from ``Gamma``; it builds the
+check (the search's map ``foliation._SEARCH`` stacks 28 more rows below
+it, and its first 84 rows give this product bit for bit), and
+:func:`_is_constant` makes the one constant-curvature decision on those
+rows: for any one input the two flags are one decision, bit for bit.  ``_riemann`` forms the tensor directly from ``Gamma``; it builds the
 map and serves the tests as an independent route, which rounds
 differently from the map's, by at most 150 eps |c|_F^2 an entry.
 """

@@ -974,9 +974,12 @@ def _screen_corpus():
             yield orthonormalize(catalog(name, alpha).constants, metric), JACOBI_TOL
 
 
+def _hexed(values):
+    return tuple(float(x).hex() for x in values)
+
+
 def _report_bits(report):
     """Every field of a search report, floats as their hex strings."""
-    hexed = lambda values: tuple(float(x).hex() for x in values)  # noqa: E731
     gamma = report._gamma
     return (
         report.constant_curvature,
@@ -987,10 +990,10 @@ def _report_bits(report):
         [
             (
                 cand.direction.tobytes(),
-                hexed((cand.geodesic_residual, cand.conformal_residual)),
-                hexed(cand.adapted.as_tuple()),
+                _hexed((cand.geodesic_residual, cand.conformal_residual)),
+                _hexed(cand.adapted.as_tuple()),
                 cand.family.tag,
-                None if cand.family.param is None else hexed((cand.family.param,)),
+                None if cand.family.param is None else _hexed((cand.family.param,)),
             )
             for cand in report.directions
         ],
@@ -1078,6 +1081,35 @@ def test_search_runs_the_kernel_only_where_a_candidate_might_pass(monkeypatch):
         assert rep.admits and not rep.constant_curvature
         assert shapes == [(4, 3)]
         shapes.clear()
+
+
+def test_screen_rejects_only_above_its_threshold(monkeypatch):
+    """The kernel is skipped only when every screened value exceeds
+    ``(ACCEPT_RESIDUAL_SQ + _SCREEN_SLACK) * |c|_F^2``; a value at the
+    threshold or a NaN falls through, and the report is the same."""
+    rng = np.random.default_rng(73)
+    sc = change_basis(catalog("G4").constants, random_gl(rng))
+    sc = orthonormalize(sc, MetricSpec(random_spd(rng)))
+    check = algebra._scaled_jacobi(sc)
+    # |c|_F^2 of the scaled brackets is not 1, so its factor in the threshold shows
+    assert check.scale_sq != 1.0
+    threshold = (foliation.ACCEPT_RESIDUAL_SQ + foliation._SCREEN_SLACK) * check.scale_sq
+    want = _report_bits(search_directions(sc))
+    kernel = foliation._residual_vector
+    calls = []
+
+    def counted(gamma, u):
+        calls.append(u.shape)
+        return kernel(gamma, u)
+
+    monkeypatch.setattr(foliation, "_residual_vector", counted)
+    above = math.nextafter(threshold, math.inf)
+    for last, runs in ((above, False), (threshold, True), (math.nan, True)):
+        values = np.array([1.0, 1.0, 1.0, last])
+        monkeypatch.setattr(foliation, "_screen", lambda stack, coeff, v=values: v)
+        assert _report_bits(search_directions(sc)) == want
+        assert calls == ([(4, 3)] if runs else [])
+        calls.clear()
 
 
 def test_sextic_rows_carry_the_constants_of_the_screen_bound():
