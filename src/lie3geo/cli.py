@@ -29,6 +29,15 @@ certificate lattice) only when no direction is found, and ``null`` otherwise.
 Exit codes: 0 success, 1 invalid input, 2 verification failure.  All output
 is deterministic for fixed flags, and ``--json`` switches to a single
 machine-readable document.
+
+``main`` first reads a plain command line in one pass over the parser's own
+actions (``_plain_args``): top-level flags, then a command, then its flags,
+each an exact option string given once, and each value one token that does
+not start with ``-``, converted by the flag's own ``type``.  It gives the
+namespace ``parse_args`` would.  Every other form goes to argparse, which
+alone prints help and usage errors and sets their exit codes: ``-h``,
+abbreviated flags, ``--flag=value``, ``--``, negative numbers, repeated
+flags, values a type refuses, exclusive flags together and missing ones.
 """
 
 from __future__ import annotations
@@ -672,12 +681,148 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CONST_ACTIONS = (
+    argparse._StoreConstAction,
+    argparse._StoreTrueAction,
+    argparse._StoreFalseAction,
+)
+
+
+def _plain_grammar(parser: argparse.ArgumentParser, outer: tuple[str, ...] = ()):
+    """``(flags, defaults, groups, commands)`` of ``parser`` for
+    :func:`_plain_values`, read off its own actions; None when it holds an
+    argument the plain pass does not know.
+
+    ``flags`` maps each option string of a store or store-const action to
+    ``(action, convert)``, with ``convert`` None for store-const; ``defaults``
+    is the namespace argparse starts from; ``groups`` pairs the members of
+    each mutually exclusive group (and of each required flag alone) with its
+    ``required``; ``commands`` is None or the subparsers' ``(dest, {name:
+    grammar})``.  ``outer`` holds the option strings of the enclosing
+    parsers, which classify a subcommand's tokens first: a flag that two of
+    them start with is ambiguous there, so it is left out.
+    """
+    if parser.prefix_chars != "-" or parser.fromfile_prefix_chars is not None:
+        return None
+    suppress = argparse.SUPPRESS
+    flags, defaults, groups, commands = {}, {}, [], None
+    for action in parser._actions:
+        if action.dest is not suppress and action.default is not suppress:
+            defaults.setdefault(action.dest, action.default)
+        kind = type(action)
+        if kind is argparse._HelpAction:
+            continue
+        if kind is argparse._SubParsersAction:
+            if commands is not None or action.dest is suppress:
+                return None
+            inner = outer + tuple(parser._option_string_actions)
+            skip = getattr(action, "_deprecated", ())  # they warn on use
+            commands = action.dest, {
+                name: _plain_grammar(sub, inner)
+                for name, sub in action.choices.items()
+                if name not in skip
+            }
+            continue
+        if kind in _CONST_ACTIONS:
+            convert = None
+        elif kind is argparse._StoreAction and action.nargs is None:
+            convert = parser._registry_get("type", action.type, action.type)
+            # argparse converts a string default when the flag is not given
+            if action.choices is not None or (
+                isinstance(action.default, str) and action.type is not None
+            ):
+                return None
+        else:
+            return None
+        if not action.option_strings or getattr(action, "deprecated", False):
+            return None
+        for option in action.option_strings:
+            if sum(o.startswith(option) for o in outer) < 2:
+                flags[option] = action, convert
+        if action.required:
+            groups.append(((action,), True))
+    for group in parser._mutually_exclusive_groups:
+        groups.append((tuple(group._group_actions), group.required))
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    return flags, defaults, groups, commands
+
+
+@functools.lru_cache(maxsize=1)
+def _grammar():
+    """The plain pass's grammar of :func:`build_parser`, read once."""
+    return _plain_grammar(build_parser())
+
+
+def _plain_values(grammar, argv: list[str]) -> dict | None:
+    """The namespace ``parse_args`` gives for ``argv``, as a dict, when
+    ``argv`` is plain: the parser's flags, then a command, then that
+    command's flags, likewise.  Each flag is an exact option string, given
+    once; a store flag takes one value that does not start with ``-`` and
+    converts by the action's ``type``; each exclusive group holds at most
+    one member, and a required one a member that differs from its default.
+    Anything else gives None."""
+    flags, defaults, groups, commands = grammar
+    given = {}
+    i, n = 0, len(argv)
+    while i < n and argv[i] in flags:
+        action, convert = flags[argv[i]]
+        if action in given:
+            return None
+        if convert is None:
+            given[action] = action.const
+            i += 1
+            continue
+        if i + 1 == n or argv[i + 1].startswith("-"):
+            return None
+        try:
+            given[action] = convert(argv[i + 1])
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        i += 2
+    for members, required in groups:
+        present = [a for a in members if a in given]
+        if len(present) > 1:
+            return None
+        if required and all(given[a] is a.default for a in present):
+            return None
+    values = dict(defaults)
+    for action, value in given.items():
+        values[action.dest] = value
+    if commands is None:
+        return values if i == n else None
+    dest, choices = commands
+    sub = choices.get(argv[i]) if i < n else None
+    inner = None if sub is None else _plain_values(sub, argv[i + 1 :])
+    if inner is None:
+        return None
+    values[dest] = argv[i]
+    values.update(inner)
+    return values
+
+
+def _plain_args(argv: list) -> argparse.Namespace | None:
+    """``build_parser().parse_args(argv)`` for a plain ``argv`` (see
+    :func:`_plain_values`), without argparse; None for any other."""
+    grammar = _grammar()
+    if grammar is None or not all(isinstance(token, str) for token in argv):
+        return None
+    values = _plain_values(grammar, argv)
+    if values is None:
+        return None
+    args = argparse.Namespace()
+    vars(args).update(values)
+    return args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # --help exits 0, usage errors 1
-        return exc.code
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help exits 0, usage errors 1
+            return exc.code
     try:
         # text is a generator, so --json formats none of it
         doc, text, code = args.func(args)

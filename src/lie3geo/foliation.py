@@ -447,10 +447,9 @@ def search_directions(
     # rows: the eigenvectors of Milnor's n and the direction closest to the centre
     eigenvectors = np.linalg.eigh(_milnor_n(check.m))[1]
     stack = np.concatenate((eigenvectors.T, _centre(scaled)[1][None]))
-    # np.min propagates NaN, which fails the test and falls through to the kernel
-    if _screen(stack, check.quadratic[84:]).min() > (
-        ACCEPT_RESIDUAL_SQ + _SCREEN_SLACK
-    ) * scale_sq:
+    # a NaN at any position fails its comparison and falls through to the kernel
+    bound = (ACCEPT_RESIDUAL_SQ + _SCREEN_SLACK) * scale_sq
+    if all(value > bound for value in _screen(stack, check.quadratic[84:]).tolist()):
         return FoliationReport(
             constant_curvature=False,
             directions=(),

@@ -179,6 +179,24 @@ def test_type_iv_stable_under_conjugation():
         assert got.tag == "IV", str(got)
 
 
+@pytest.mark.parametrize(
+    "name, alpha",
+    [("Sol3", 0.3), ("Sol3", 2.0), ("G7", 0.5), ("G4", None), ("H3", None)],
+)
+def test_catalog_types_survive_sheared_frames(name, alpha):
+    # p = I + t e_0 e_1^T has condition about t^2, and it makes ad_w on ker
+    # tau strongly non-normal; a IV test against the departure from
+    # normality, which depends on the frame while the discriminant does not,
+    # called G7(0.5) IV at t = 100
+    entry = catalog(name, alpha)
+    expected = BianchiType(*entry.bianchi)
+    for t in np.geomspace(10.0, 100.0, 9):
+        p = np.eye(3)
+        p[0, 1] = t
+        got = classify(change_basis(entry.constants, p))
+        assert same_type(got, expected, tol=1e-6), (t, str(got))
+
+
 def test_vi_parameter_canonicalization():
     for alpha, expected in [(0.3, 1.0 / 0.3), (0.5, 2.0), (2.0, 2.0), (5.0, 5.0)]:
         got = classify(catalog("Sol3", alpha).constants)

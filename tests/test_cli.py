@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -950,17 +952,209 @@ def test_verify_paper_human_sections(capsys):
     assert out.strip().endswith("overall: PASS")
 
 
-def test_readme_commands_parse():
-    # a flag removed from the parser must not stay documented
+def _readme_argvs():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
-    commands = [line for line in block.splitlines() if line.startswith("lie3geo ")]
-    assert len(commands) >= 7
-    for line in commands:
+    lines = [line for line in block.splitlines() if line.startswith("lie3geo ")]
+    return [shlex.split(line)[1:] for line in lines]
+
+
+def _argparse_vars(argv):
+    """``vars(parse_args(argv))``, or None where argparse exits; what it
+    prints is swallowed."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
         try:
-            cli.build_parser().parse_args(shlex.split(line)[1:])
+            return vars(cli.build_parser().parse_args(argv))
         except SystemExit:
-            pytest.fail(f"README command does not parse: {line}")
+            return None
+
+
+def test_readme_commands_parse():
+    # a flag removed from the parser must not stay documented, and a
+    # documented line must take the plain pass, not argparse's own forms
+    argvs = _readme_argvs()
+    assert len(argvs) >= 7
+    for argv in argvs:
+        want = _argparse_vars(argv)
+        assert want is not None, f"README command does not parse: {argv}"
+        plain = cli._plain_args(argv)
+        assert plain is not None, f"README command needs argparse: {argv}"
+        assert vars(plain) == want, argv
+
+
+def _golden_argvs():
+    argvs = [case["argv"] for case in json.loads(_TEXT_GOLDEN.read_text())]
+    for row in json.loads(_GOLDEN.read_text()):
+        argv = ["--json", "foliations", "--group", row["group"]]
+        if row["alpha"] is not None:
+            argv += ["--alpha", repr(row["alpha"])]
+        argvs.append(argv)
+    argvs.append(["--json", "verify-paper", "--samples", "5", "--seed", "42"])
+    return argvs
+
+
+# the forms only argparse parses, and values the types refuse
+_EDGE_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["foliations", "-h"],
+    ["foliations", "--help", "--input", "a.json"],
+    ["foliations", "--inp", "a.json"],
+    ["--js", "foliations", "--input", "a.json"],
+    ["foliations", "--input=a.json"],
+    ["foliations", "--input", "--", "a.json"],
+    ["foliations", "--", "--input", "a.json"],
+    ["classify", "--group", "Sol3", "--alpha", "-1"],
+    ["classify", "--group", "Sol3", "--alpha", "-1e-3"],
+    ["classify", "--group", "Sol3", "--alpha", ""],
+    ["classify", "--group", "Sol3", "--alpha", "nan"],
+    ["classify", "--group", "Sol3", "--alpha", "1e999"],
+    ["classify", "--group", "Sol3", "--alpha"],
+    ["classify", "--input", ""],
+    ["classify", "--input", "-"],
+    ["classify", "--group", "Nil3", "--tol", "nan"],
+    ["classify", "--group", "Nil3", "--tol", "-1"],
+    ["classify", "--group", "Nil3", "--tol", "inf"],
+    ["classify", "--group", "Nil3", "--tol", ""],
+    ["classify", "--group", "Nil3", "--tol", "0"],
+    ["classify", "--group", "Nil3", "--group", "H3"],
+    ["classify", "--input", "a.json", "--input", "b.json"],
+    ["--json", "--json", "catalog"],
+    ["classify", "--input", "a.json", "--group", "Nil3"],
+    ["classify", "--group", "Nil3", "--input", "a.json"],
+    ["classify"],
+    ["classify", "--alpha", "2"],
+    ["foliations", "--json", "--input", "a.json"],
+    ["foliations", "--input", "a.json", "--json"],
+    ["foliations", "--input", "a.json", "extra"],
+    ["--input", "a.json", "foliations"],
+    ["nosuchcmd"],
+    ["Foliations", "--input", "a.json"],
+    ["catalog", "--group", "Nil3"],
+    ["verify-paper", "--samples", "-1"],
+    ["verify-paper", "--samples", "1.5"],
+    ["verify-paper", "--samples", ""],
+    ["verify-paper", "--samples", "0", "--seed", "0"],
+    ["verify-paper", "--samp", "5"],
+    ["verify-paper", "--samples=5"],
+]
+
+
+_INPUT_FLAGS = ["--input", "--group", "--alpha", "--metric", "--tol"]
+_COMMAND_FLAGS = {
+    "catalog": [],
+    "classify": _INPUT_FLAGS,
+    "curvature": _INPUT_FLAGS,
+    "foliations": _INPUT_FLAGS,
+    "verify-paper": ["--samples", "--seed"],
+    "nope": [],
+}
+
+
+def _random_argvs(rng, count):
+    """Seeded mixes of the commands with their own flags (mostly), other
+    flags, abbreviations and argparse's own forms, and values that parse
+    and values that do not."""
+    tops = [[], [], ["--json"], ["--json"], ["-h"], ["--js"], ["--"], ["--json", "--json"]]
+    noise = ["--inp", "--gr", "--json", "-h", "--help", "--", "--samples", "--input"]
+    values = [
+        "a.json", "G7", "Nil3", "0.5", "2", "0", "100", "1e-3", "", "nan",
+        "inf", "-1", "-", "1.5", " 3", "1_0", "0x10", "--group", "=", "foliations",
+    ]
+    argvs = []
+    for _ in range(count):
+        argv = list(tops[rng.integers(len(tops))])
+        command = str(rng.choice(list(_COMMAND_FLAGS)))
+        if rng.random() < 0.95:
+            argv.append(command)
+        own = _COMMAND_FLAGS[command]
+        for _ in range(rng.integers(0, 5)):
+            flag = str(rng.choice(own if own and rng.random() < 0.8 else noise))
+            value = str(rng.choice(values))
+            if rng.random() < 0.05:
+                argv.append(f"{flag}={value}")
+                continue
+            argv.append(flag)
+            if rng.random() < 0.95:
+                argv.append(value)
+        argvs.append(argv)
+    return argvs
+
+
+def _same_vars(got, want):
+    """Dict equality in which NaN equals NaN (``--alpha nan`` parses)."""
+    return got.keys() == want.keys() and all(
+        got[k] == want[k] or got[k] != got[k] and want[k] != want[k] for k in want
+    )
+
+
+def test_plain_pass_matches_argparse(tmp_path):
+    """On every argv the plain pass declines or gives ``parse_args``'s
+    namespace; it declines wherever argparse exits, so help, usage errors
+    and their exit codes stay argparse's."""
+    argvs = [
+        *_readme_argvs(),
+        *_golden_argvs(),
+        *_EDGE_ARGVS,
+        *_random_argvs(np.random.default_rng(21), 2500),
+    ]
+    taken = 0
+    for argv in argvs:
+        want = _argparse_vars(argv)
+        plain = cli._plain_args(argv)
+        if plain is not None:
+            assert want is not None and _same_vars(vars(plain), want), argv
+            taken += 1
+    # the corpus reaches both paths: every README and golden line takes the pass
+    assert taken >= len(_readme_argvs()) + len(_golden_argvs()) + 100
+    assert len(argvs) - taken >= 1500
+    path = write_doc(tmp_path, {"c": _SPARSE})
+    argv = ["--json", "foliations", "--input", path]
+    assert vars(cli._plain_args(argv)) == _argparse_vars(argv)
+
+
+def test_plain_pass_leaves_unknown_kinds_and_ambiguous_flags_to_argparse():
+    """The grammar is read off any parser: a command holding an argument
+    kind the pass does not know always declines, and so does a subcommand
+    flag that the top level, which sees it first, finds ambiguous."""
+    parser = cli._Parser(prog="p")
+    parser.add_argument("--verbose", action="store_true")
+    parser.add_argument("--version-file")
+    commands = parser.add_subparsers(dest="command", required=True)
+    run_parser = commands.add_parser("run")
+    run_parser.add_argument("--ver")
+    run_parser.add_argument("--count", type=int, default=0)
+    commands.add_parser("other").add_argument("--item", action="append")
+    grammar = cli._plain_grammar(parser)
+    argv = ["--verbose", "run", "--count", "3"]
+    assert cli._plain_values(grammar, argv) == vars(parser.parse_args(argv))
+    assert vars(parser.parse_args(["other", "--item", "x"]))["item"] == ["x"]
+    assert cli._plain_values(grammar, ["other", "--item", "x"]) is None
+    with contextlib.redirect_stderr(io.StringIO()) as err, pytest.raises(SystemExit):
+        parser.parse_args(["run", "--ver", "x"])
+    assert "ambiguous option: --ver" in err.getvalue()
+    assert cli._plain_values(grammar, ["run", "--ver", "x"]) is None
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--json", "foliations", "--input", None], 0),
+        (["foliations", "--inp", None], 0),
+        (["foliations", "--input", None, "--group", "Nil3"], 1),
+    ],
+    ids=["json-foliations", "abbreviation", "usage-error"],
+)
+def test_main_reads_sys_argv(capsys, monkeypatch, tmp_path, argv, code):
+    # None stands for the path of a document written here
+    argv = [write_doc(tmp_path, {"c": _SPARSE}) if a is None else a for a in argv]
+    want = run(capsys, argv)
+    assert want[0] == code
+    monkeypatch.setattr(sys, "argv", ["lie3geo", *argv])
+    assert run(capsys, None) == want
 
 
 # ---------------------------------------------------------------- nesting and underflow

@@ -1086,7 +1086,9 @@ def test_search_runs_the_kernel_only_where_a_candidate_might_pass(monkeypatch):
 def test_screen_rejects_only_above_its_threshold(monkeypatch):
     """The kernel is skipped only when every screened value exceeds
     ``(ACCEPT_RESIDUAL_SQ + _SCREEN_SLACK) * |c|_F^2``; a value at the
-    threshold or a NaN falls through, and the report is the same."""
+    threshold or a NaN, at any of the four positions, falls through, and the
+    report is the same.  (``min`` over a list keeps a NaN only when it comes
+    first, so each position is tried.)"""
     rng = np.random.default_rng(73)
     sc = change_basis(catalog("G4").constants, random_gl(rng))
     sc = orthonormalize(sc, MetricSpec(random_spd(rng)))
@@ -1104,8 +1106,13 @@ def test_screen_rejects_only_above_its_threshold(monkeypatch):
 
     monkeypatch.setattr(foliation, "_residual_vector", counted)
     above = math.nextafter(threshold, math.inf)
-    for last, runs in ((above, False), (threshold, True), (math.nan, True)):
-        values = np.array([1.0, 1.0, 1.0, last])
+    cases = [(np.full(4, above), False)]
+    for position in range(4):
+        for value in (threshold, math.nan):
+            values = np.full(4, above)
+            values[position] = value
+            cases.append((values, True))
+    for values, runs in cases:
         monkeypatch.setattr(foliation, "_screen", lambda stack, coeff, v=values: v)
         assert _report_bits(search_directions(sc)) == want
         assert calls == ([(4, 3)] if runs else [])
