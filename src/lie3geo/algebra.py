@@ -10,6 +10,11 @@ is the same thing as an inner product on the algebra; the built-in catalog
 carries nine model algebras, each with the metric that makes ``(X, Y, Z)``
 orthonormal.  All geometric routines downstream assume an orthonormal basis,
 so arbitrary metrics are handled by :func:`orthonormalize` first.
+
+Every factorisation an op takes calls numpy.linalg's own LAPACK gufunc
+through :func:`_lapack`, under the error state of numpy.linalg's wrapper,
+because on 3x3 arrays the wrapper's checks and dispatch cost more than the
+factorisation, and skipping them changes no result bit and no error message.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "DIM",
@@ -51,6 +57,57 @@ CONDITION_LIMIT = 1e8
 
 class NotLieAlgebraError(ValueError):
     """Raised for structure constants that fail the Jacobi identity."""
+
+
+def _lapack_error(message: str):
+    """An ``np.errstate`` callback raising numpy.linalg's ``LinAlgError``
+    with ``message``."""
+
+    def raise_error(err, flag):
+        raise np.linalg.LinAlgError(message)
+
+    return raise_error
+
+
+# The gufuncs of _lapack, each with the callback raising the message that
+# numpy.linalg's wrapper of it raises.
+_LAPACK = {
+    name: (getattr(_umath_linalg, name), _lapack_error(message))
+    for name, message in (
+        ("cholesky_lo", "Matrix is not positive definite"),
+        ("eigh_lo", "Eigenvalues did not converge"),
+        ("eigvalsh_lo", "Eigenvalues did not converge"),
+        ("svd_s", "SVD did not converge"),
+        ("svd_f", "SVD did not converge"),
+    )
+}
+
+
+def _lapack(name: str, a: np.ndarray):
+    """numpy.linalg's LAPACK gufunc ``name`` of ``_LAPACK`` applied to the
+    float64 array ``a``, as its numpy.linalg wrapper applies it.
+
+    ``cholesky_lo`` is ``np.linalg.cholesky``, ``eigh_lo`` and
+    ``eigvalsh_lo`` are ``np.linalg.eigh`` and ``np.linalg.eigvalsh``, and
+    ``svd_s`` and ``svd_f`` are ``np.linalg.svd`` with ``full_matrices``
+    false and true; several results come as a plain tuple.  The error state
+    is the wrapper's: a LAPACK failure, which the gufunc signals as an
+    invalid floating-point operation, raises ``LinAlgError`` with the
+    wrapper's message, and no other floating-point condition warns.
+    """
+    gufunc, raise_error = _LAPACK[name]
+    with np.errstate(
+        call=raise_error, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        return gufunc(a)
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a float64 array ``x`` by the wrapper's own
+    arithmetic, without its dispatch: the square root of the dot product of
+    ``x``, raveled in memory order, with itself."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -121,7 +178,7 @@ class MetricSpec:
         # agree bit for bit wherever the entries exceed 2**-1021
         g = 0.5 * g + 0.5 * g.T
         try:
-            lower = np.linalg.cholesky(g)
+            lower = _lapack("cholesky_lo", g)
         except np.linalg.LinAlgError:
             raise ValueError("metric is not positive definite") from None
         object.__setattr__(self, "g", _readonly(g))
@@ -321,7 +378,7 @@ def _conditioned_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """
     if not np.isfinite(m).all():
         raise ValueError(_SINGULAR)
-    u, s, vt = np.linalg.svd(m)
+    u, s, vt = _lapack("svd_f", m)
     if s[-1] == 0.0 or s[0] / s[-1] > CONDITION_LIMIT:
         raise ValueError(_SINGULAR)
     return u, s, vt
@@ -374,7 +431,7 @@ def orthonormal_frame(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     axis = np.zeros(DIM)
     axis[k] = 1.0
     h1 = _cross(axis, u)
-    h1 = h1 / np.linalg.norm(h1)
+    h1 = h1 / _norm(h1)
     h2 = _cross(u, h1)
     return h1, h2
 

@@ -34,6 +34,8 @@ from .algebra import (
     StructureConstants,
     _CYCLIC_I,
     _CYCLIC_J,
+    _lapack,
+    _norm,
     _require_scaled_lie,
 )
 
@@ -154,13 +156,13 @@ def _centre(c: np.ndarray) -> tuple[float, np.ndarray]:
     which spans the centre when the ratio is zero.  The brackets must not
     all vanish.
     """
-    _, sigma, vt = np.linalg.svd(c.reshape(3, 9).T, full_matrices=False)
+    _, sigma, vt = _lapack("svd_s", c.reshape(3, 9).T)
     return float(sigma[-1] / sigma[0]), vt[-1]
 
 
 def _classify_unimodular(n: np.ndarray) -> BianchiType:
-    zero = _EIGEN_ZERO_TOL * float(np.linalg.norm(n))
-    eigenvalues = np.linalg.eigvalsh(n).tolist()
+    zero = _EIGEN_ZERO_TOL * _norm(n)
+    eigenvalues = _lapack("eigvalsh_lo", n).tolist()
     pos = sum(v > zero for v in eigenvalues)
     neg = sum(v < -zero for v in eigenvalues)
     if neg > pos:

@@ -294,11 +294,12 @@ def _fmt_vec(v) -> str:
 
 def _load_json_file(path: str):
     """The JSON document in ``path``, or a ValueError naming the file when
-    it is not JSON or nests too deeply for the parser."""
+    it is not JSON (JSON text is UTF-8, RFC 8259) or nests too deeply for
+    the parser."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"invalid JSON in {path}: {exc}") from None
         except RecursionError:
             raise ValueError(f"invalid JSON in {path}: nested too deeply") from None

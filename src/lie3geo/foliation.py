@@ -65,12 +65,15 @@ directions' own residuals, and there the floor only measures the lattice
 spacing next to them, so the CLI reads it only when no direction is found.
 It decides no verdict, and the search never scans it.  The report computes
 it on the first read of ``lattice_min_residual`` and caches it, so a caller
-that reads only the verdict never waits for it.  On the sphere ``r`` is a
-homogeneous sextic (``A`` becomes ``|u|^2 T - u du^T``), fixed by its values
-at 28 samples, so the certificate interpolates the search's own kernel from
-them: a float32 product with a cached table screens the lattice, and the
-points within a rigorous round-off bound are measured again in float64.  The
-least value is the one a float64 scan of ``r`` would find.
+that reads only the verdict never waits for it; the report keeps the
+search's scaled brackets and builds the connection table from them on that
+first read, so a search that the screen decides never forms the table.  On
+the sphere ``r`` is a homogeneous sextic (``A`` becomes
+``|u|^2 T - u du^T``), fixed by its values at 28 samples, so the
+certificate interpolates the search's own kernel from them: a float32
+product with a cached table screens the lattice, and the points within a
+rigorous round-off bound are measured again in float64.  The least value is
+the one a float64 scan of ``r`` would find.
 
 Each direction found carries the adapted bracket coefficients read off along
 it (:func:`adapt_basis`) and the Bianchi type of their family
@@ -92,6 +95,8 @@ from .algebra import (
     StructureConstants,
     _BASIS_TENSORS,
     _antisymmetrized,
+    _lapack,
+    _norm,
     _normalised,
     _readonly,
     _rebase_array,
@@ -168,18 +173,27 @@ class FoliationReport:
     Otherwise ``admits`` is true exactly when the (deduplicated, antipodally
     identified) direction list is nonempty.  ``lattice_min_residual`` is the
     certificate of a non-admitting result, measured with the search's
-    residual kernel on its connection table ``_gamma`` at the first read of
-    any non-constant report; ``admits`` never waits for it.  ``_gamma`` is
-    the table of the brackets times ``2**-_k``, so the floor is scaled back
-    by ``4**_k``.
+    residual kernel on the connection table ``_gamma`` at the first read of
+    any non-constant report; ``admits`` never waits for it.  The report keeps
+    the search's scaled brackets ``_scaled``, the brackets times ``2**-_k``,
+    and builds ``_gamma`` from them on its first read, so a search whose
+    screen decides it never forms the table; the floor is scaled back by
+    ``4**_k``.
     """
 
     constant_curvature: bool
     directions: tuple[FoliationCandidate, ...]
     admits: bool
     lattice_size: int
-    _gamma: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _scaled: np.ndarray | None = field(default=None, repr=False, compare=False)
     _k: int = field(default=0, repr=False, compare=False)
+
+    @cached_property
+    def _gamma(self) -> np.ndarray | None:
+        """The connection table of ``_scaled``; ``None`` on constant
+        curvature."""
+        # the body's _gamma is geometry's Koszul formula, not this property
+        return None if self._scaled is None else _gamma(self._scaled)
 
     @cached_property
     def lattice_min_residual(self) -> float | None:
@@ -379,7 +393,7 @@ def residuals(sc: StructureConstants, u: np.ndarray) -> tuple[float, float]:
     """
     scaled, k = _normalised(sc.c)
     v = _unit_residual_vector(scaled, np.asarray(u, dtype=float))
-    geo, conf = float(np.linalg.norm(v[:3])), float(np.linalg.norm(v[3:]))
+    geo, conf = _norm(v[:3]), _norm(v[3:])
     return math.ldexp(geo, k), math.ldexp(conf, k)
 
 
@@ -387,7 +401,7 @@ def _unit_residual_vector(c: np.ndarray, u: np.ndarray) -> np.ndarray:
     """:func:`_residual_vector` of the bracket array ``c`` at ``u``, after
     checking that ``u`` is a unit vector."""
     # written so that NaN and inf fail it too
-    if not (abs(np.linalg.norm(u) - 1.0) <= 1e-10):
+    if not (abs(_norm(u) - 1.0) <= 1e-10):
         raise ValueError("direction must be a unit vector")
     return _residual_vector(_gamma(c), u)
 
@@ -432,7 +446,8 @@ def search_directions(
     scaled components through ``_SEARCH``, whose rows 0-83 are
     ``geometry._QUADRATIC``'s (the product's rows 0-83 are its product, bit
     for bit), and the connection table and Milnor's ``n`` come from the same
-    scaled brackets.
+    scaled brackets.  The table is formed only for the kernel; a search that
+    the screen decides leaves it to the report's first certificate read.
     """
     check = _require_scaled_lie(sc, tol, _SEARCH)
     scaled, scale_sq = check.scaled, check.scale_sq
@@ -443,9 +458,8 @@ def search_directions(
             admits=True,
             lattice_size=LATTICE_DEFAULT,
         )
-    gamma = _gamma(scaled)
     # rows: the eigenvectors of Milnor's n and the direction closest to the centre
-    eigenvectors = np.linalg.eigh(_milnor_n(check.m))[1]
+    eigenvectors = _lapack("eigh_lo", _milnor_n(check.m))[1]
     stack = np.concatenate((eigenvectors.T, _centre(scaled)[1][None]))
     # a NaN at any position fails its comparison and falls through to the kernel
     bound = (ACCEPT_RESIDUAL_SQ + _SCREEN_SLACK) * scale_sq
@@ -455,10 +469,10 @@ def search_directions(
             directions=(),
             admits=False,
             lattice_size=LATTICE_DEFAULT,
-            _gamma=gamma,
+            _scaled=scaled,
             _k=check.k,
         )
-    v = _residual_vector(gamma, stack)
+    v = _residual_vector(_gamma(scaled), stack)
     r_stack = np.vecdot(v, v)
     found: list[tuple[np.ndarray, float, np.ndarray]] = [
         # u -> -u leaves both residual norms exactly unchanged
@@ -475,9 +489,7 @@ def search_directions(
     candidates = []
     norm, k = math.sqrt(scale_sq), check.k
     for u_ref, v_ref in sorted(kept, key=lambda item: tuple(item[0])):
-        # the arithmetic of np.linalg.norm on a 1-D array, without its overhead
-        geo = math.sqrt(v_ref[:3] @ v_ref[:3])
-        conf = math.sqrt(v_ref[3:] @ v_ref[3:])
+        geo, conf = _norm(v_ref[:3]), _norm(v_ref[3:])
         adapted = _adapt_basis(scaled, u_ref, geo, conf, norm, check.residual)
         # Coefficients forced to zero by the foliation conditions carry noise
         # on the order of the measured residuals, so the family case analysis
@@ -499,7 +511,7 @@ def search_directions(
         directions=tuple(candidates),
         admits=bool(candidates),
         lattice_size=LATTICE_DEFAULT,
-        _gamma=gamma,
+        _scaled=scaled,
         _k=k,
     )
 
@@ -522,7 +534,7 @@ def adapt_basis(sc: StructureConstants, u: np.ndarray) -> AdaptedBracketParams:
     u = np.asarray(u, dtype=float)
     check = _scaled_jacobi(sc)
     v = _unit_residual_vector(check.scaled, u)
-    geo, conf = float(np.linalg.norm(v[:3])), float(np.linalg.norm(v[3:]))
+    geo, conf = _norm(v[:3]), _norm(v[3:])
     scale = math.sqrt(check.scale_sq)
     params = _adapt_basis(check.scaled, u, geo, conf, scale, check.residual)
     return _ldexp_params(params, check.k)

@@ -39,6 +39,7 @@ from .algebra import (
     StructureConstants,
     _JACOBI_ROWS,
     _ScaledJacobi,
+    _lapack,
     _polarize,
     _readonly,
     _scaled_jacobi,
@@ -160,7 +161,7 @@ def _curvature(check: _ScaledJacobi) -> CurvatureReport:
     scalar = float(np.trace(ricci))
     constant = _is_constant(rows, scale_sq)
     spectrum = _merge_spectrum(
-        np.linalg.eigvalsh(ricci).tolist(), SPECTRUM_MERGE_TOL * scale_sq
+        _lapack("eigvalsh_lo", ricci).tolist(), SPECTRUM_MERGE_TOL * scale_sq
     )
     riemann = np.ldexp(riemann, 2 * k)
     return CurvatureReport(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -345,10 +347,14 @@ def test_huge_metrics_stay_finite(g, monkeypatch):
     assert metric.g.tobytes() == g.tobytes()
     assert np.isfinite(metric._lower).all()
 
-    def refused(*args, **kwargs):
-        raise AssertionError("LAPACK saw a non-finite matrix")
+    lapack = algebra._lapack
 
-    monkeypatch.setattr(np.linalg, "svd", refused)
+    def refused(name, a):
+        if not np.isfinite(a).all():
+            raise AssertionError("LAPACK saw a non-finite matrix")
+        return lapack(name, a)
+
+    monkeypatch.setattr(algebra, "_lapack", refused)
     message = "basis-change matrix is singular or too ill conditioned"
     for bad in (np.inf, -np.inf, np.nan):
         m = np.array(metric._lower)
@@ -357,6 +363,149 @@ def test_huge_metrics_stay_finite(g, monkeypatch):
             algebra._conditioned_svd(m)
         with pytest.raises(ValueError, match=message):
             change_basis(catalog("Nil3").constants, m)
+
+
+def _symmetric_corpus(rng):
+    """Symmetric 3x3 matrices with distinct, double and triple eigenvalues,
+    in random orthonormal frames, and with random entries."""
+    for _ in range(40):
+        q = random_orthogonal(rng)
+        a, b, c = rng.standard_normal(3) * 10.0 ** rng.uniform(-3, 3)
+        for values in ((a, b, c), (a, a, b), (a, a, a), (0.0, 0.0, a), (0.0, 0.0, 0.0)):
+            yield (q * np.array(values)) @ q.T
+        m = rng.standard_normal((3, 3))
+        yield m + m.T
+
+
+def _bracket_maps(rng):
+    """The 9x3 maps ``u -> c[u]`` of ``bianchi._centre``: catalog brackets in
+    random bases, of full rank (SU2, Sol3, G7) and with a centre (Nil3,
+    H2xR)."""
+    for _ in range(20):
+        for name, alpha in (
+            ("SU2", None), ("Sol3", 2.0), ("G7", 0.5), ("Nil3", None), ("H2xR", None)
+        ):
+            c = change_basis(catalog(name, alpha).constants, random_gl(rng)).c
+            yield c.reshape(3, 9).T
+
+
+def _spd_metrics(rng):
+    """SPD metrics in random frames with condition numbers from 1 up to
+    CONDITION_LIMIT."""
+    for cond in np.geomspace(1.0, CONDITION_LIMIT, 60):
+        q = random_orthogonal(rng)
+        s = np.array([1.0, cond ** rng.uniform(), cond]) * 10.0 ** rng.uniform(-5, 5)
+        g = (q * s) @ q.T
+        yield 0.5 * g + 0.5 * g.T
+
+
+def _same_bits(got, want):
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for x, y in zip(got, want):
+            _same_bits(x, y)
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_lapack_matches_numpy_linalg_bit_for_bit():
+    """Each gufunc that _lapack runs gives numpy.linalg's result in every bit,
+    on the kinds of input the package factorises."""
+    rng = np.random.default_rng(73)
+    cases = 0
+    for m in _symmetric_corpus(rng):
+        _same_bits(algebra._lapack("eigh_lo", m), tuple(np.linalg.eigh(m)))
+        _same_bits(algebra._lapack("eigvalsh_lo", m), np.linalg.eigvalsh(m))
+        cases += 1
+    for m in _bracket_maps(rng):
+        _same_bits(
+            algebra._lapack("svd_s", m), tuple(np.linalg.svd(m, full_matrices=False))
+        )
+        cases += 1
+    for g in _spd_metrics(rng):
+        lower = algebra._lapack("cholesky_lo", g)
+        _same_bits(lower, np.linalg.cholesky(g))
+        _same_bits(MetricSpec(g)._lower, lower)
+        for m in (lower, random_gl(rng)):
+            _same_bits(algebra._lapack("svd_f", m), tuple(np.linalg.svd(m)))
+        cases += 1
+    assert cases == 240 + 100 + 60
+
+
+def test_norm_matches_numpy_linalg_norm():
+    """_norm, which replaces np.linalg.norm on every per-op path, gives its
+    bits: on vectors, slices of a residual vector and 3x3 matrices."""
+    rng = np.random.default_rng(79)
+    for m in _symmetric_corpus(rng):
+        v = rng.standard_normal(12) * 10.0 ** rng.uniform(-150, 150)
+        for x in (m, m.T, m[0], m[:, 1], v, v[:3], v[3:], np.zeros(3)):
+            assert algebra._norm(x) == float(np.linalg.norm(x))
+        u = v[:3]
+        k = int(np.argmin(np.abs(u)))
+        axis = np.zeros(3)
+        axis[k] = 1.0
+        h1 = np.cross(axis, u)
+        assert orthonormal_frame(u)[0].tobytes() == (h1 / np.linalg.norm(h1)).tobytes()
+
+
+_WRAPPERS = {
+    "cholesky_lo": np.linalg.cholesky,
+    "eigh_lo": np.linalg.eigh,
+    "eigvalsh_lo": np.linalg.eigvalsh,
+    "svd_s": lambda a: np.linalg.svd(a, full_matrices=False),
+    "svd_f": np.linalg.svd,
+}
+
+
+def _outcome(call, a):
+    """The bytes of ``call(a)``'s arrays, or its LinAlgError's message."""
+    try:
+        result = call(a)
+    except np.linalg.LinAlgError as exc:
+        return str(exc)
+    return [x.tobytes() for x in (result if isinstance(result, tuple) else (result,))]
+
+
+@pytest.mark.parametrize(
+    "name, shape, message",
+    [
+        ("cholesky_lo", (3, 3), "Matrix is not positive definite"),
+        ("eigh_lo", (3, 3), "Eigenvalues did not converge"),
+        ("eigvalsh_lo", (3, 3), "Eigenvalues did not converge"),
+        ("svd_s", (9, 3), "SVD did not converge"),
+        ("svd_f", (3, 3), "SVD did not converge"),
+    ],
+)
+def test_lapack_fails_as_numpy_linalg_does(name, shape, message):
+    """Where LAPACK fails, _lapack raises numpy.linalg's LinAlgError with the
+    wrapper's own message, and neither warns.  An all-NaN input fails the
+    eigensolvers and the SVDs; the Cholesky factorisation fails on a
+    matrix that is not positive definite, and on NaN it returns NaN without
+    an error in both."""
+    wrapper = tuple if name in ("eigh_lo", "svd_s", "svd_f") else np.asarray
+    inputs = [np.full(shape, np.nan), np.eye(*shape), np.eye(*shape)]
+    inputs[1][1, 1] = np.nan
+    inputs[2][1, 1] = -1.0
+    outcomes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in inputs:
+            want = _outcome(lambda x: wrapper(_WRAPPERS[name](x)), a)
+            assert _outcome(lambda x: algebra._lapack(name, x), a) == want
+            outcomes.append(want)
+    assert message in outcomes
+
+
+def test_metric_not_positive_definite_keeps_its_message():
+    """The Cholesky gufunc's LinAlgError still reaches MetricSpec as its own
+    ValueError, without a warning."""
+    for g in (np.diag([1.0, -1.0, 1.0]), np.zeros((3, 3)), [[1, 2, 0], [2, 1, 0], [0, 0, 1]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as caught:
+                MetricSpec(g)
+        assert str(caught.value) == "metric is not positive definite"
 
 
 def test_metric_spec_validation():

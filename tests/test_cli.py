@@ -273,9 +273,12 @@ _NIL_METRIC = '{"c": {"XY": [0, 0, 1]}, "metric": %s}'
         (_NIL_METRIC % "[[1, 1e308, 0], [-1e308, 1, 0], [0, 0, 1]]", "metric must be symmetric"),
         (b"\xef\xbb\xbf" + _SPARSE_DOC, "invalid JSON in {path}: Unexpected UTF-8 BOM"
          " (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        # JSON text is UTF-8 (RFC 8259), so a byte that does not decode is
+        # invalid JSON, and the message names the file
         (
             b'{"name": "\xff", "c": {"XY": [0, 0, 1]}}',
-            "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte",
+            "invalid JSON in {path}: 'utf-8' codec can't decode byte 0xff in"
+            " position 10: invalid start byte",
         ),
     ],
     ids=[
@@ -304,6 +307,17 @@ def test_input_edge_cases_keep_their_messages(capsys, tmp_path, text, message):
         assert (code, out, err) == (0, "Bianchi type: II\n", "")
     else:
         assert (code, out, err) == (1, "", f"error: {message.format(path=path)}\n")
+
+
+def test_metric_file_not_utf8_names_the_file(capsys, tmp_path):
+    path = tmp_path / "metric.json"
+    path.write_bytes(b"[[1, 0, 0], [0, 1, 0], [0, 0, 1]] \xe9")
+    code, out, err = run(capsys, ["classify", "--group", "Nil3", "--metric", str(path)])
+    message = (
+        f"invalid JSON in {path}: 'utf-8' codec can't decode byte 0xe9 in"
+        " position 34: unexpected end of data"
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_integer_beyond_float_range_exits_one(capsys, tmp_path):

@@ -770,29 +770,81 @@ def test_search_computes_the_jacobi_residual_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_verdict_path_skips_report_only_work(monkeypatch):
-    """A search of a non-constant metric calls no eigvalsh (the Ricci
-    spectrum is the report's) and orthonormalize calls no inv."""
+def _count_lapack(monkeypatch):
+    """The names of the gufuncs that ``algebra._lapack`` runs from now on,
+    counted in every module that calls it."""
     calls = []
-    for name in ("eigvalsh", "inv"):
-        original = getattr(np.linalg, name)
+    lapack = algebra._lapack
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
+    def counted(name, a):
+        calls.append(name)
+        return lapack(name, a)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+    for module in (algebra, bianchi, geometry, foliation):
+        if hasattr(module, "_lapack"):
+            monkeypatch.setattr(module, "_lapack", counted)
+    return calls
+
+
+def test_verdict_path_skips_report_only_work(monkeypatch):
+    """A search of a non-constant metric factorises Milnor's n (eigh) and the
+    centre map (thin SVD), and nothing else: no eigvalsh, whose Ricci
+    spectrum is the report's.  orthonormalize takes no SVD of a
+    well-conditioned Cholesky factor and inverts nothing.  Every
+    factorisation goes through _lapack (tests/test_package.py checks that no
+    function calls a numpy.linalg wrapper), so the counter sees them all."""
+    calls = _count_lapack(monkeypatch)
     rng = np.random.default_rng(3)
     for name, alpha in (("Sol3", 2.0), ("G4", None), ("Nil3", None)):
         sc = change_basis(catalog(name, alpha).constants, random_gl(rng))
-        sc = orthonormalize(sc, MetricSpec(random_spd(rng)))
+        metric = MetricSpec(random_spd(rng))
+        assert calls[-2:] == ["svd_f", "cholesky_lo"]
+        calls.clear()
+        sc = orthonormalize(sc, metric)
         rep = search_directions(sc)
         assert not rep.constant_curvature and rep.admits == (name == "Nil3")
-    assert calls == []
-    # the counters see the calls that remain
+        assert calls == ["eigh_lo", "svd_s"]
+    # the counter sees the calls that remain
+    calls.clear()
     curvature(sc)
-    np.linalg.inv(np.eye(3))
-    assert calls == ["eigvalsh", "inv"]
+    classify(sc)
+    assert calls == ["eigvalsh_lo", "eigvalsh_lo"]
+
+
+def test_screened_search_builds_no_connection_table(monkeypatch):
+    """A search that the screen decides keeps the scaled brackets and forms no
+    connection table; the first read of the certificate builds the table
+    once, and its floor is the one of a table built in the search, bit for
+    bit."""
+    calls = []
+    table = geometry._gamma
+
+    def counted(c):
+        calls.append(c)
+        return table(c)
+
+    monkeypatch.setattr(foliation, "_gamma", counted)
+    rng = np.random.default_rng(83)
+    for name, alpha in (("G4", None), ("Sol3", 0.5), ("Sol3", 2.0)):
+        for _ in range(4):
+            sc = change_basis(catalog(name, alpha).constants, random_gl(rng))
+            sc = orthonormalize(sc, MetricSpec(random_spd(rng)))
+            rep = search_directions(sc)
+            assert not rep.admits and calls == []
+            check = algebra._scaled_jacobi(sc)
+            assert rep._scaled.tobytes() == check.scaled.tobytes()
+            floor = rep.lattice_min_residual
+            assert len(calls) == 1 and calls[0] is rep._scaled
+            assert rep._gamma.tobytes() == table(check.scaled).tobytes()
+            want = math.ldexp(foliation._lattice_floor(table(check.scaled)), 2 * check.k)
+            assert floor.hex() == want.hex()
+            assert rep.lattice_min_residual is floor and rep._gamma is rep._gamma
+            assert len(calls) == 1
+            calls.clear()
+    # constant curvature keeps no brackets and has no table and no floor
+    rep = search_directions(catalog("SU2").constants)
+    assert rep._scaled is None and rep._gamma is None
+    assert rep.lattice_min_residual is None and calls == []
 
 
 def test_search_reads_its_tables_off_the_scaled_components(monkeypatch):

@@ -73,3 +73,47 @@ def test_search_report_has_what_the_traced_run_reads():
     assert report.lattice_size > 0
     assert report.lattice_min_residual > 0.0
     assert report.directions == ()
+
+
+def _dotted(node) -> str | None:
+    """``a.b.c`` of a Name/Attribute chain, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def _linalg_wrapper_calls(source: str) -> list[str]:
+    """The numpy.linalg calls inside function bodies of ``source``, other
+    than of its exception class, and every name imported from numpy.linalg
+    other than the gufunc module."""
+    found, calls = [], set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found += [a.name for a in node.names if a.name != "_umath_linalg"]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            calls.update(c for c in ast.walk(node) if isinstance(c, ast.Call))
+    for call in sorted(calls, key=lambda c: (c.lineno, c.col_offset)):
+        name = _dotted(call.func)
+        if name and name.startswith(("np.linalg.", "numpy.linalg.")):
+            if not name.endswith(".LinAlgError"):
+                found.append(f"{name} (line {call.lineno})")
+    return found
+
+
+def test_functions_call_no_numpy_linalg_wrapper():
+    # every per-op factorisation goes through algebra._lapack and every norm
+    # through algebra._norm; module level may call a wrapper once at import,
+    # as foliation does for _INVERSE
+    package = Path(lie3geo.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        assert _linalg_wrapper_calls(path.read_text(encoding="utf-8")) == [], path.name
+    assert "np.linalg.inv(" in (package / "foliation.py").read_text(encoding="utf-8")
+    # the check sees a wrapper call in a function body, not at module level
+    probe = "x = np.linalg.inv(a)\ndef f(a):\n    return g(lambda: np.linalg.svd(a))\n"
+    assert _linalg_wrapper_calls(probe) == ["np.linalg.svd (line 3)"]
+    assert _linalg_wrapper_calls("from numpy.linalg import norm") == ["norm"]
