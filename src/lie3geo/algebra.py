@@ -15,6 +15,9 @@ Every factorisation an op takes calls numpy.linalg's own LAPACK gufunc
 through :func:`_lapack`, under the error state of numpy.linalg's wrapper,
 because on 3x3 arrays the wrapper's checks and dispatch cost more than the
 factorisation, and skipping them changes no result bit and no error message.
+Each gufunc's error state is built once, at import, by the function that
+``np.errstate`` calls on every entry, and :func:`_lapack` only sets it around
+the call and resets it after.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
 from numpy.linalg import _umath_linalg
 
 __all__ = [
@@ -69,10 +73,20 @@ def _lapack_error(message: str):
     return raise_error
 
 
-# The gufuncs of _lapack, each with the callback raising the message that
-# numpy.linalg's wrapper of it raises.
+# The gufuncs of _lapack, each with the error state of numpy.linalg's wrapper
+# of it, built as np.errstate builds it: a LAPACK failure calls back to raise
+# the wrapper's message, and no other floating-point condition warns.
 _LAPACK = {
-    name: (getattr(_umath_linalg, name), _lapack_error(message))
+    name: (
+        getattr(_umath_linalg, name),
+        _make_extobj(
+            call=_lapack_error(message),
+            invalid="call",
+            over="ignore",
+            divide="ignore",
+            under="ignore",
+        ),
+    )
     for name, message in (
         ("cholesky_lo", "Matrix is not positive definite"),
         ("eigh_lo", "Eigenvalues did not converge"),
@@ -93,13 +107,17 @@ def _lapack(name: str, a: np.ndarray):
     false and true; several results come as a plain tuple.  The error state
     is the wrapper's: a LAPACK failure, which the gufunc signals as an
     invalid floating-point operation, raises ``LinAlgError`` with the
-    wrapper's message, and no other floating-point condition warns.
+    wrapper's message, and no other floating-point condition warns.  It is
+    set and reset as ``np.errstate`` enters and exits, from the state built
+    once in ``_LAPACK``, whose buffer size (which no float64 call reads) is
+    the one in force at import.
     """
-    gufunc, raise_error = _LAPACK[name]
-    with np.errstate(
-        call=raise_error, invalid="call", over="ignore", divide="ignore", under="ignore"
-    ):
+    gufunc, extobj = _LAPACK[name]
+    token = _extobj_contextvar.set(extobj)
+    try:
         return gufunc(a)
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -412,28 +430,40 @@ def change_basis(sc: StructureConstants, p: np.ndarray) -> StructureConstants:
     return _rebase(sc, p, (vt.T / s) @ u.T)
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.cross`` of two 3-vectors, with the same arithmetic but a small
-    fraction of its call overhead."""
-    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
 def orthonormal_frame(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic completion of a unit vector to an orthonormal triple.
 
     ``h1`` is the normalized cross product of ``u`` with the coordinate axis
     least aligned with it (ties resolved toward the lowest index) and
     ``h2 = u x h1``, so ``(h1, h2, u)`` is a right-handed orthonormal frame.
+    A vector whose ``h1`` has length zero, such as the zero vector, is
+    refused with ValueError.
     """
-    u = np.asarray(u, dtype=float)
-    k = int(np.argmin(np.abs(u)))
-    axis = np.zeros(DIM)
-    axis[k] = 1.0
-    h1 = _cross(axis, u)
-    h1 = h1 / _norm(h1)
-    h2 = _cross(u, h1)
-    return h1, h2
+    h1, h2 = _frame(np.asarray(u, dtype=float).tolist())
+    return np.array(h1), np.array(h2)
+
+
+def _frame(u: list[float]) -> tuple[list[float], list[float]]:
+    """:func:`orthonormal_frame` of the three Python floats ``u``, as two
+    lists, with the arithmetic of ``np.cross`` and ``np.argmin``.  ``h1`` is
+    normalized by ``_norm``, because numpy's dot rounds its sum in a way
+    Python floats do not reproduce."""
+    u0, u1, u2 = u
+    size = (abs(u0), abs(u1), abs(u2))
+    # the axis np.argmin(np.abs(u)) picks: the first least, or the first NaN
+    k = 0
+    for j in (1, 2):
+        if size[k] != size[k]:
+            break
+        if not (size[j] >= size[k]):
+            k = j
+    e0, e1, e2 = (1.0 if j == k else 0.0 for j in range(3))
+    cross = [e1 * u2 - e2 * u1, e2 * u0 - e0 * u2, e0 * u1 - e1 * u0]
+    length = _norm(np.array(cross))
+    if length == 0.0:
+        raise ValueError("cannot complete a vector whose frame has length zero")
+    h0, h1, h2 = (x / length for x in cross)
+    return [h0, h1, h2], [u1 * h2 - u2 * h1, u2 * h0 - u0 * h2, u0 * h1 - u1 * h0]
 
 
 def orthonormalize(sc: StructureConstants, metric: MetricSpec) -> StructureConstants:

@@ -108,12 +108,13 @@ def _all_numbers(value, rank: int) -> bool:
     while level:
         nested = []
         for v in level:
-            if isinstance(v, list):
-                if rank == 0:
-                    return False
-                nested.extend(v)
-            elif not _is_number(v):
+            # the exact types of _is_number, tested inline, floats first
+            kind = type(v)
+            if kind is float or kind is int:
+                continue
+            if rank == 0 or not isinstance(v, list):
                 return False
+            nested.extend(v)
         level, rank = nested, rank - 1
     return True
 
@@ -228,8 +229,17 @@ def render_json(doc: dict) -> str:
 def _write_json(obj, out: list[str], newline: str) -> None:
     """Append ``obj`` to ``out`` as ``render_json`` writes it.  ``newline``
     is a line break and the indentation of the line ``obj`` starts on.
-    Tuples are written as lists, and any type JSON lacks is a TypeError."""
-    if isinstance(obj, bool):
+    Tuples are written as lists, and any type JSON lacks is a TypeError.
+    Floats, the most common values, are tested first; no type of a later
+    branch is a float."""
+    if isinstance(obj, float):
+        x = float(f"{obj:.12g}")
+        # the non-finite floats take the names json.dumps gives them
+        if x - x == 0.0:
+            out.append(repr(x))
+        else:
+            out.append("NaN" if x != x else "Infinity" if x > 0 else "-Infinity")
+    elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif obj is None:
         out.append("null")
@@ -237,13 +247,6 @@ def _write_json(obj, out: list[str], newline: str) -> None:
         out.append(int.__repr__(obj))
     elif isinstance(obj, str):
         out.append(json.encoder.encode_basestring_ascii(obj))
-    elif isinstance(obj, float):
-        x = float(f"{obj:.12g}")
-        # the non-finite floats take the names json.dumps gives them
-        if x - x == 0.0:
-            out.append(repr(x))
-        else:
-            out.append("NaN" if x != x else "Infinity" if x > 0 else "-Infinity")
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -295,14 +298,24 @@ def _fmt_vec(v) -> str:
 def _load_json_file(path: str):
     """The JSON document in ``path``, or a ValueError naming the file when
     it is not JSON (JSON text is UTF-8, RFC 8259) or nests too deeply for
-    the parser."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"invalid JSON in {path}: {exc}") from None
-        except RecursionError:
-            raise ValueError(f"invalid JSON in {path}: nested too deeply") from None
+    the parser.
+
+    The file is read as bytes and decoded as UTF-8 in one piece, and a
+    ``\\r\\n`` or lone ``\\r`` becomes ``\\n``, as a text-mode read does;
+    so the document, and every error message with its offsets, is the one
+    ``json.load`` of the file opened as UTF-8 text gives.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"invalid JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"invalid JSON in {path}: nested too deeply") from None
 
 
 def _with_alpha(name: str, alpha: float | None) -> str:

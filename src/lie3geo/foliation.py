@@ -94,7 +94,7 @@ from .algebra import (
     MetricSpec,
     StructureConstants,
     _BASIS_TENSORS,
-    _antisymmetrized,
+    _frame,
     _lapack,
     _norm,
     _normalised,
@@ -103,7 +103,6 @@ from .algebra import (
     _require_scaled_lie,
     _scaled_jacobi,
     constants_from_brackets,
-    orthonormal_frame,
     orthonormalize,
 )
 from .bianchi import BianchiType, _centre, _milnor_n
@@ -399,16 +398,13 @@ def residuals(sc: StructureConstants, u: np.ndarray) -> tuple[float, float]:
 
 def _unit_residual_vector(c: np.ndarray, u: np.ndarray) -> np.ndarray:
     """:func:`_residual_vector` of the bracket array ``c`` at ``u``, after
-    checking that ``u`` is a unit vector."""
+    checking that ``u`` is a unit vector of shape (3,)."""
+    if u.shape != (3,):
+        raise ValueError(f"direction must have shape (3,), got {u.shape}")
     # written so that NaN and inf fail it too
     if not (abs(_norm(u) - 1.0) <= 1e-10):
         raise ValueError("direction must be a unit vector")
     return _residual_vector(_gamma(c), u)
-
-
-def _canonical_sign(u: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(u)))
-    return -u if u[k] < 0 else u.copy()
 
 
 def search_directions(
@@ -473,24 +469,33 @@ def search_directions(
             _k=check.k,
         )
     v = _residual_vector(_gamma(scaled), stack)
-    r_stack = np.vecdot(v, v)
-    found: list[tuple[np.ndarray, float, np.ndarray]] = [
-        # u -> -u leaves both residual norms exactly unchanged
-        (_canonical_sign(stack[i]), float(r_stack[i]), v[i])
-        for i in np.flatnonzero(r_stack <= ACCEPT_RESIDUAL_SQ * scale_sq)
-    ]
-    found.sort(key=lambda item: (item[1], item[0][0], item[0][1], item[0][2]))
+    limit = ACCEPT_RESIDUAL_SQ * scale_sq
+    rows = stack.tolist()
+    found: list[tuple[float, list[float], int]] = []
+    for i, r in enumerate(np.vecdot(v, v).tolist()):
+        if r <= limit:
+            # u -> -u leaves both residual norms exactly unchanged; the first
+            # largest |u_j|, as np.argmax picks it, is made positive
+            u = rows[i]
+            size = [abs(x) for x in u]
+            if u[size.index(max(size))] < 0:
+                u = [-x for x in u]
+            found.append((r, u, i))
+    found.sort(key=lambda item: (item[0], *item[1]))
 
-    kept: list[tuple[np.ndarray, np.ndarray]] = []
-    for u_ref, _, v_ref in found:
-        if all(abs(u_ref @ other) < _COS_CLUSTER for other, _ in kept):
-            kept.append((u_ref, v_ref))
+    kept: list[tuple[list[float], int]] = []
+    for _, u, i in found:
+        # numpy's dot, whose rounding Python floats do not reproduce
+        if all(abs(np.dot(u, other)) < _COS_CLUSTER for other, _ in kept):
+            kept.append((u, i))
 
     candidates = []
     norm, k = math.sqrt(scale_sq), check.k
-    for u_ref, v_ref in sorted(kept, key=lambda item: tuple(item[0])):
-        geo, conf = _norm(v_ref[:3]), _norm(v_ref[3:])
-        adapted = _adapt_basis(scaled, u_ref, geo, conf, norm, check.residual)
+    for u, i in sorted(kept, key=lambda item: item[0]):
+        geo, conf = _norm(v[i, :3]), _norm(v[i, 3:])
+        adapted = _adapt_basis(
+            scaled, u, _norm(stack[i]), geo, conf, norm, check.residual
+        )
         # Coefficients forced to zero by the foliation conditions carry noise
         # on the order of the measured residuals, so the family case analysis
         # runs on the coefficients over |c|_F with a zero threshold that
@@ -499,7 +504,7 @@ def search_directions(
         family = classify_family(unit, tol=max(1e-9, 10.0 * max(geo, conf) / norm))
         candidates.append(
             FoliationCandidate(
-                direction=u_ref,
+                direction=u,
                 geodesic_residual=math.ldexp(geo, k),
                 conformal_residual=math.ldexp(conf, k),
                 adapted=_ldexp_params(adapted, k),
@@ -536,7 +541,10 @@ def adapt_basis(sc: StructureConstants, u: np.ndarray) -> AdaptedBracketParams:
     v = _unit_residual_vector(check.scaled, u)
     geo, conf = _norm(v[:3]), _norm(v[3:])
     scale = math.sqrt(check.scale_sq)
-    params = _adapt_basis(check.scaled, u, geo, conf, scale, check.residual)
+    length = math.sqrt(u @ u)
+    params = _adapt_basis(
+        check.scaled, u.tolist(), length, geo, conf, scale, check.residual
+    )
     return _ldexp_params(params, check.k)
 
 
@@ -546,23 +554,35 @@ def _ldexp_params(params: AdaptedBracketParams, k: int) -> AdaptedBracketParams:
 
 
 def _adapt_basis(
-    c: np.ndarray, u: np.ndarray, geo: float, conf: float, scale: float, jacobi: float
+    c: np.ndarray,
+    u: list[float],
+    length: float,
+    geo: float,
+    conf: float,
+    scale: float,
+    jacobi: float,
 ) -> AdaptedBracketParams:
-    """:func:`adapt_basis` of the bracket array ``c``, given the geodesic and
-    conformal residuals ``geo`` and ``conf`` of ``u``, ``scale = |c|_F`` and
-    the Jacobi residual of ``c``."""
+    """:func:`adapt_basis` of the bracket array ``c`` along the direction
+    ``u``, three Python floats of norm ``length`` (by numpy's dot), given
+    the geodesic and conformal residuals ``geo`` and ``conf`` of ``u``,
+    ``scale = |c|_F`` and the Jacobi residual of ``c``."""
     tol = math.sqrt(ACCEPT_RESIDUAL_SQ)
     if geo > tol * scale or conf > tol * scale:
         raise ValueError(
             "foliation conditions violated along the given direction "
             f"(geodesic residual {geo:.3e}, conformal residual {conf:.3e})"
         )
-    u = u / math.sqrt(u @ u)
-    # orthonormal by construction, so its transpose is its inverse
-    frame = np.column_stack([*orthonormal_frame(u), u])
-    table = _antisymmetrized(_rebase_array(c, frame, frame.T)).tolist()
-    # the brackets [X,Y], [Z,X] and [Z,Y], read as Python floats
-    (_, xy, _), _, (zx, zy, _) = table
+    z = [x / length for x in u]
+    x, y = _frame(z)
+    # the columns X, Y, Z, C-contiguous; orthonormal, so the transpose inverts
+    frame = np.array(list(zip(x, y, z)))
+    table = _rebase_array(c, frame, frame.T).tolist()
+    # the brackets [X,Y], [Z,X] and [Z,Y], antisymmetrized as
+    # StructureConstants stores them, as Python floats
+    xy, zx, zy = (
+        [0.5 * (p - q) for p, q in zip(table[i][j], table[j][i])]
+        for i, j in ((0, 1), (2, 0), (2, 1))
+    )
     deviations = (
         abs(zx[2]),
         abs(zy[2]),

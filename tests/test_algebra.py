@@ -192,17 +192,69 @@ def test_orthonormal_frame_is_right_handed():
     assert np.allclose(h2, [1.0, 0.0, 0.0])
 
 
+def _np_cross_frame(u):
+    """The completion that orthonormal_frame computed on numpy arrays, before
+    it moved onto Python floats: np.argmin, np.cross and np.linalg.norm."""
+    k = int(np.argmin(np.abs(u)))
+    axis = np.zeros(3)
+    axis[k] = 1.0
+    h1 = np.cross(axis, u)
+    h1 = h1 / np.linalg.norm(h1)
+    return h1, np.cross(u, h1)
+
+
+def _same_frame(u):
+    # _norm's dot overflows as np.linalg.norm's does
+    with np.errstate(all="ignore"):
+        want = _np_cross_frame(u)
+        got = orthonormal_frame(u)
+    assert [h.tobytes() for h in got] == [h.tobytes() for h in want], u
+
+
 def test_cross_matches_np_cross_bitwise():
+    """orthonormal_frame's two cross products on Python floats give the bits
+    of np.cross at any magnitude, on signed zeros and where the squared
+    length overflows; a vector whose completion has length zero (the zero
+    vector, or one whose squared length underflows) is refused, where numpy
+    divided by zero."""
     rng = np.random.default_rng(6)
     special = np.array([0.0, -0.0, 1.0, -1.0, 1e-300, 1e300])
+    refused = 0
     for k in range(2000):
         if k % 2:
-            a, b = rng.choice(special, 3), rng.choice(special, 3)
+            u = rng.choice(special, 3)
         else:
-            a = rng.standard_normal(3) * 10.0 ** rng.integers(-20, 20, 3)
-            b = rng.standard_normal(3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert algebra._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+            u = rng.standard_normal(3) * 10.0 ** rng.integers(-20, 20, 3)
+        with np.errstate(all="ignore"):
+            h1 = np.cross(np.eye(3)[int(np.argmin(np.abs(u)))], u)
+            zero = np.linalg.norm(h1) == 0.0
+        if zero:
+            with pytest.raises(ValueError, match="length zero"):
+                orthonormal_frame(u)
+            refused += 1
+        else:
+            _same_frame(u)
+    assert 0 < refused < 1000
+
+
+def test_orthonormal_frame_matches_np_cross_completion_bitwise():
+    """On unit vectors, random and tied: the axes and their negatives, the
+    diagonals (1,1,1)/sqrt 3 and (1,1,0)/sqrt 2 with every sign and order,
+    and negative zeros."""
+    rng = np.random.default_rng(61)
+    for _ in range(3000):
+        u = rng.standard_normal(3)
+        _same_frame(u / np.linalg.norm(u))
+    ties = [np.eye(3)[j] for j in range(3)]
+    ties += [np.ones(3) / np.sqrt(3.0), np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)]
+    cases = 0
+    for tie in ties:
+        for order in ([0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 2, 1]):
+            for signs in np.array(np.meshgrid(*[[1.0, -1.0]] * 3)).T.reshape(-1, 3):
+                # a sign on an entry 0.0 makes it -0.0
+                _same_frame(tie[order] * signs)
+                cases += 1
+    assert cases == 5 * 4 * 8
 
 
 def test_orthonormalize_identity_is_noop():
@@ -495,6 +547,62 @@ def test_lapack_fails_as_numpy_linalg_does(name, shape, message):
             assert _outcome(lambda x: algebra._lapack(name, x), a) == want
             outcomes.append(want)
     assert message in outcomes
+
+
+def test_lapack_error_states_are_those_np_errstate_builds():
+    """_lapack builds each error state once with the function np.errstate
+    calls and sets it on the context variable np.errstate sets, both from
+    numpy._core._ufunc_config; a numpy that moves or renames them fails
+    here, at import, not with a wrong error state."""
+    entry = np.errstate.__enter__.__globals__
+    assert algebra._make_extobj is entry["_make_extobj"]
+    assert algebra._extobj_contextvar is entry["_extobj_contextvar"]
+    assert np.errstate.__exit__.__globals__["_extobj_contextvar"] is entry["_extobj_contextvar"]
+
+
+def _error_state():
+    return np.geterr(), np.geterrcall()
+
+
+@pytest.mark.parametrize("caller", [{}, {"all": "raise"}, {"all": "warn", "call": print}])
+def test_lapack_restores_the_callers_error_state(caller):
+    """After _lapack returns and after it raises, np.geterr and
+    np.geterrcall read what the caller set; inside the call the state is
+    the wrapper's, whatever the caller set."""
+    with np.errstate(**caller):
+        before = _error_state()
+        for name, good, bad in (
+            ("cholesky_lo", np.eye(3), np.diag([1.0, -1.0, 1.0])),
+            ("eigh_lo", np.eye(3), np.full((3, 3), np.nan)),
+            ("eigvalsh_lo", np.eye(3), np.full((3, 3), np.nan)),
+            ("svd_s", np.eye(3), np.full((3, 3), np.nan)),
+            ("svd_f", np.eye(3), np.full((3, 3), np.nan)),
+        ):
+            algebra._lapack(name, good)
+            assert _error_state() == before, name
+            with pytest.raises(np.linalg.LinAlgError):
+                algebra._lapack(name, bad)
+            assert _error_state() == before, name
+
+
+def test_lapack_failure_raises_numpys_message_inside_errstate_raise():
+    """A caller's np.errstate(all="raise") does not reach the gufunc: a
+    failing factorisation raises LinAlgError with numpy.linalg's message,
+    not FloatingPointError, and nothing warns."""
+    for name, bad, message in (
+        ("cholesky_lo", np.diag([1.0, -1.0, 1.0]), "Matrix is not positive definite"),
+        ("eigh_lo", np.full((3, 3), np.nan), "Eigenvalues did not converge"),
+        ("eigvalsh_lo", np.full((3, 3), np.nan), "Eigenvalues did not converge"),
+        ("svd_s", np.full((9, 3), np.nan), "SVD did not converge"),
+        ("svd_f", np.full((3, 3), np.nan), "SVD did not converge"),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(all="raise"):
+                with pytest.raises(np.linalg.LinAlgError) as error:
+                    algebra._lapack(name, bad)
+        assert str(error.value) == message, name
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], name
 
 
 def test_metric_not_positive_definite_keeps_its_message():

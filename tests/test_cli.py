@@ -320,6 +320,88 @@ def test_metric_file_not_utf8_names_the_file(capsys, tmp_path):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def _text_mode_load(path, newline=None):
+    """The reader that ``cli._load_json_file`` replaced: ``json.load`` of the
+    file opened as UTF-8 text, with its error wrapping; ``newline=""``
+    leaves the newlines untranslated."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"invalid JSON in {path}: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"invalid JSON in {path}: nested too deeply") from None
+
+
+def _load_outcome(load, path):
+    try:
+        return "value", json.dumps(load(path))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+_DOC_LINES = ['{', '  "name": "Nil3",', '  "c": {"XY": [0, 0, 1]}', '}', '']
+_BAD_LINES = ['{', '  "name": "Nil3",', '  "c": {"XY": [0, 0, 1],,}', '}', '']
+
+
+@pytest.mark.parametrize(
+    "data, offsets_move",
+    [
+        ("\r\n".join(_DOC_LINES).encode(), False),
+        ("\r\n".join(_BAD_LINES).encode(), True),
+        ("\r".join(_DOC_LINES).encode(), False),
+        ("\r".join(_BAD_LINES).encode(), True),
+        (b'{\r\n"name": "a",\r"c": [[[0]]],\n\r\r\n!}', True),
+        (b'{"name": "a\rb", "c": {"XY": [0, 0, 1]}}', False),
+        (b'{"name": "a\r\nb", "c": {"XY": [0, 0, 1]}}', False),
+        (b"[1, 2]\r", False),
+        ("\n".join(_DOC_LINES).encode(), False),
+        ('{"name": "\u00e9\u4e2d", "c": {"XY": [0, 0, 1]}}'.encode(), False),
+        (b"\xef\xbb\xbf" + "\n".join(_DOC_LINES).encode(), False),
+        (b'{"name": "\xff", "c": {"XY": [0, 0, 1]}}', False),
+        (b'{"name": "\r\xc3", "c": {"XY": [0, 0, 1]}}', False),
+        ("\n".join(_DOC_LINES).encode("utf-16"), False),
+        ("\n".join(_DOC_LINES).encode("utf-16-le"), False),
+        (b"", False),
+        (b"\r\n", True),
+        (b"[" * 100000 + b"1" + b"]" * 100000, False),
+        (b"[1,\r\n" + b" " * 20000 + b"\xff]", False),
+    ],
+    ids=[
+        "crlf-valid",
+        "crlf-malformed",
+        "lone-cr-valid",
+        "lone-cr-malformed",
+        "mixed-newlines-malformed",
+        "raw-cr-in-string",
+        "raw-crlf-in-string",
+        "trailing-cr",
+        "lf-valid",
+        "non-ascii",
+        "utf8-bom",
+        "invalid-utf8",
+        "cr-before-invalid-utf8",
+        "utf16-bom",
+        "utf16-le",
+        "empty",
+        "only-crlf",
+        "100000-deep",
+        "invalid-utf8-past-the-read-chunk",
+    ],
+)
+def test_load_json_file_matches_the_text_mode_reader(tmp_path, data, offsets_move):
+    """_load_json_file, which reads bytes and translates newlines itself,
+    gives the value or the message, char offsets included, of a text-mode
+    ``json.load``; where a document carries a CR, reading it untranslated
+    would move the offsets, so the translation is what keeps them."""
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    want = _load_outcome(_text_mode_load, str(path))
+    assert _load_outcome(cli._load_json_file, str(path)) == want
+    untranslated = _load_outcome(lambda p: _text_mode_load(p, newline=""), str(path))
+    assert (untranslated != want) == offsets_move
+
+
 def test_integer_beyond_float_range_exits_one(capsys, tmp_path):
     path = write_doc(tmp_path, {"c": _SPARSE, "metric": _diagonal(10**400)})
     code, out, err = run(capsys, ["classify", "--input", path])
@@ -749,6 +831,49 @@ def test_text_output_matches_golden(capsys, case):
     code, out, _ = run(capsys, case["argv"])
     assert code == 0
     _assert_detail_matches(out, case["stdout"])
+
+
+_PLANTED_GOLDEN = Path(__file__).parent / "data" / "foliations_planted_golden.json"
+
+
+def _planted_documents(seed=24, per_family=20):
+    """``per_family`` seeded ``--input`` documents per family of
+    ``enumerate_families``: ``adapted_constants`` of a family sample, in a
+    random basis ``p`` of condition below 10, with the metric ``s p^T p``
+    for scales ``s`` stratified log-uniformly over [1e-2, 1e2]."""
+    rng = np.random.default_rng(seed)
+    for family in foliation.enumerate_families():
+        strata = (rng.permutation(per_family) + rng.random(per_family)) / per_family
+        for s in 1e-2 * 1e4**strata:
+            planted = foliation.adapted_constants(family.sample(rng))
+            p = random_gl(rng, cond_limit=10.0)
+            yield {
+                "name": f"{family.name} s={s:.4g}",
+                "c": change_basis(planted, p).c.tolist(),
+                "metric": (s * (p.T @ p)).tolist(),
+            }
+
+
+def test_planted_foliations_json_is_pinned_byte_for_byte(capsys, tmp_path):
+    """``--json foliations --input`` on 60 planted documents against the
+    stdout recorded, byte for byte, before the search's found-direction
+    path and ``adapt_basis`` moved from numpy arrays onto Python floats.
+    The catalog golden files pin only identity metrics, within 1e-12; here
+    every found direction, residual, adapted coefficient and family type of
+    a random basis and metric keeps its exact text.  The documents are
+    drawn by the numpy of the recording (2.4) and its bundled LAPACK, which
+    decide the last bits of the brackets and of the search."""
+    golden = json.loads(_PLANTED_GOLDEN.read_text())
+    docs = list(_planted_documents())
+    assert len(docs) == len(golden) == 60
+    admitting = 0
+    for index, (doc, want) in enumerate(zip(docs, golden)):
+        path = write_doc(tmp_path, doc, f"planted-{index:02d}.json")
+        code, out, err = run(capsys, ["--json", "foliations", "--input", path])
+        assert (code, out, err) == (0, want, ""), doc["name"]
+        admitting += bool(json.loads(out)["directions"])
+    # the two non-constant families report a direction on every document
+    assert admitting == 40
 
 
 # ------------------------------------------------------- output conventions

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,26 @@ def test_residuals_reject_non_unit():
             residuals(sc, np.array(u))
         with pytest.raises(ValueError, match="unit"):
             adapt_basis(sc, np.array(u))
+
+
+@pytest.mark.parametrize(
+    "u",
+    [[[0.6, 0.8, 0.0]], [[0.6], [0.8], [0.0]], [0.6, 0.8, 0.0, 0.0], 1.0, [[[0.0, 0.0, 1.0]]]],
+    ids=["row", "column", "four", "scalar", "nested"],
+)
+def test_residuals_and_adapt_basis_refuse_a_direction_not_of_shape_3(u):
+    """A unit direction of shape (1, 3) was read as a stack of one and gave
+    Sol3(2) the wrong split (1.442, 0.0) where (0.080, 1.440) is right; other
+    shapes failed inside matmul.  Every shape but (3,) is refused, named."""
+    sol = catalog("Sol3", 2.0).constants
+    u = np.array(u)
+    message = re.escape(f"direction must have shape (3,), got {u.shape}")
+    with pytest.raises(ValueError, match=message):
+        residuals(sol, u)
+    with pytest.raises(ValueError, match=message):
+        adapt_basis(sol, u)
+    geo, conf = residuals(sol, np.array([0.6, 0.8, 0.0]))
+    assert (geo, conf) == pytest.approx((0.08, 1.44), rel=1e-12)
 
 
 def test_residuals_antipodal_and_frame_invariant():

@@ -117,3 +117,16 @@ def test_functions_call_no_numpy_linalg_wrapper():
     probe = "x = np.linalg.inv(a)\ndef f(a):\n    return g(lambda: np.linalg.svd(a))\n"
     assert _linalg_wrapper_calls(probe) == ["np.linalg.svd (line 3)"]
     assert _linalg_wrapper_calls("from numpy.linalg import norm") == ["norm"]
+    # numpy's private error-state machinery is used for exactly the two names
+    # np.errstate itself uses, so that a numpy which moves them fails loudly
+    private = {
+        (node.module, alias.name)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy._core")
+        for alias in node.names
+    }
+    assert private == {
+        ("numpy._core._ufunc_config", "_extobj_contextvar"),
+        ("numpy._core._ufunc_config", "_make_extobj"),
+    }
