@@ -300,12 +300,13 @@ def _load_json_file(path: str):
     it is not JSON (JSON text is UTF-8, RFC 8259) or nests too deeply for
     the parser.
 
-    The file is read as bytes and decoded as UTF-8 in one piece, and a
-    ``\\r\\n`` or lone ``\\r`` becomes ``\\n``, as a text-mode read does;
-    so the document, and every error message with its offsets, is the one
-    ``json.load`` of the file opened as UTF-8 text gives.
+    The file is read as bytes, unbuffered since it is read whole, and
+    decoded as UTF-8 in one piece, and a ``\\r\\n`` or lone ``\\r``
+    becomes ``\\n``, as a text-mode read does; so the document, and every
+    error message with its offsets, is the one ``json.load`` of the file
+    opened as UTF-8 text gives.
     """
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:
         data = fh.read()
     try:
         text = data.decode("utf-8")
