@@ -436,10 +436,13 @@ def orthonormal_frame(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``h1`` is the normalized cross product of ``u`` with the coordinate axis
     least aligned with it (ties resolved toward the lowest index) and
     ``h2 = u x h1``, so ``(h1, h2, u)`` is a right-handed orthonormal frame.
-    A vector whose ``h1`` has length zero, such as the zero vector, is
-    refused with ValueError.
+    A vector whose ``h1`` has length zero, such as the zero vector, and a
+    ``u`` not of shape (3,) are refused with ValueError.
     """
-    h1, h2 = _frame(np.asarray(u, dtype=float).tolist())
+    u = np.asarray(u, dtype=float)
+    if u.shape != (DIM,):
+        raise ValueError(f"direction must have shape (3,), got {u.shape}")
+    h1, h2 = _frame(u.tolist())
     return np.array(h1), np.array(h2)
 
 

@@ -30,10 +30,12 @@ Exit codes: 0 success, 1 invalid input, 2 verification failure.  All output
 is deterministic for fixed flags, and ``--json`` switches to a single
 machine-readable document.
 
-``main`` first reads a plain command line in one pass over the parser's own
-actions (``_plain_args``): top-level flags, then a command, then its flags,
+The command line is defined once, in the ``_COMMANDS`` table, from which
+``build_parser`` builds the argparse parser.  ``main`` first reads a plain
+command line off that table in one pass (``_plain_args``), without
+building argparse: an optional ``--json``, then a command, then its flags,
 each an exact option string given once, and each value one token that does
-not start with ``-``, converted by the flag's own ``type``.  It gives the
+not start with ``-``, converted by the flag's own type.  It gives the
 namespace ``parse_args`` would.  Every other form goes to argparse, which
 alone prints help and usage errors and sets their exit codes: ``-h``,
 abbreviated flags, ``--flag=value``, ``--``, negative numbers, repeated
@@ -628,32 +630,56 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _add_input_flags(sub: argparse.ArgumentParser):
-    source = sub.add_mutually_exclusive_group(required=True)
-    source.add_argument("--input", help="path to a JSON algebra document")
-    source.add_argument(
-        "--group",
-        help=f"catalog group name ({', '.join(catalog_names())})",
-    )
-    sub.add_argument(
-        "--alpha", type=float, default=None, help="parameter for Sol3 / G7"
-    )
-    sub.add_argument(
-        "--metric",
-        help="path to a 3x3 JSON metric matrix (overrides the document metric)",
-    )
-    sub.add_argument(
-        "--tol",
-        type=_tolerance,
-        default=JACOBI_TOL,
-        help="Jacobi-residual acceptance tolerance, relative to |c|_F^2 "
+# Each flag maps to (type, default, help); the type converts its value.
+_INPUT_FLAGS = {
+    "--input": (str, None, "path to a JSON algebra document"),
+    "--group": (str, None, f"catalog group name ({', '.join(catalog_names())})"),
+    "--alpha": (float, None, "parameter for Sol3 / G7"),
+    "--metric": (
+        str,
+        None,
+        "path to a 3x3 JSON metric matrix (overrides the document metric)",
+    ),
+    "--tol": (
+        _tolerance,
+        JACOBI_TOL,
+        "Jacobi-residual acceptance tolerance, relative to |c|_F^2 "
         "(default %(default)g)",
-    )
+    ),
+}
+# A command taking _INPUT_FLAGS takes exactly one of these two.
+_SOURCE_FLAGS = ("--input", "--group")
+
+# The grammar of the command line: each command maps to (handler, help,
+# flags).  build_parser and the plain pass both read it.
+_COMMANDS = {
+    "catalog": (cmd_catalog, "list the built-in groups", {}),
+    "classify": (cmd_classify, "Bianchi type of an algebra", _INPUT_FLAGS),
+    "curvature": (cmd_curvature, "curvature of a metric algebra", _INPUT_FLAGS),
+    "foliations": (
+        cmd_foliations,
+        "search conformal foliations by geodesics",
+        _INPUT_FLAGS,
+    ),
+    "verify-paper": (
+        cmd_verify_paper,
+        "verify the existence classification and the catalog types",
+        {
+            "--samples": (
+                int,
+                100,
+                "random metrics per negative entry, 0 skips (default %(default)s)",
+            ),
+            "--seed": (int, 42, "metric sampling seed"),
+        },
+    ),
+}
 
 
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser of :func:`main`, built once and then reused."""
+    """The argument parser of :func:`main`, built once from ``_COMMANDS``
+    and then reused."""
     parser = _Parser(
         prog="lie3geo",
         description="Left-invariant geometry of 3D Lie groups: Bianchi types, "
@@ -663,170 +689,52 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit one JSON document instead of text"
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("catalog", help="list the built-in groups")
-    sub.set_defaults(func=cmd_catalog)
-
-    sub = commands.add_parser("classify", help="Bianchi type of an algebra")
-    _add_input_flags(sub)
-    sub.set_defaults(func=cmd_classify)
-
-    sub = commands.add_parser("curvature", help="curvature of a metric algebra")
-    _add_input_flags(sub)
-    sub.set_defaults(func=cmd_curvature)
-
-    sub = commands.add_parser(
-        "foliations", help="search conformal foliations by geodesics"
-    )
-    _add_input_flags(sub)
-    sub.set_defaults(func=cmd_foliations)
-
-    sub = commands.add_parser(
-        "verify-paper",
-        help="verify the existence classification and the catalog types",
-    )
-    sub.add_argument(
-        "--samples",
-        type=int,
-        default=100,
-        help="random metrics per negative entry, 0 skips (default %(default)s)",
-    )
-    sub.add_argument("--seed", type=int, default=42, help="metric sampling seed")
-    sub.set_defaults(func=cmd_verify_paper)
+    for name, (handler, text, flags) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=text)
+        source = sub
+        if flags is _INPUT_FLAGS:
+            source = sub.add_mutually_exclusive_group(required=True)
+        for flag, (kind, default, flag_help) in flags.items():
+            owner = source if flag in _SOURCE_FLAGS else sub
+            owner.add_argument(flag, type=kind, default=default, help=flag_help)
+        sub.set_defaults(func=handler)
     return parser
 
 
-_CONST_ACTIONS = (
-    argparse._StoreConstAction,
-    argparse._StoreTrueAction,
-    argparse._StoreFalseAction,
-)
+def _plain_args(argv: list) -> argparse.Namespace | None:
+    """``build_parser().parse_args(argv)`` for a plain ``argv``, read off
+    ``_COMMANDS`` without building argparse; None for any other.
 
-
-def _plain_grammar(parser: argparse.ArgumentParser, outer: tuple[str, ...] = ()):
-    """``(flags, defaults, groups, commands)`` of ``parser`` for
-    :func:`_plain_values`, read off its own actions; None when it holds an
-    argument the plain pass does not know.
-
-    ``flags`` maps each option string of a store or store-const action to
-    ``(action, convert)``, with ``convert`` None for store-const; ``defaults``
-    is the namespace argparse starts from; ``groups`` pairs the members of
-    each mutually exclusive group (and of each required flag alone) with its
-    ``required``; ``commands`` is None or the subparsers' ``(dest, {name:
-    grammar})``.  ``outer`` holds the option strings of the enclosing
-    parsers, which classify a subcommand's tokens first: a flag that two of
-    them start with is ambiguous there, so it is left out.
+    A plain ``argv`` is an optional ``--json``, a command, then that
+    command's flags, each an exact option string given once with one value
+    that does not start with ``-`` and that the flag's type converts, and
+    exactly one of ``--input`` and ``--group`` where the command takes them.
     """
-    if parser.prefix_chars != "-" or parser.fromfile_prefix_chars is not None:
+    if not all(isinstance(token, str) for token in argv):
         return None
-    suppress = argparse.SUPPRESS
-    flags, defaults, groups, commands = {}, {}, [], None
-    for action in parser._actions:
-        if action.dest is not suppress and action.default is not suppress:
-            defaults.setdefault(action.dest, action.default)
-        kind = type(action)
-        if kind is argparse._HelpAction:
-            continue
-        if kind is argparse._SubParsersAction:
-            if commands is not None or action.dest is suppress:
-                return None
-            inner = outer + tuple(parser._option_string_actions)
-            skip = getattr(action, "_deprecated", ())  # they warn on use
-            commands = action.dest, {
-                name: _plain_grammar(sub, inner)
-                for name, sub in action.choices.items()
-                if name not in skip
-            }
-            continue
-        if kind in _CONST_ACTIONS:
-            convert = None
-        elif kind is argparse._StoreAction and action.nargs is None:
-            convert = parser._registry_get("type", action.type, action.type)
-            # argparse converts a string default when the flag is not given
-            if action.choices is not None or (
-                isinstance(action.default, str) and action.type is not None
-            ):
-                return None
-        else:
-            return None
-        if not action.option_strings or getattr(action, "deprecated", False):
-            return None
-        for option in action.option_strings:
-            if sum(o.startswith(option) for o in outer) < 2:
-                flags[option] = action, convert
-        if action.required:
-            groups.append(((action,), True))
-    for group in parser._mutually_exclusive_groups:
-        groups.append((tuple(group._group_actions), group.required))
-    for dest, value in parser._defaults.items():
-        defaults.setdefault(dest, value)
-    return flags, defaults, groups, commands
-
-
-@functools.lru_cache(maxsize=1)
-def _grammar():
-    """The plain pass's grammar of :func:`build_parser`, read once."""
-    return _plain_grammar(build_parser())
-
-
-def _plain_values(grammar, argv: list[str]) -> dict | None:
-    """The namespace ``parse_args`` gives for ``argv``, as a dict, when
-    ``argv`` is plain: the parser's flags, then a command, then that
-    command's flags, likewise.  Each flag is an exact option string, given
-    once; a store flag takes one value that does not start with ``-`` and
-    converts by the action's ``type``; each exclusive group holds at most
-    one member, and a required one a member that differs from its default.
-    Anything else gives None."""
-    flags, defaults, groups, commands = grammar
+    as_json = argv[:1] == ["--json"]
+    head = 1 if as_json else 0
+    if head == len(argv) or argv[head] not in _COMMANDS:
+        return None
+    handler, _, flags = _COMMANDS[argv[head]]
+    rest = argv[head + 1 :]
+    if len(rest) % 2:
+        return None
     given = {}
-    i, n = 0, len(argv)
-    while i < n and argv[i] in flags:
-        action, convert = flags[argv[i]]
-        if action in given:
-            return None
-        if convert is None:
-            given[action] = action.const
-            i += 1
-            continue
-        if i + 1 == n or argv[i + 1].startswith("-"):
+    for flag, value in zip(rest[::2], rest[1::2]):
+        if flag not in flags or flag in given or value.startswith("-"):
             return None
         try:
-            given[action] = convert(argv[i + 1])
+            given[flag] = flags[flag][0](value)
         except (argparse.ArgumentTypeError, TypeError, ValueError):
             return None
-        i += 2
-    for members, required in groups:
-        present = [a for a in members if a in given]
-        if len(present) > 1:
-            return None
-        if required and all(given[a] is a.default for a in present):
-            return None
-    values = dict(defaults)
-    for action, value in given.items():
-        values[action.dest] = value
-    if commands is None:
-        return values if i == n else None
-    dest, choices = commands
-    sub = choices.get(argv[i]) if i < n else None
-    inner = None if sub is None else _plain_values(sub, argv[i + 1 :])
-    if inner is None:
-        return None
-    values[dest] = argv[i]
-    values.update(inner)
-    return values
-
-
-def _plain_args(argv: list) -> argparse.Namespace | None:
-    """``build_parser().parse_args(argv)`` for a plain ``argv`` (see
-    :func:`_plain_values`), without argparse; None for any other."""
-    grammar = _grammar()
-    if grammar is None or not all(isinstance(token, str) for token in argv):
-        return None
-    values = _plain_values(grammar, argv)
-    if values is None:
-        return None
-    args = argparse.Namespace()
-    vars(args).update(values)
+    source, other = _SOURCE_FLAGS
+    if flags is _INPUT_FLAGS and (source in given) == (other in given):
+        return None  # both source flags, or neither
+    args = argparse.Namespace(json=as_json, command=argv[head], func=handler)
+    for flag, (_, default, _) in flags.items():
+        # the attribute argparse names the flag's value by
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
     return args
 
 

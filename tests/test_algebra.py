@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -191,6 +192,19 @@ def test_orthonormal_frame_is_right_handed():
     assert np.allclose(h1, [0.0, -1.0, 0.0])
     assert np.allclose(h2, [1.0, 0.0, 0.0])
 
+
+@pytest.mark.parametrize(
+    "u",
+    [1.0, [[0.6, 0.8, 0.0]], [[0.6], [0.8], [0.0]], [0.6, 0.8], [0.6, 0.8, 0.0, 0.0]],
+    ids=["scalar", "row", "column", "two", "four"],
+)
+def test_orthonormal_frame_refuses_a_direction_not_of_shape_3(u):
+    """These failed with a TypeError or an unpacking ValueError from inside
+    the completion; each is refused, named, as residuals refuses it."""
+    u = np.array(u)
+    message = re.escape(f"direction must have shape (3,), got {u.shape}")
+    with pytest.raises(ValueError, match=message):
+        orthonormal_frame(u)
 
 def _np_cross_frame(u):
     """The completion that orthonormal_frame computed on numpy arrays, before

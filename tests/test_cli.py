@@ -1179,6 +1179,13 @@ _EDGE_ARGVS = [
     ["verify-paper", "--samples", "0", "--seed", "0"],
     ["verify-paper", "--samp", "5"],
     ["verify-paper", "--samples=5"],
+    ["--json"],
+    ["catalog", "--json"],
+    ["foliations", "--input", "a.json", "--tol"],
+    ["verify-paper", "--seed", "1", "--seed", "2"],
+    ["classify", "--metric", "m.json"],
+    ["--json", "catalog", "extra"],
+    ["foliations", "--input", "a.json", "--input", "a.json"],
 ]
 
 
@@ -1253,27 +1260,25 @@ def test_plain_pass_matches_argparse(tmp_path):
     assert taken >= 100 and len(mixed) - taken >= 1500
 
 
-def test_plain_pass_leaves_unknown_kinds_and_ambiguous_flags_to_argparse():
-    """The grammar is read off any parser: a command holding an argument
-    kind the pass does not know always declines, and so does a subcommand
-    flag that the top level, which sees it first, finds ambiguous."""
-    parser = cli._Parser(prog="p")
-    parser.add_argument("--verbose", action="store_true")
-    parser.add_argument("--version-file")
-    commands = parser.add_subparsers(dest="command", required=True)
-    run_parser = commands.add_parser("run")
-    run_parser.add_argument("--ver")
-    run_parser.add_argument("--count", type=int, default=0)
-    commands.add_parser("other").add_argument("--item", action="append")
-    grammar = cli._plain_grammar(parser)
-    argv = ["--verbose", "run", "--count", "3"]
-    assert cli._plain_values(grammar, argv) == vars(parser.parse_args(argv))
-    assert vars(parser.parse_args(["other", "--item", "x"]))["item"] == ["x"]
-    assert cli._plain_values(grammar, ["other", "--item", "x"]) is None
-    with contextlib.redirect_stderr(io.StringIO()) as err, pytest.raises(SystemExit):
-        parser.parse_args(["run", "--ver", "x"])
-    assert "ambiguous option: --ver" in err.getvalue()
-    assert cli._plain_values(grammar, ["run", "--ver", "x"]) is None
+def test_plain_argv_never_builds_argparse(capsys, monkeypatch, tmp_path):
+    """The plain pass reads the command table, so the README lines, the
+    golden argvs and the benchmark's form run without the parser; help
+    still reaches it."""
+    # the README's files, written where its lines name them
+    monkeypatch.chdir(tmp_path)
+    path = write_doc(tmp_path, {"c": _SPARSE}, "my_algebra.json")
+    (tmp_path / "diag.json").write_text("[[1, 0, 0], [0, 2, 0], [0, 0, 3]]")
+    bench_form = ["--json", "foliations", "--input", path]
+    argvs = [*_readme_argvs(), *_golden_argvs(), bench_form]
+
+    def no_parser():
+        raise AssertionError("argparse was built")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    for argv in argvs:
+        assert run(capsys, argv)[0] == 0, argv
+    with pytest.raises(AssertionError, match="argparse was built"):
+        cli.main(["-h"])
 
 
 @pytest.mark.parametrize(

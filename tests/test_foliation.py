@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brackets_across_scales, random_gl, random_orthogonal, random_spd
+from conftest import (
+    brackets_across_scales,
+    random_gl,
+    random_orthogonal,
+    random_spd,
+    reconstruct,
+)
 
 from lie3geo import algebra, bianchi, foliation, geometry
 
@@ -148,6 +154,16 @@ def test_search_nil_finds_vertical_axis():
     assert cand.direction[2] > 0  # canonical sign
     assert cand.total_residual_sq < 1e-14
 
+
+def test_canonical_sign_makes_the_first_of_two_largest_components_positive():
+    # Milnor n = [[1, -1, 0], [-1, 1, 0], [0, 0, 0]] is type II, and its one
+    # direction has |u_x| = |u_y| exactly; np.argmax picks x, so u_x > 0
+    n = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    rep = search_directions(StructureConstants(reconstruct(n, np.zeros(3))))
+    assert [cand.family.tag for cand in rep.directions] == ["II"]
+    u = rep.directions[0].direction.tolist()
+    assert u == [0.7071067811865475, -0.7071067811865475, -0.0]
+    assert abs(u[0]) == abs(u[1])
 
 def test_search_h2xr_and_sl2():
     for name in ["H2xR", "SL2R~"]:

@@ -130,3 +130,43 @@ def test_functions_call_no_numpy_linalg_wrapper():
         ("numpy._core._ufunc_config", "_extobj_contextvar"),
         ("numpy._core._ufunc_config", "_make_extobj"),
     }
+
+
+def _private_reads(source: str) -> list[str]:
+    """Each private name that ``source`` reads off an object or imports
+    from outside the package: ``x._name``, ``getattr(x, "_name")`` and
+    ``from module import _name``.  Dunder names are not private here."""
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            found.append(f"{_dotted(node) or node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.Call) and _dotted(node.func) in ("getattr", "hasattr"):
+            name = node.args[1] if len(node.args) > 1 else None
+            if isinstance(name, ast.Constant) and private(str(name.value)):
+                found.append(f"{name.value} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found += [a.name for a in node.names if private(a.name)]
+    return sorted(found)
+
+
+def test_cli_reads_no_private_argparse_name():
+    # the plain pass reads the command table, not the parser's internals, so
+    # an argparse release that renames them cannot change what it accepts
+    source = (Path(lie3geo.__file__).resolve().parent / "cli.py").read_text(encoding="utf-8")
+    assert _private_reads(source) == []
+    probe = (
+        "import argparse\nfrom argparse import _StoreAction\n"
+        "def f(parser, action):\n"
+        "    kind = argparse._HelpAction\n"
+        "    return parser._actions, getattr(action, '_deprecated', ()), kind.__name__\n"
+    )
+    assert _private_reads(probe) == [
+        "_StoreAction",
+        "_deprecated (line 5)",
+        "argparse._HelpAction (line 4)",
+        "parser._actions (line 5)",
+    ]
