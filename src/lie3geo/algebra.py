@@ -92,7 +92,6 @@ _LAPACK = {
         ("eigh_lo", "Eigenvalues did not converge"),
         ("eigvalsh_lo", "Eigenvalues did not converge"),
         ("svd_s", "SVD did not converge"),
-        ("svd_f", "SVD did not converge"),
     )
 }
 
@@ -103,14 +102,14 @@ def _lapack(name: str, a: np.ndarray):
 
     ``cholesky_lo`` is ``np.linalg.cholesky``, ``eigh_lo`` and
     ``eigvalsh_lo`` are ``np.linalg.eigh`` and ``np.linalg.eigvalsh``, and
-    ``svd_s`` and ``svd_f`` are ``np.linalg.svd`` with ``full_matrices``
-    false and true; several results come as a plain tuple.  The error state
-    is the wrapper's: a LAPACK failure, which the gufunc signals as an
-    invalid floating-point operation, raises ``LinAlgError`` with the
-    wrapper's message, and no other floating-point condition warns.  It is
-    set and reset as ``np.errstate`` enters and exits, from the state built
-    once in ``_LAPACK``, whose buffer size (which no float64 call reads) is
-    the one in force at import.
+    ``svd_s`` is ``np.linalg.svd`` with ``full_matrices`` false, which on a
+    square matrix is the full SVD bit for bit; several results come as a
+    plain tuple.  The error state is the wrapper's: a LAPACK failure, which
+    the gufunc signals as an invalid floating-point operation, raises
+    ``LinAlgError`` with the wrapper's message, and no other floating-point
+    condition warns.  It is set and reset as ``np.errstate`` enters and
+    exits, from the state built once in ``_LAPACK``, whose buffer size
+    (which no float64 call reads) is the one in force at import.
     """
     gufunc, extobj = _LAPACK[name]
     token = _extobj_contextvar.set(extobj)
@@ -227,9 +226,13 @@ def jacobi_residual(sc: StructureConstants) -> float:
     antisymmetric bracket is alternating, so in three dimensions one triple
     fixes every triple: ``J(e_i, e_j, e_k) = eps[i,j,k] J(e_0, e_1, e_2)``.
     The Euclidean norm of ``J(e_0, e_1, e_2)`` is therefore the maximum
-    over all 27 triples.  Exactly zero for a Lie algebra.
+    over all 27 triples.  Exactly zero for a Lie algebra.  It is measured
+    on the brackets times an exact power of two and scaled back, so it
+    neither underflows nor overflows however small or large they are; it is
+    at most ``|c|_F^2 / sqrt(2)``, which the constructor keeps finite.
     """
-    return _jacobi(_JACOBI_ROWS @ _products(sc.c)[1])
+    check = _scaled_jacobi(sc)
+    return math.ldexp(check.residual, 2 * check.k)
 
 
 def _jacobi(cyclic: np.ndarray) -> float:
@@ -396,7 +399,7 @@ def _conditioned_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """
     if not np.isfinite(m).all():
         raise ValueError(_SINGULAR)
-    u, s, vt = _lapack("svd_f", m)
+    u, s, vt = _lapack("svd_s", m)
     if s[-1] == 0.0 or s[0] / s[-1] > CONDITION_LIMIT:
         raise ValueError(_SINGULAR)
     return u, s, vt

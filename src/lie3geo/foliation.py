@@ -66,14 +66,14 @@ spacing next to them, so the CLI reads it only when no direction is found.
 It decides no verdict, and the search never scans it.  The report computes
 it on the first read of ``lattice_min_residual`` and caches it, so a caller
 that reads only the verdict never waits for it; the report keeps the
-search's scaled brackets and builds the connection table from them on that
-first read, so a search that the screen decides never forms the table.  On
-the sphere ``r`` is a homogeneous sextic (``A`` becomes
-``|u|^2 T - u du^T``), fixed by its values at 28 samples, so the
-certificate interpolates the search's own kernel from them: a float32
-product with a cached table screens the lattice, and the points within a
-rigorous round-off bound are measured again in float64.  The least value is
-the one a float64 scan of ``r`` would find.
+search's Jacobi check and builds the connection table from its scaled
+brackets on that first read, so a search that the screen decides never
+forms the table.  The certificate reads the screen's sextic coefficients
+off the same check: a float32 product with a cached table of the basis
+``(s_j . p)^6`` at the lattice points ``p`` screens the lattice, and the
+points within a rigorous round-off bound are measured again in float64 by
+the search's own kernel.  The least value is the one a float64 scan of
+``r`` would find.
 
 Each direction found carries the adapted bracket coefficients read off along
 it (:func:`adapt_basis`) and the Bianchi type of their family
@@ -94,6 +94,7 @@ from .algebra import (
     MetricSpec,
     StructureConstants,
     _BASIS_TENSORS,
+    _ScaledJacobi,
     _frame,
     _lapack,
     _norm,
@@ -171,36 +172,29 @@ class FoliationReport:
     left-invariant), so the list is left empty and ``admits`` is true.
     Otherwise ``admits`` is true exactly when the (deduplicated, antipodally
     identified) direction list is nonempty.  ``lattice_min_residual`` is the
-    certificate of a non-admitting result, measured with the search's
-    residual kernel on the connection table ``_gamma`` at the first read of
-    any non-constant report; ``admits`` never waits for it.  The report keeps
-    the search's scaled brackets ``_scaled``, the brackets times ``2**-_k``,
-    and builds ``_gamma`` from them on its first read, so a search whose
-    screen decides it never forms the table; the floor is scaled back by
-    ``4**_k``.
+    certificate of a non-admitting result, computed at the first read of any
+    non-constant report; ``admits`` never waits for it.  The report keeps
+    the search's Jacobi check ``_check`` (``None`` on constant curvature):
+    the floor screens the lattice with the sextic coefficients the search
+    formed there, measures the points that pass with the residual kernel on
+    a connection table of the scaled brackets, built only then, and is
+    scaled back by ``4**k``.
     """
 
     constant_curvature: bool
     directions: tuple[FoliationCandidate, ...]
     admits: bool
     lattice_size: int
-    _scaled: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _k: int = field(default=0, repr=False, compare=False)
-
-    @cached_property
-    def _gamma(self) -> np.ndarray | None:
-        """The connection table of ``_scaled``; ``None`` on constant
-        curvature."""
-        # the body's _gamma is geometry's Koszul formula, not this property
-        return None if self._scaled is None else _gamma(self._scaled)
+    _check: _ScaledJacobi | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def lattice_min_residual(self) -> float | None:
         """The least squared residual over the ``lattice_size``-point
         Fibonacci lattice; ``None`` on constant curvature."""
-        if self._gamma is None:
+        check = self._check
+        if check is None:
             return None
-        return math.ldexp(_lattice_floor(self._gamma), 2 * self._k)
+        return math.ldexp(_lattice_floor(check), 2 * check.k)
 
 
 @dataclass(frozen=True)
@@ -272,45 +266,50 @@ _LATTICE_SLACK = 128 * 2.0**-24
 
 @lru_cache(maxsize=1)
 def _lattice():
-    """The lattice points, shape (n, 3) for ``n = LATTICE_DEFAULT``; the
+    """The lattice points, shape (n, 3) for ``n = LATTICE_DEFAULT``, and the
     read-only float32 (28, n) table of the float64 powers ``(s . p)^6`` for
-    samples ``s`` and points ``p``; and ``_INVERSE``, the inverse of
-    ``(s_i . s_j)^6``.  Built row by row, so one float64 row is the only
-    temporary."""
+    samples ``s`` and points ``p``.  Built row by row, so one float64 row is
+    the only temporary."""
     points = _fibonacci_points(LATTICE_DEFAULT)
     table = np.empty((len(_SAMPLES), LATTICE_DEFAULT), dtype=np.float32)
     for row, s in zip(table, _SAMPLES):
         square = (points @ s) ** 2
         np.multiply(square * square, square, out=row)
     table.setflags(write=False)
-    return points, table, _INVERSE
+    return points, table
 
 
-def _lattice_floor(gamma: np.ndarray) -> float:
-    """The least squared residual over ``_lattice()`` for the connection
-    table ``gamma``, as a float64 scan with ``_residual_vector`` finds it.
+def _lattice_floor(check: _ScaledJacobi) -> float:
+    """The least squared residual over ``_lattice()`` of the scaled brackets
+    of the search's Jacobi check ``check``, as a float64 scan with
+    ``_residual_vector`` finds it.
 
-    ``coeff = inverse @ r(s)``, with ``r(s)`` scaled to a maximum of 1, gives
-    ``r = sum_j coeff_j (s_j . u)^6`` on the sphere.  For ``S = sum|coeff|``
+    ``coeff = check.quadratic[84:]`` are the sextic coefficients of ``r``
+    that ``_screen`` reads, and ``sum_j coeff_j (s_j . u)^6`` is within
+    ``_SCREEN_SLACK * C`` of the kernel's ``r`` at every unit ``u``, for
+    ``C = check.scale_sq`` (proved in ``_screen``).  For ``S = sum|coeff|``
     and ``e = 2**-24``, each value of the float32 screen ``coeff @ table``
-    is within ``31 e S`` of the float64 interpolant: ``e S`` each for
-    rounding ``coeff`` and the table (``|table| <= 1``), ``28 e S`` for the
-    float32 sum in any order or with fused multiply-adds, and ``e S`` for
+    is within ``31 e S`` of that float64 sextic: ``e S`` each for rounding
+    ``coeff`` and the table (``|table| <= 1``), ``28 e S`` for the float32
+    sum in any order or with fused multiply-adds, and ``e S`` for
     higher-order terms and the float64 powers.  So the float64 minimiser is
     within ``63 e S`` of the float32 minimum (one ``e S`` rounds the
-    threshold), plus twice the float64 gap between interpolant and ``r``:
-    sample round-off times the Lebesgue constant, under ``0.02 e S`` even at
-    ``max r = 2.5e-15 |Gamma|^2``.  ``_LATTICE_SLACK * S = 128 e S`` covers
-    both.  The points that pass are measured again, each by a vector-matrix
-    product of its own, so no value depends on which other points passed.
+    threshold), plus ``2 * _SCREEN_SLACK * C``; ``_LATTICE_SLACK * S =
+    128 e S`` covers the first.  No normalisation is needed: the brackets
+    are scaled, so ``0.5 <= C < 18`` and ``|coeff| < 200``, well inside
+    float32's range, and float32 underflow, in rounding tiny coefficients
+    and their products, costs at most ``28 * 2**-149``, which
+    ``2 * _SCREEN_SLACK * C`` covers.  The points
+    that pass are measured again, each by a vector-matrix product of its
+    own, so no value depends on which other points passed.
     """
-    points, table, inverse = _lattice()
-    v = _residual_vector(gamma, _SAMPLES)
-    r = np.vecdot(v, v)
-    coeff = inverse @ (r / r.max())
+    points, table = _lattice()
+    coeff = check.quadratic[84:]
     r32 = coeff.astype(np.float32) @ table
-    bound = np.float32(float(r32.min()) + _LATTICE_SLACK * float(np.abs(coeff).sum()))
-    v = _residual_vector(gamma, points[np.flatnonzero(r32 <= bound), None, :])
+    slack = _LATTICE_SLACK * float(np.abs(coeff).sum())
+    bound = np.float32(float(r32.min()) + slack + 2 * _SCREEN_SLACK * check.scale_sq)
+    u = points[np.flatnonzero(r32 <= bound), None, :]
+    v = _residual_vector(_gamma(check.scaled), u)
     return float(np.vecdot(v, v).min())
 
 
@@ -428,7 +427,8 @@ def search_directions(
     components.  The search does not scan the lattice: the report's
     ``lattice_min_residual``, the least squared residual over the fixed
     20000-point (``LATTICE_DEFAULT``) Fibonacci lattice, is computed on its
-    first read with the search's own residual kernel.  It certifies an
+    first read from the screen's coefficients and the search's own residual
+    kernel.  It certifies an
     empty direction list without deciding it; each direction found is
     certified by its own residuals.  Each candidate carries its
     :func:`adapt_basis` coefficients and their :func:`classify_family` type;
@@ -465,8 +465,7 @@ def search_directions(
             directions=(),
             admits=False,
             lattice_size=LATTICE_DEFAULT,
-            _scaled=scaled,
-            _k=check.k,
+            _check=check,
         )
     v = _residual_vector(_gamma(scaled), stack)
     limit = ACCEPT_RESIDUAL_SQ * scale_sq
@@ -516,8 +515,7 @@ def search_directions(
         directions=tuple(candidates),
         admits=bool(candidates),
         lattice_size=LATTICE_DEFAULT,
-        _scaled=scaled,
-        _k=k,
+        _check=check,
     )
 
 

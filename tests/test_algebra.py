@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -125,6 +126,37 @@ def test_nan_tolerance_accepts_nothing():
         with pytest.raises(NotLieAlgebraError, match="not a Lie algebra"):
             algebra._require_scaled_lie(sc, float("nan"))
         assert not sc.is_valid(float("nan"))
+
+
+def _unscaled_jacobi_residual(sc):
+    """The Jacobi residual computed on the brackets as they are, which
+    underflows or overflows outside about 1e-77 .. 1e77: the reference
+    inside that range."""
+    return algebra._jacobi(algebra._JACOBI_ROWS @ algebra._products(sc.c)[1])
+
+
+def test_jacobi_residual_holds_at_every_scale():
+    """From 1e-60 to 1e60 the residual has the bits of the unscaled formula;
+    times ``2**k`` the brackets give it times ``4**k`` exactly, where the
+    unscaled formula gave 0 or overflowed; and SU2 in a random basis keeps
+    a round-off residual, neither 0 nor inf, at 1e-100, 1e100 and 1e150."""
+    rng = np.random.default_rng(37)
+    su2 = change_basis(catalog("SU2").constants, random_gl(rng))
+    tensor = StructureConstants(rng.standard_normal((3, 3, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sc in (su2, tensor):
+            for k in range(-60, 61, 5):
+                scaled = StructureConstants(10.0**k * sc.c)
+                want = _unscaled_jacobi_residual(scaled)
+                assert jacobi_residual(scaled).hex() == want.hex()
+            for k in (-500, -340, 260, 500):
+                got = jacobi_residual(StructureConstants(np.ldexp(sc.c, k)))
+                assert got == math.ldexp(jacobi_residual(sc), 2 * k)
+        for scale in (1e-100, 1e100, 1e150):
+            sc = StructureConstants(scale * su2.c)
+            assert 0.0 < jacobi_residual(sc) <= 1e-14 * float(np.vdot(sc.c, sc.c))
+    assert jacobi_residual(tensor) > 0.1
 
 
 @pytest.mark.parametrize("scale", [1e-160, 1e-150, 1.0, 1e150, 1e160])
@@ -493,8 +525,9 @@ def test_lapack_matches_numpy_linalg_bit_for_bit():
         lower = algebra._lapack("cholesky_lo", g)
         _same_bits(lower, np.linalg.cholesky(g))
         _same_bits(MetricSpec(g)._lower, lower)
+        # _conditioned_svd's thin SVD of a square matrix is the full one
         for m in (lower, random_gl(rng)):
-            _same_bits(algebra._lapack("svd_f", m), tuple(np.linalg.svd(m)))
+            _same_bits(algebra._lapack("svd_s", m), tuple(np.linalg.svd(m)))
         cases += 1
     assert cases == 240 + 100 + 60
 
@@ -520,7 +553,6 @@ _WRAPPERS = {
     "eigh_lo": np.linalg.eigh,
     "eigvalsh_lo": np.linalg.eigvalsh,
     "svd_s": lambda a: np.linalg.svd(a, full_matrices=False),
-    "svd_f": np.linalg.svd,
 }
 
 
@@ -540,7 +572,6 @@ def _outcome(call, a):
         ("eigh_lo", (3, 3), "Eigenvalues did not converge"),
         ("eigvalsh_lo", (3, 3), "Eigenvalues did not converge"),
         ("svd_s", (9, 3), "SVD did not converge"),
-        ("svd_f", (3, 3), "SVD did not converge"),
     ],
 )
 def test_lapack_fails_as_numpy_linalg_does(name, shape, message):
@@ -549,7 +580,7 @@ def test_lapack_fails_as_numpy_linalg_does(name, shape, message):
     eigensolvers and the SVDs; the Cholesky factorisation fails on a
     matrix that is not positive definite, and on NaN it returns NaN without
     an error in both."""
-    wrapper = tuple if name in ("eigh_lo", "svd_s", "svd_f") else np.asarray
+    wrapper = tuple if name in ("eigh_lo", "svd_s") else np.asarray
     inputs = [np.full(shape, np.nan), np.eye(*shape), np.eye(*shape)]
     inputs[1][1, 1] = np.nan
     inputs[2][1, 1] = -1.0
@@ -590,7 +621,6 @@ def test_lapack_restores_the_callers_error_state(caller):
             ("eigh_lo", np.eye(3), np.full((3, 3), np.nan)),
             ("eigvalsh_lo", np.eye(3), np.full((3, 3), np.nan)),
             ("svd_s", np.eye(3), np.full((3, 3), np.nan)),
-            ("svd_f", np.eye(3), np.full((3, 3), np.nan)),
         ):
             algebra._lapack(name, good)
             assert _error_state() == before, name
@@ -608,7 +638,6 @@ def test_lapack_failure_raises_numpys_message_inside_errstate_raise():
         ("eigh_lo", np.full((3, 3), np.nan), "Eigenvalues did not converge"),
         ("eigvalsh_lo", np.full((3, 3), np.nan), "Eigenvalues did not converge"),
         ("svd_s", np.full((9, 3), np.nan), "SVD did not converge"),
-        ("svd_f", np.full((3, 3), np.nan), "SVD did not converge"),
     ):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -670,8 +670,10 @@ def test_reported_facts_invariant_under_bracket_and_metric_scale():
 
 def test_lattice_table_holds_sextic_monomials_read_only():
     """The table holds, per lattice point, the sextics (s . p)^6 of the 28
-    samples s, a basis of the sextic forms on the sphere."""
-    points, table, inverse = foliation._lattice()
+    samples s, a basis of the sextic forms on the sphere (``_INVERSE``
+    inverts their matrix at the samples)."""
+    points, table = foliation._lattice()
+    inverse = foliation._INVERSE
     assert table.shape == (28, LATTICE_DEFAULT) and table.dtype == np.float32
     assert not (points.flags.writeable or table.flags.writeable or inverse.flags.writeable)
     powers = (foliation._SAMPLES @ points.T) ** 6
@@ -685,7 +687,7 @@ def _interpolated_sextic(gamma, u):
     """r at the unit vectors ``u`` (shape (n, 3)) through the sextic fixed by
     its values at ``_SAMPLES``."""
     v = foliation._residual_vector(gamma, foliation._SAMPLES)
-    coeff = foliation._lattice()[2] @ np.vecdot(v, v)
+    coeff = foliation._INVERSE @ np.vecdot(v, v)
     return ((u @ foliation._SAMPLES.T) ** 6) @ coeff
 
 
@@ -704,30 +706,50 @@ def test_sextic_map_matches_quadratic_form_and_residuals():
         assert np.abs(sextic - np.vecdot(v, v)).max() <= 1e-12 * scale_sq
 
 
-def test_sample_interpolation_reproduces_residuals():
-    """The sextic through r at ``_SAMPLES`` is r at every lattice point: to
-    float64 round-off, and through the float32 table within the 31 e S of
-    the screen's bound (``_lattice_floor``)."""
-    points, table, inverse = foliation._lattice()
-    powers = (foliation._SAMPLES @ points.T) ** 6
-    for sc, _ in brackets_across_scales(seed=15, per_scale=4):
-        gamma = connection(sc).gamma
-        v = foliation._residual_vector(gamma, foliation._SAMPLES)
-        at_samples = np.vecdot(v, v)
-        coeff = inverse @ (at_samples / at_samples.max())
-        v = foliation._residual_vector(gamma, points)
-        want = np.vecdot(v, v) / at_samples.max()
-        size = np.abs(coeff).sum()
-        assert np.abs(coeff @ powers - want).max() <= 1e-12 * size
-        screen = coeff.astype(np.float32) @ table
-        assert np.abs(screen - want).max() <= 31 * 2.0**-24 * size
-
-
 def _float64_scan(gamma):
     """The squared residual at every lattice point, each point through a
     vector-matrix product of its own, as the certificate's recheck does."""
     v = foliation._residual_vector(gamma, foliation._lattice()[0][:, None, :])
-    return np.vecdot(v, v)
+    return np.vecdot(v, v)[:, 0]
+
+
+def test_sample_interpolation_reproduces_residuals():
+    """The sextic whose coefficients in the basis ``(s_j . u)^6`` the search
+    forms (rows 84-111 of its product) is r at every lattice point, within
+    a thousandth of the ``_SCREEN_SLACK * |c|_F^2`` that ``_screen`` proves
+    for every unit direction."""
+    points = foliation._lattice()[0]
+    powers = (foliation._SAMPLES @ points.T) ** 6
+    for sc, _ in brackets_across_scales(seed=15, per_scale=4):
+        check = algebra._scaled_jacobi(sc, foliation._SEARCH)
+        want = _float64_scan(geometry._gamma(check.scaled))
+        gap = np.abs(check.quadratic[84:] @ powers - want).max()
+        assert gap <= foliation._SCREEN_SLACK / 1000 * check.scale_sq
+
+
+def _lattice_corpus():
+    """(check, gamma): the search's Jacobi check and the connection table of
+    its scaled brackets, on every third input of ``_screen_corpus``, whose
+    first third holds its ``tol = inf`` tensors."""
+    for sc, _ in itertools.islice(_screen_corpus(), 0, None, 3):
+        check = algebra._scaled_jacobi(sc, foliation._SEARCH)
+        yield check, geometry._gamma(check.scaled)
+
+
+def test_float32_lattice_screen_is_within_its_bound():
+    """At every lattice point, the float32 screen of the search's sextic
+    coefficients is within ``31 e S + _SCREEN_SLACK * C`` of the kernel
+    (``_lattice_floor``), for ``e = 2**-24``, ``S = sum|coeff|`` and
+    ``C = |c|_F^2`` of the scaled brackets."""
+    table = foliation._lattice()[1]
+    inputs = 0
+    for check, gamma in _lattice_corpus():
+        coeff = check.quadratic[84:]
+        screen = coeff.astype(np.float32) @ table
+        bound = 31 * 2.0**-24 * np.abs(coeff).sum() + foliation._SCREEN_SLACK * check.scale_sq
+        assert np.abs(screen - _float64_scan(gamma)).max() <= bound
+        inputs += 1
+    assert inputs == 76
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -740,15 +762,47 @@ def test_certificate_is_the_least_of_a_float64_scan(case, scale):
     assert rep.lattice_min_residual == float(_float64_scan(connection(sc).gamma).min())
 
 
+def test_certificate_is_the_least_of_a_float64_scan_beyond_lie_inputs():
+    """On the inputs of ``_lattice_corpus``, non-Lie tensors searched with
+    ``tol = inf`` and brackets at 1e-160 .. 1e150 included, the floor is the
+    least of a float64 scan of the scaled brackets, bit for bit."""
+    for check, gamma in _lattice_corpus():
+        want = float(_float64_scan(gamma).min())
+        assert foliation._lattice_floor(check).hex() == want.hex()
+
+
+def test_certificate_runs_the_kernel_only_on_its_recheck(monkeypatch):
+    """A certificate read measures only the lattice points that pass the
+    float32 screen, as one (n, 1, 3) stack, and never evaluates the kernel
+    at the interpolation samples: the coefficients are the search's."""
+    shapes = []
+    kernel = foliation._residual_vector
+
+    def recorded(gamma, u):
+        shapes.append(u.shape)
+        return kernel(gamma, u)
+
+    monkeypatch.setattr(foliation, "_residual_vector", recorded)
+    rng = np.random.default_rng(89)
+    for name, alpha in (("G4", None), ("Sol3", 0.5), ("Sol3", 1.0), ("Nil3", None)):
+        for _ in range(3):
+            sc = change_basis(catalog(name, alpha).constants, random_gl(rng))
+            rep = search_directions(orthonormalize(sc, MetricSpec(random_spd(rng))))
+            shapes.clear()
+            assert rep.lattice_min_residual >= 0.0
+            (n, one, three), = shapes
+            assert 1 <= n < LATTICE_DEFAULT and (one, three) == (1, 3)
+
+
 @pytest.fixture
 def lattice_scans(monkeypatch):
-    """The connection tables of every lattice scan made while the test runs."""
+    """The Jacobi checks of every lattice scan made while the test runs."""
     scans = []
     floor = foliation._lattice_floor
 
-    def counted(gamma):
-        scans.append(gamma)
-        return floor(gamma)
+    def counted(check):
+        scans.append(check)
+        return floor(check)
 
     monkeypatch.setattr(foliation, "_lattice_floor", counted)
     return scans
@@ -777,9 +831,10 @@ def test_certificate_scans_once_on_first_read(lattice_scans):
 
 
 def test_lattice_floor_when_every_point_passes_the_screen(monkeypatch):
-    """A kernel whose r is |u|^2, which is 1 on the sphere: the float32
-    values differ by round-off only, so every point passes the screen and is
-    measured again, and the floor is still the least of the float64 scan."""
+    """A kernel whose r is |u|^2, with the sextic coefficients of |u|^6,
+    which is 1 on the sphere: the float32 values differ by round-off only,
+    so every point passes the screen and is measured again, and the floor
+    is still the least of the float64 scan."""
     measured = []
 
     def unit_sphere(gamma, u):
@@ -787,8 +842,12 @@ def test_lattice_floor_when_every_point_passes_the_screen(monkeypatch):
         return np.concatenate((u, np.zeros(u.shape[:-1] + (9,))), axis=-1)
 
     monkeypatch.setattr(foliation, "_residual_vector", unit_sphere)
-    got = foliation._lattice_floor(np.zeros((3, 3, 3)))
-    assert measured == [(28, 3), (LATTICE_DEFAULT, 1, 3)]
+    coeff = foliation._INVERSE @ np.ones(28)
+    check = algebra._ScaledJacobi(
+        np.zeros((3, 3, 3)), None, np.concatenate((np.zeros(84), coeff)), 0.0, 1.0, 0
+    )
+    got = foliation._lattice_floor(check)
+    assert measured == [(LATTICE_DEFAULT, 1, 3)]
     assert got == float(_float64_scan(None).min())
 
 
@@ -835,7 +894,7 @@ def test_verdict_path_skips_report_only_work(monkeypatch):
     for name, alpha in (("Sol3", 2.0), ("G4", None), ("Nil3", None)):
         sc = change_basis(catalog(name, alpha).constants, random_gl(rng))
         metric = MetricSpec(random_spd(rng))
-        assert calls[-2:] == ["svd_f", "cholesky_lo"]
+        assert calls[-2:] == ["svd_s", "cholesky_lo"]
         calls.clear()
         sc = orthonormalize(sc, metric)
         rep = search_directions(sc)
@@ -849,10 +908,10 @@ def test_verdict_path_skips_report_only_work(monkeypatch):
 
 
 def test_screened_search_builds_no_connection_table(monkeypatch):
-    """A search that the screen decides keeps the scaled brackets and forms no
+    """A search that the screen decides keeps its Jacobi check and forms no
     connection table; the first read of the certificate builds the table
-    once, and its floor is the one of a table built in the search, bit for
-    bit."""
+    once, from the check's scaled brackets, and its floor is the one of the
+    check, bit for bit."""
     calls = []
     table = geometry._gamma
 
@@ -868,19 +927,19 @@ def test_screened_search_builds_no_connection_table(monkeypatch):
             sc = orthonormalize(sc, MetricSpec(random_spd(rng)))
             rep = search_directions(sc)
             assert not rep.admits and calls == []
-            check = algebra._scaled_jacobi(sc)
-            assert rep._scaled.tobytes() == check.scaled.tobytes()
+            check = algebra._scaled_jacobi(sc, foliation._SEARCH)
+            assert rep._check.k == check.k
+            assert rep._check.scaled.tobytes() == check.scaled.tobytes()
+            assert rep._check.quadratic.tobytes() == check.quadratic.tobytes()
             floor = rep.lattice_min_residual
-            assert len(calls) == 1 and calls[0] is rep._scaled
-            assert rep._gamma.tobytes() == table(check.scaled).tobytes()
-            want = math.ldexp(foliation._lattice_floor(table(check.scaled)), 2 * check.k)
+            assert rep.lattice_min_residual is floor
+            assert len(calls) == 1 and calls[0] is rep._check.scaled
+            want = math.ldexp(foliation._lattice_floor(check), 2 * check.k)
             assert floor.hex() == want.hex()
-            assert rep.lattice_min_residual is floor and rep._gamma is rep._gamma
-            assert len(calls) == 1
             calls.clear()
-    # constant curvature keeps no brackets and has no table and no floor
+    # constant curvature keeps no check and has no table and no floor
     rep = search_directions(catalog("SU2").constants)
-    assert rep._scaled is None and rep._gamma is None
+    assert rep._check is None
     assert rep.lattice_min_residual is None and calls == []
 
 
@@ -1069,13 +1128,13 @@ def _hexed(values):
 
 def _report_bits(report):
     """Every field of a search report, floats as their hex strings."""
-    gamma = report._gamma
+    check = report._check
     return (
         report.constant_curvature,
         report.admits,
         report.lattice_size,
-        report._k,
-        None if gamma is None else gamma.tobytes(),
+        None if check is None else (check.k, check.scaled.tobytes()),
+        None if check is None else check.quadratic.tobytes(),
         [
             (
                 cand.direction.tobytes(),
@@ -1148,7 +1207,7 @@ def test_search_runs_the_kernel_only_where_a_candidate_might_pass(monkeypatch):
         for _ in range(10):
             sc = change_basis(catalog(name, alpha).constants, random_gl(rng))
             rep = search_directions(orthonormalize(sc, MetricSpec(random_spd(rng))))
-            assert not rep.admits and rep._gamma is not None
+            assert not rep.admits and rep._check is not None
     for name in ("R3", "H3", "SU2"):
         assert search_directions(catalog(name).constants).constant_curvature
     assert shapes == []
@@ -1220,7 +1279,6 @@ def test_sextic_rows_carry_the_constants_of_the_screen_bound():
     assert np.abs(rows).sum() <= 181
     w = sum(np.linalg.norm(np.abs(row).reshape(9, 9), 2) for row in rows)
     assert w <= 21.5
-    assert foliation._lattice()[2] is foliation._INVERSE
     with mp.workdps(40):
         points = [[mp.mpf(x) for x in s] for s in samples.tolist()]
         gram = mp.matrix([[mp.fdot(s, t) ** 6 for t in points] for s in points])

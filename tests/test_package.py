@@ -132,6 +132,33 @@ def test_functions_call_no_numpy_linalg_wrapper():
     }
 
 
+def _lapack_names(source: str) -> list[object]:
+    """The gufunc name of every ``_lapack(name, ...)`` call in ``source``:
+    the string, or the call's line where the name is not a constant."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _dotted(node.func) in ("_lapack", "algebra._lapack"):
+            name = node.args[0] if node.args else None
+            is_text = isinstance(name, ast.Constant) and isinstance(name.value, str)
+            found.append(name.value if is_text else f"line {node.lineno}")
+    return found
+
+
+def test_lapack_shim_holds_exactly_the_gufuncs_the_package_calls():
+    # a gufunc that no call names is dead weight in the shim and in the
+    # private numpy names it depends on; a name outside it fails at run time
+    assert set(algebra._LAPACK) == {"cholesky_lo", "eigh_lo", "eigvalsh_lo", "svd_s"}
+    package = Path(lie3geo.__file__).resolve().parent
+    called = set()
+    for path in sorted(package.glob("*.py")):
+        for name in _lapack_names(path.read_text(encoding="utf-8")):
+            assert name in algebra._LAPACK, (path.name, name)
+            called.add(name)
+    assert called == set(algebra._LAPACK)
+    probe = "def f(a, n):\n    return _lapack('svd_f', a), algebra._lapack(n, a)\n"
+    assert _lapack_names(probe) == ["svd_f", "line 2"]
+
+
 def _private_reads(source: str) -> list[str]:
     """Each private name that ``source`` reads off an object or imports
     from outside the package: ``x._name``, ``getattr(x, "_name")`` and
