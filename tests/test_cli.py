@@ -876,6 +876,47 @@ def test_planted_foliations_json_is_pinned_byte_for_byte(capsys, tmp_path):
     assert admitting == 40
 
 
+_CURVATURE_GOLDEN = Path(__file__).parent / "data" / "curvature_golden.json"
+
+
+def _curvature_documents(seed=29, per_row=5):
+    """``per_row`` seeded ``--input`` documents per catalog row of
+    ``cli._CLASSIFICATION_ROWS``: its brackets in a random basis of condition
+    below 10, times ``10**e`` for exponents ``e`` stratified uniformly over
+    [-150, 150], with a random metric."""
+    rng = np.random.default_rng(seed)
+    for group, alpha in cli._CLASSIFICATION_ROWS:
+        strata = (rng.permutation(per_row) + rng.random(per_row)) / per_row
+        label = group if alpha is None else f"{group}({alpha:g})"
+        for e in -150.0 + 300.0 * strata:
+            sc = change_basis(catalog(group, alpha).constants, random_gl(rng, cond_limit=10.0))
+            yield {
+                "name": f"{label} e={e:.1f}",
+                "c": (10.0**e * sc.c).tolist(),
+                "metric": random_spd(rng).tolist(),
+            }
+
+
+def test_curvature_json_is_pinned_byte_for_byte(capsys, tmp_path):
+    """``--json curvature --input`` on 65 documents in random bases and
+    metrics, at bracket scales from 1e-150 to 1e150, against the stdout
+    recorded byte for byte: every Ricci entry, spectral line, scalar,
+    sectional curvature and constant flag keeps its exact text.  As for the
+    planted foliations, the documents are drawn by the numpy of the
+    recording (2.4) and its bundled LAPACK."""
+    golden = json.loads(_CURVATURE_GOLDEN.read_text())
+    docs = list(_curvature_documents())
+    assert len(docs) == len(golden) == 65
+    constant = 0
+    for index, (doc, want) in enumerate(zip(docs, golden)):
+        path = write_doc(tmp_path, doc, f"curvature-{index:02d}.json")
+        code, out, err = run(capsys, ["--json", "curvature", "--input", path])
+        assert (code, out, err) == (0, want, ""), doc["name"]
+        constant += json.loads(out)["constant_curvature"] is not None
+    # R3 and H3 are flat and hyperbolic under every metric
+    assert constant == 10
+
+
 # ------------------------------------------------------- output conventions
 
 
