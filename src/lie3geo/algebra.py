@@ -17,18 +17,19 @@ because on 3x3 arrays the wrapper's checks and dispatch cost more than the
 factorisation, and skipping them changes no result bit and no error message.
 Each gufunc's error state is built once, at import, by the function that
 ``np.errstate`` calls on every entry, and :func:`_lapack` only sets it around
-the call and resets it after.
+the call and resets it after.  These are private numpy names; a numpy that
+lacks one calls numpy.linalg's public wrappers instead, with the same bits
+and messages, a few microseconds slower a call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
-from numpy.linalg import _umath_linalg
 
 __all__ = [
     "DIM",
@@ -73,27 +74,59 @@ def _lapack_error(message: str):
     return raise_error
 
 
-# The gufuncs of _lapack, each with the error state of numpy.linalg's wrapper
-# of it, built as np.errstate builds it: a LAPACK failure calls back to raise
-# the wrapper's message, and no other floating-point condition warns.
-_LAPACK = {
-    name: (
-        getattr(_umath_linalg, name),
-        _make_extobj(
-            call=_lapack_error(message),
-            invalid="call",
-            over="ignore",
-            divide="ignore",
-            under="ignore",
-        ),
-    )
-    for name, message in (
-        ("cholesky_lo", "Matrix is not positive definite"),
-        ("eigh_lo", "Eigenvalues did not converge"),
-        ("eigvalsh_lo", "Eigenvalues did not converge"),
-        ("svd_s", "SVD did not converge"),
-    )
+# The gufuncs of _lapack by name, with the message of numpy.linalg's wrapper
+# when LAPACK fails, and each wrapper, called in their place by a numpy that
+# lacks a private name (see _lapack_table).
+_LAPACK_MESSAGES = {
+    "cholesky_lo": "Matrix is not positive definite",
+    "eigh_lo": "Eigenvalues did not converge",
+    "eigvalsh_lo": "Eigenvalues did not converge",
+    "svd_s": "SVD did not converge",
 }
+_PUBLIC_LAPACK = {
+    "cholesky_lo": np.linalg.cholesky,
+    "eigh_lo": np.linalg.eigh,
+    "eigvalsh_lo": np.linalg.eigvalsh,
+    "svd_s": partial(np.linalg.svd, full_matrices=False),
+}
+
+
+def _lapack_table() -> dict[str, tuple]:
+    """``name -> (function, context variable, error state)`` for each name of
+    ``_LAPACK_MESSAGES``.
+
+    The private route calls numpy.linalg's gufunc with the error state of its
+    wrapper, built as np.errstate builds it: a LAPACK failure calls back to
+    raise the wrapper's message, and no other floating-point condition warns.
+    A numpy without ``numpy._core._ufunc_config._extobj_contextvar``,
+    ``_make_extobj`` or one of the gufuncs in ``numpy.linalg._umath_linalg``
+    takes the public route: the wrappers themselves, with no context variable
+    and no error state.
+    """
+    try:
+        from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
+        from numpy.linalg import _umath_linalg
+
+        gufuncs = {name: getattr(_umath_linalg, name) for name in _LAPACK_MESSAGES}
+    except (ImportError, AttributeError):
+        return {name: (wrapper, None, None) for name, wrapper in _PUBLIC_LAPACK.items()}
+    return {
+        name: (
+            gufuncs[name],
+            _extobj_contextvar,
+            _make_extobj(
+                call=_lapack_error(message),
+                invalid="call",
+                over="ignore",
+                divide="ignore",
+                under="ignore",
+            ),
+        )
+        for name, message in _LAPACK_MESSAGES.items()
+    }
+
+
+_LAPACK = _lapack_table()
 
 
 def _lapack(name: str, a: np.ndarray):
@@ -104,19 +137,22 @@ def _lapack(name: str, a: np.ndarray):
     ``eigvalsh_lo`` are ``np.linalg.eigh`` and ``np.linalg.eigvalsh``, and
     ``svd_s`` is ``np.linalg.svd`` with ``full_matrices`` false, which on a
     square matrix is the full SVD bit for bit; several results come as a
-    plain tuple.  The error state is the wrapper's: a LAPACK failure, which
+    tuple.  The error state is the wrapper's: a LAPACK failure, which
     the gufunc signals as an invalid floating-point operation, raises
     ``LinAlgError`` with the wrapper's message, and no other floating-point
     condition warns.  It is set and reset as ``np.errstate`` enters and
     exits, from the state built once in ``_LAPACK``, whose buffer size
-    (which no float64 call reads) is the one in force at import.
+    (which no float64 call reads) is the one in force at import.  On the
+    public route of :func:`_lapack_table` the wrapper itself is called.
     """
-    gufunc, extobj = _LAPACK[name]
-    token = _extobj_contextvar.set(extobj)
+    function, contextvar, extobj = _LAPACK[name]
+    if contextvar is None:
+        return function(a)
+    token = contextvar.set(extobj)
     try:
-        return gufunc(a)
+        return function(a)
     finally:
-        _extobj_contextvar.reset(token)
+        contextvar.reset(token)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -231,8 +267,12 @@ def jacobi_residual(sc: StructureConstants) -> float:
     neither underflows nor overflows however small or large they are; it is
     at most ``|c|_F^2 / sqrt(2)``, which the constructor keeps finite.
     """
-    check = _scaled_jacobi(sc)
-    return math.ldexp(check.residual, 2 * check.k)
+    c = sc.c
+    # c holds only 0 and +-m, so its largest entry is the largest |m|, and k
+    # is _normalised's
+    k = math.frexp(float(c.max()))[1]
+    m = np.ldexp(c.take(_MILNOR_FLAT), -k)
+    return math.ldexp(_jacobi(_JACOBI_ROWS @ _pairwise(m)), 2 * k)
 
 
 def _jacobi(cyclic: np.ndarray) -> float:
@@ -254,6 +294,9 @@ def _cyclic_sum(c: np.ndarray) -> np.ndarray:
 _CYCLIC_I = np.array([1, 2, 0])
 _CYCLIC_J = np.array([2, 0, 1])
 
+# The flat indices of c[_CYCLIC_I, _CYCLIC_J] in c, shape (3, 3).
+_MILNOR_FLAT = (9 * _CYCLIC_I + 3 * _CYCLIC_J)[:, None] + np.arange(3)
+
 
 def _products(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(m, p)`` for an antisymmetric bracket array ``c``: Milnor's rows
@@ -263,9 +306,15 @@ def _products(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Every quantity quadratic in the brackets is a fixed linear map of ``p``
     (see :func:`_polarize`).
     """
-    m = c[_CYCLIC_I, _CYCLIC_J]
+    m = c.take(_MILNOR_FLAT)
+    return m, _pairwise(m)
+
+
+def _pairwise(m: np.ndarray) -> np.ndarray:
+    """The 81 pairwise products ``p[9 a + b] = m.flat[a] m.flat[b]`` of the
+    nine components ``m``."""
     flat = m.reshape(9, 1)
-    return m, (flat * flat.T).ravel()
+    return (flat * flat.T).ravel()
 
 
 def _basis_tensors() -> np.ndarray:

@@ -21,7 +21,8 @@ surface needs.  Away from constant curvature every conformal foliation by
 geodesics is left-invariant, so the group admits one iff some unit direction
 zeroes both residuals; constant-curvature metrics admit a continuum of them
 (not all left-invariant) and are handled as a special case, told apart by
-the Riemann deviation alone: the search builds no curvature report.
+the Ricci deviation alone (in three dimensions Ricci fixes Riemann): the
+search builds no curvature report.
 
 The search is exact.  In Milnor's ``(n, a)`` decomposition of the brackets,
 ``nabla_u u = u x n u + a - (a.u) u``, and away from constant curvature the
@@ -47,7 +48,7 @@ has exactly two distinct eigenvalues, so short direction lists are expected.
 A screen measures the four candidates before the residual kernel does: on
 the sphere ``r`` is a homogeneous sextic, and its 28 coefficients in the
 basis ``(s_j . u)^6`` of the interpolation samples below are a fixed linear
-map of the 81 products that the Jacobi check already forms (rows 84-111 of
+map of the 81 products that the Jacobi check already forms (rows 12-39 of
 ``_SEARCH``).  The screened values are within ``_SCREEN_SLACK * |c|_F^2``
 (``2**-33``, derived in ``_screen``) of the kernel's, so when all four
 exceed ``(ACCEPT_RESIDUAL_SQ + _SCREEN_SLACK) * |c|_F^2`` no candidate can
@@ -284,7 +285,7 @@ def _lattice_floor(check: _ScaledJacobi) -> float:
     of the search's Jacobi check ``check``, as a float64 scan with
     ``_residual_vector`` finds it.
 
-    ``coeff = check.quadratic[84:]`` are the sextic coefficients of ``r``
+    ``coeff = check.quadratic[12:]`` are the sextic coefficients of ``r``
     that ``_screen`` reads, and ``sum_j coeff_j (s_j . u)^6`` is within
     ``_SCREEN_SLACK * C`` of the kernel's ``r`` at every unit ``u``, for
     ``C = check.scale_sq`` (proved in ``_screen``).  For ``S = sum|coeff|``
@@ -304,7 +305,7 @@ def _lattice_floor(check: _ScaledJacobi) -> float:
     own, so no value depends on which other points passed.
     """
     points, table = _lattice()
-    coeff = check.quadratic[84:]
+    coeff = check.quadratic[12:]
     r32 = coeff.astype(np.float32) @ table
     slack = _LATTICE_SLACK * float(np.abs(coeff).sum())
     bound = np.float32(float(r32.min()) + slack + 2 * _SCREEN_SLACK * check.scale_sq)
@@ -344,8 +345,8 @@ def _sextic_rows() -> np.ndarray:
     return _INVERSE @ (np.swapaxes(b, 1, 2) @ b).reshape(len(_SAMPLES), 81)
 
 
-# The quadratic map of the search, read-only, shape (112, 81): rows 0-83 are
-# geometry._QUADRATIC (the Jacobi vector and the Riemann tensor), rows 84-111
+# The quadratic map of the search, read-only, shape (40, 81): rows 0-11 are
+# geometry._QUADRATIC (the Jacobi vector and the Ricci tensor), rows 12-39
 # the sextic coefficients of r (_sextic_rows).
 _SEARCH = _readonly(np.vstack((_QUADRATIC, _sextic_rows())))
 
@@ -355,7 +356,7 @@ _SCREEN_SLACK = 2.0**-33
 
 def _screen(stack: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """``r`` at the rows of ``stack``, unit directions, through the sextic
-    coefficients ``coeff`` of rows 84-111 of ``_SEARCH``.
+    coefficients ``coeff`` of rows 12-39 of ``_SEARCH``.
 
     Each value is within ``_SCREEN_SLACK * C`` of the kernel's, for
     ``C = |c|_F^2`` of the brackets.  With ``e = 2**-53``: ``m`` holds each
@@ -413,7 +414,7 @@ def search_directions(
 
     The constants must be in an orthonormal basis and satisfy Jacobi within
     ``tol * |c|_F^2``.  Constant-curvature metrics are detected first, by
-    the Riemann deviation alone (no curvature report is built), and reported
+    the Ricci deviation alone (no curvature report is built), and reported
     with an empty direction list.  Otherwise four candidates are tried: the
     eigenvectors of Milnor's ``n`` and the direction closest to the centre,
     which hold every foliation direction (see the module docstring).  When
@@ -439,15 +440,15 @@ def search_directions(
     the verdict holds however small the brackets are; residuals and adapted
     coefficients are scaled back with ``ldexp``.  The Jacobi check, the
     constant-curvature test and the screen read one product of the nine
-    scaled components through ``_SEARCH``, whose rows 0-83 are
-    ``geometry._QUADRATIC``'s (the product's rows 0-83 are its product, bit
+    scaled components through ``_SEARCH``, whose rows 0-11 are
+    ``geometry._QUADRATIC``'s (the product's rows 0-11 are its product, bit
     for bit), and the connection table and Milnor's ``n`` come from the same
     scaled brackets.  The table is formed only for the kernel; a search that
     the screen decides leaves it to the report's first certificate read.
     """
     check = _require_scaled_lie(sc, tol, _SEARCH)
     scaled, scale_sq = check.scaled, check.scale_sq
-    if _is_constant(check.quadratic[3:84], scale_sq):
+    if _is_constant(check.quadratic[3:12], scale_sq):
         return FoliationReport(
             constant_curvature=True,
             directions=(),
@@ -459,7 +460,7 @@ def search_directions(
     stack = np.concatenate((eigenvectors.T, _centre(scaled)[1][None]))
     # a NaN at any position fails its comparison and falls through to the kernel
     bound = (ACCEPT_RESIDUAL_SQ + _SCREEN_SLACK) * scale_sq
-    if all(value > bound for value in _screen(stack, check.quadratic[84:]).tolist()):
+    if all(value > bound for value in _screen(stack, check.quadratic[12:]).tolist()):
         return FoliationReport(
             constant_curvature=False,
             directions=(),

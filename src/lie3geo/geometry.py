@@ -13,19 +13,26 @@ and the curvature tensor of R(A,B)C = nabla_A nabla_B C - nabla_B nabla_A C
 convention makes sectional curvature of the round sphere positive:
 K(plane(e_i, e_j)) = R[i,j,j,i].
 
-Gamma is linear in the brackets, so the Riemann tensor is quadratic in them:
-a fixed linear map of the 81 pairwise products of Milnor's nine components
-``m = (c[1,2,:], c[2,0,:], c[0,1,:])`` (``algebra._products``).
-``_QUADRATIC`` holds that map below the Jacobi cyclic vector's, polarized
-once at import from ``_riemann`` and the cyclic sum themselves, so no formula
-is written twice.  The foliation search and :func:`curvature` both read
-their Riemann tensor off one product of that map, the search's Jacobi
-check (the search's map ``foliation._SEARCH`` stacks 28 more rows below
-it, and its first 84 rows give this product bit for bit), and
-:func:`_is_constant` makes the one constant-curvature decision on those
-rows: for any one input the two flags are one decision, bit for bit.  ``_riemann`` forms the tensor directly from ``Gamma``; it builds the
-map and serves the tests as an independent route, which rounds
-differently from the map's, by at most 150 eps |c|_F^2 an entry.
+Gamma is linear in the brackets, so the curvature is quadratic in them: a
+fixed linear map of the 81 pairwise products of Milnor's nine components
+``m = (c[1,2,:], c[2,0,:], c[0,1,:])`` (``algebra._products``).  In three
+dimensions the Weyl tensor vanishes and Ricci fixes the whole Riemann tensor
+(Milnor 1976): the Koszul tensor of any antisymmetric bracket, Jacobi or
+not, is antisymmetric in ``(i, j)`` and in ``(k, l)``, so
+
+    R[i,j,k,l] = eps[i,j,p] eps[k,l,q] B[p,q],  B = Ric^T - (scalar / 2) I,
+
+which ``_RIEMANN_OF_RICCI`` applies exactly.  ``_QUADRATIC`` therefore holds
+only the nine Ricci rows below the Jacobi cyclic vector's, polarized once at
+import from ``_ricci`` and the cyclic sum themselves, so no formula is
+written twice.  The foliation search and :func:`curvature` both read their
+Ricci tensor off one product of that map, the search's Jacobi check (the
+search's map ``foliation._SEARCH`` stacks 28 more rows below it, and its
+first 12 rows give this product bit for bit), and :func:`_is_constant` makes
+the one constant-curvature decision on those nine floats: for any one input
+the two flags are one decision, bit for bit.  ``_riemann`` forms the tensor
+directly from ``Gamma``; it builds the map and serves the tests as an
+independent route, which rounds differently from the map's.
 """
 
 from __future__ import annotations
@@ -58,19 +65,13 @@ __all__ = [
 # Both tolerances are relative to |c|_F^2, the scale of every curvature.
 
 # Maximum entrywise deviation of the Riemann tensor from the constant
-# curvature model tensor before the constant flag is dropped.
+# curvature model tensor before the constant flag is dropped.  In three
+# dimensions that is the largest entry of Ric - (scalar / 3) I, which is what
+# _is_constant reads.
 CONSTANT_CURVATURE_TOL = 1e-9
 
 # Ricci eigenvalues closer than this merge into one spectral line.
 SPECTRUM_MERGE_TOL = 1e-7
-
-# Riemann tensor of constant sectional curvature 1 in an orthonormal basis:
-# delta_il delta_jk - delta_ik delta_jl.
-_EYE = np.eye(3)
-_UNIT_MODEL = np.einsum("il,jk->ijkl", _EYE, _EYE) - np.einsum(
-    "ik,jl->ijkl", _EYE, _EYE
-)
-_UNIT_MODEL.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,12 +88,14 @@ class ConnectionCoefficients:
 class CurvatureReport:
     """Curvature data of one left-invariant metric.
 
-    ``riemann[i,j,k,l] = <R(e_i, e_j) e_k, e_l>``;
-    ``sectional_basis`` holds (K(e0,e1), K(e0,e2), K(e1,e2));
-    ``constant_curvature`` is the common sectional curvature when the whole
-    tensor matches the constant model within ``CONSTANT_CURVATURE_TOL``
-    times ``|c|_F^2``, else None; ``ricci_spectrum`` is an ascending tuple of
-    (eigenvalue, multiplicity) pairs.
+    ``riemann[i,j,k,l] = <R(e_i, e_j) e_k, e_l>``, the exact 3D
+    reconstruction ``_RIEMANN_OF_RICCI`` of ``ricci[j,k] = riemann[i,j,k,i]``;
+    ``sectional_basis`` holds (K(e0,e1), K(e0,e2), K(e1,e2)), read off
+    ``riemann``; ``constant_curvature`` is the common sectional curvature
+    ``scalar / 6`` when the whole tensor matches the constant model within
+    ``CONSTANT_CURVATURE_TOL`` times ``|c|_F^2``, else None;
+    ``ricci_spectrum`` is an ascending tuple of (eigenvalue, multiplicity)
+    pairs.
     """
 
     riemann: np.ndarray
@@ -139,12 +142,13 @@ def _merge_spectrum(values: list[float], tol: float) -> tuple[tuple[float, int],
 def curvature(sc: StructureConstants) -> CurvatureReport:
     """Full curvature report for the orthonormal-basis constants.
 
-    The Riemann tensor is read off the products of the nine scaled bracket
+    The Ricci tensor is read off the products of the nine scaled bracket
     components through ``_QUADRATIC``, by the very call of the foliation
-    search's Jacobi check (no Jacobi verdict is taken here), and Ricci and
-    the scalar curvature are its traces, so ``ricci`` is the contraction of
-    the reported ``riemann`` exactly.  The constant flag is
-    :func:`_is_constant` on those rows, the search's decision bit for bit.
+    search's Jacobi check (no Jacobi verdict is taken here); the scalar
+    curvature is its trace, and ``riemann`` is its exact 3D reconstruction
+    through ``_RIEMANN_OF_RICCI``, whose entries are 0, +-1/2 and +-1.  The
+    constant flag is :func:`_is_constant` on those nine rows, the search's
+    decision bit for bit.
     Everything runs on the brackets times the power of two ``2**-k`` of
     ``algebra._normalised``, so the decisions hold at any bracket scale, and
     every value is scaled back by ``4**k`` with ``ldexp``.
@@ -156,14 +160,13 @@ def _curvature(check: _ScaledJacobi) -> CurvatureReport:
     """:func:`curvature` from the check ``_scaled_jacobi(sc, _QUADRATIC)``,
     which a caller that verifies Jacobi on it first can reuse."""
     rows, scale_sq, k = check.quadratic[3:], check.scale_sq, check.k
-    riemann = rows.reshape(3, 3, 3, 3)
-    ricci = np.trace(riemann, axis1=0, axis2=3)
-    scalar = float(np.trace(ricci))
+    ricci = rows.reshape(3, 3)
     constant = _is_constant(rows, scale_sq)
+    scalar = _trace(rows.tolist())
     spectrum = _merge_spectrum(
         _lapack("eigvalsh_lo", ricci).tolist(), SPECTRUM_MERGE_TOL * scale_sq
     )
-    riemann = np.ldexp(riemann, 2 * k)
+    riemann = np.ldexp(_RIEMANN_OF_RICCI @ rows, 2 * k).reshape(3, 3, 3, 3)
     return CurvatureReport(
         riemann=riemann,
         ricci=np.ldexp(ricci, 2 * k),
@@ -188,33 +191,65 @@ def _riemann(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     return gg - gg.transpose(1, 0, 2, 3) - cg
 
 
-# The quadratic map of the verdict path, read-only, shape (84, 81): applied
+def _ricci(c: np.ndarray) -> np.ndarray:
+    """``ricci[j,k] = riemann[i,j,k,i]`` of the bracket array ``c``, the
+    contraction of :func:`_riemann`."""
+    return np.trace(_riemann(c, _gamma(c)), axis1=0, axis2=3)
+
+
+# The quadratic map of the verdict path, read-only, shape (12, 81): applied
 # to the products of _products(c), rows 0-2 give the Jacobi cyclic vector and
-# rows 3-83 the Riemann tensor of c, flat, as _riemann(c, _gamma(c)) does.
-_QUADRATIC = _readonly(
-    np.vstack((_JACOBI_ROWS, _polarize(lambda c: _riemann(c, _gamma(c)))))
-)
-
-# Ones at the flat indices of riemann[i, j, j, i], whose sum is the scalar
-# curvature.
-_SCALAR_WEIGHTS = np.zeros(81)
-_SCALAR_WEIGHTS[[28 * i + 12 * j for i in range(3) for j in range(3)]] = 1.0
-_SCALAR_WEIGHTS.setflags(write=False)
+# rows 3-11 the Ricci tensor of c, flat, as _ricci(c) does.
+_QUADRATIC = _readonly(np.vstack((_JACOBI_ROWS, _polarize(_ricci))))
 
 
-def _is_constant(riemann: np.ndarray, scale_sq: float) -> bool:
+def _riemann_of_ricci() -> np.ndarray:
+    """The read-only (81, 9) map from the flat Ricci tensor to the flat
+    Riemann tensor in three dimensions: ``riemann[i,j,k,l] = eps[i,j,p]
+    eps[k,l,q] b[p,q]`` with ``b = ricci^T - (scalar / 2) I``.
+
+    It holds for the Koszul tensor of every antisymmetric bracket, Jacobi or
+    not, since that tensor is antisymmetric in ``(i, j)`` and in ``(k, l)``,
+    and its entries are 0, +-1/2 and +-1.
+    """
+    eps = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[i, j, k], eps[j, i, k] = 1.0, -1.0
+    eye = np.eye(3)
+    # b[p,q] as a map of ricci[a,b]: ricci[q,p] - (ricci[0,0] + ...) delta[p,q] / 2
+    b = np.einsum("qa,pb->pqab", eye, eye) - 0.5 * np.einsum("pq,ab->pqab", eye, eye)
+    return _readonly(np.einsum("ijp,klq,pqab->ijklab", eps, eps, b).reshape(81, 9))
+
+
+_RIEMANN_OF_RICCI = _riemann_of_ricci()
+
+
+def _trace(ricci: list[float]) -> float:
+    """The trace of the nine flat Ricci floats ``ricci``, summed from 0.0 in
+    order as ``np.trace`` sums it."""
+    return 0.0 + ricci[0] + ricci[4] + ricci[8]
+
+
+def _is_constant(ricci: np.ndarray, scale_sq: float) -> bool:
     """The constant-curvature decision of the search and of :func:`curvature`.
 
-    ``riemann`` is the flat Riemann tensor of the scaled brackets, as rows
-    3-83 of ``_QUADRATIC`` read it off their products in both callers (the
-    tests also pass :func:`_riemann`'s tensor), and ``scale_sq`` is their
-    ``|c|_F^2``; the test is whether ``riemann`` is entrywise within
-    ``CONSTANT_CURVATURE_TOL * scale_sq`` of the constant model of
-    curvature ``k_fit = scalar / 6``.  No Ricci spectrum and no report are
-    built.
+    ``ricci`` is the flat Ricci tensor of the scaled brackets, as rows 3-11
+    of ``_QUADRATIC`` read it off their products in both callers, and
+    ``scale_sq`` is their ``|c|_F^2``; the test is whether ``ricci`` is
+    entrywise within ``CONSTANT_CURVATURE_TOL * scale_sq`` of
+    ``(scalar / 3) I``, the Ricci tensor of the constant model of curvature
+    ``scalar / 6``.  In three dimensions Ricci fixes Riemann
+    (``_RIEMANN_OF_RICCI``), and each entry of the Riemann deviation from
+    that model is +- one entry of this one, so the two largest are one.
+    No Ricci spectrum and no report are built.
     """
-    k_fit = float(riemann @ _SCALAR_WEIGHTS) / 6.0
-    deviation = float(np.abs(riemann.reshape(3, 3, 3, 3) - k_fit * _UNIT_MODEL).max())
+    r = ricci.tolist()
+    fit = _trace(r) / 3.0
+    deviation = max(
+        abs(r[0] - fit), abs(r[1]), abs(r[2]),
+        abs(r[3]), abs(r[4] - fit), abs(r[5]),
+        abs(r[6]), abs(r[7]), abs(r[8] - fit),
+    )
     return deviation <= CONSTANT_CURVATURE_TOL * scale_sq
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -157,6 +158,45 @@ def test_jacobi_residual_holds_at_every_scale():
             sc = StructureConstants(scale * su2.c)
             assert 0.0 < jacobi_residual(sc) <= 1e-14 * float(np.vdot(sc.c, sc.c))
     assert jacobi_residual(tensor) > 0.1
+
+
+def test_jacobi_residual_scales_only_the_nine_components():
+    """jacobi_residual scales only Milnor's nine components, by the power of
+    two of _normalised, and keeps the bits of the check that scales all 27
+    entries: at ``2**k`` for every k from -1000 to 1000 that the constructor
+    accepts, on the zero algebra, and on brackets whose entries are
+    subnormal."""
+    assert algebra._MILNOR_FLAT.shape == (3, 3)
+    rng = np.random.default_rng(107)
+    c = rng.standard_normal((3, 3, 3))
+    assert np.array_equal(c.take(algebra._MILNOR_FLAT), c[algebra._CYCLIC_I, algebra._CYCLIC_J])
+
+    def want(sc):
+        check = algebra._scaled_jacobi(sc)
+        return math.ldexp(check.residual, 2 * check.k)
+
+    su2 = change_basis(catalog("SU2").constants, random_gl(rng))
+    tensor = StructureConstants(c)
+    accepted = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sc in (su2, tensor):
+            for k in range(-1000, 1001):
+                try:
+                    scaled = StructureConstants(np.ldexp(sc.c, k))
+                except ValueError:  # |c|_F^2 overflows
+                    assert k > 500
+                    continue
+                assert jacobi_residual(scaled).hex() == want(scaled).hex()
+                accepted += 1
+        zero = StructureConstants(np.zeros((3, 3, 3)))
+        assert jacobi_residual(zero) == want(zero) == 0.0
+        for _ in range(50):
+            # entries from 2**-1074 to about 2**-1060, every one subnormal
+            tiny = np.ldexp(rng.integers(-2**14, 2**14, (3, 3, 3)).astype(float), -1074)
+            sc = StructureConstants(tiny)
+            assert jacobi_residual(sc).hex() == want(sc).hex()
+    assert 2 * 1500 < accepted < 2 * 1600
 
 
 @pytest.mark.parametrize("scale", [1e-160, 1e-150, 1.0, 1e150, 1e160])
@@ -595,14 +635,100 @@ def test_lapack_fails_as_numpy_linalg_does(name, shape, message):
 
 
 def test_lapack_error_states_are_those_np_errstate_builds():
-    """_lapack builds each error state once with the function np.errstate
-    calls and sets it on the context variable np.errstate sets, both from
-    numpy._core._ufunc_config; a numpy that moves or renames them fails
-    here, at import, not with a wrong error state."""
-    entry = np.errstate.__enter__.__globals__
-    assert algebra._make_extobj is entry["_make_extobj"]
-    assert algebra._extobj_contextvar is entry["_extobj_contextvar"]
-    assert np.errstate.__exit__.__globals__["_extobj_contextvar"] is entry["_extobj_contextvar"]
+    """On this numpy _lapack takes the private route: each gufunc is
+    numpy.linalg's own, and its error state, set on the context variable
+    np.errstate sets, reads back as the wrapper's: invalid calls back to
+    raise the wrapper's LinAlgError, and nothing else warns."""
+    contextvar = np.errstate.__enter__.__globals__["_extobj_contextvar"]
+    assert np.errstate.__exit__.__globals__["_extobj_contextvar"] is contextvar
+    for name, (gufunc, var, extobj) in algebra._LAPACK.items():
+        assert gufunc is getattr(np.linalg._umath_linalg, name)
+        assert var is contextvar
+        token = var.set(extobj)
+        try:
+            state, call = np.geterr(), np.geterrcall()
+        finally:
+            var.reset(token)
+        assert state == {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "call"}
+        with pytest.raises(np.linalg.LinAlgError) as error:
+            call("invalid value", 8)
+        assert str(error.value) == algebra._LAPACK_MESSAGES[name]
+
+
+def _catalog_report_bits():
+    """The bits of every factorised result on the catalog corpus: each
+    catalog row in three random bases and metrics, through the metric's
+    Cholesky factor, orthonormalize, change_basis, classify, curvature and
+    the search; and each gufunc's outcome on inputs where LAPACK fails."""
+    from lie3geo.foliation import search_directions
+    from lie3geo.geometry import curvature
+
+    rng = np.random.default_rng(109)
+    bits = []
+    for name in catalog_names():
+        entry = catalog(name, {"Sol3": 2.0, "G7": 0.5}.get(name))
+        for _ in range(3):
+            p = random_gl(rng)
+            metric = MetricSpec(random_spd(rng))
+            sc = orthonormalize(change_basis(entry.constants, p), metric)
+            bt = classify(sc)
+            rep = curvature(sc)
+            search = search_directions(sc)
+            bits.append((
+                metric._lower.tobytes(),
+                sc.c.tobytes(),
+                bt.tag,
+                None if bt.param is None else bt.param.hex(),
+                rep.ricci.tobytes(),
+                rep.riemann.tobytes(),
+                rep.scalar.hex(),
+                [(v.hex(), m) for v, m in rep.ricci_spectrum],
+                rep.constant_curvature,
+                search.constant_curvature,
+                [(d.direction.tobytes(), d.geodesic_residual.hex()) for d in search.directions],
+            ))
+    for name, bad in (
+        ("cholesky_lo", np.diag([1.0, -1.0, 1.0])),
+        ("eigh_lo", np.full((3, 3), np.nan)),
+        ("eigvalsh_lo", np.full((3, 3), np.nan)),
+        ("svd_s", np.full((3, 3), np.nan)),
+    ):
+        bits.append(_outcome(lambda x: algebra._lapack(name, x), bad))
+    nil = catalog("Nil3").constants
+    for build, bad in (
+        (MetricSpec, np.diag([1.0, -1.0, 1.0])),
+        (lambda p: change_basis(nil, p), np.diag([1.0, 1.0, 0.0])),
+        (lambda p: change_basis(nil, p), np.diag([1.0, 1.0, 1e-12])),
+    ):
+        with pytest.raises(ValueError) as error:
+            build(bad)
+        bits.append(str(error.value))
+    return bits
+
+
+@pytest.mark.parametrize("missing", ["gufunc", "module", "error state"])
+def test_lapack_falls_back_to_the_public_wrappers(monkeypatch, missing):
+    """A numpy that lacks one of the private names takes the public route
+    of _lapack_table: a gufunc gone from numpy.linalg._umath_linalg
+    (AttributeError), the module itself, or _make_extobj (ImportError).
+    The names are hidden only while the table is built, since this numpy's
+    public wrappers read them too; every result and error message on the
+    catalog corpus then keeps its bits."""
+    want = _catalog_report_bits()
+    with monkeypatch.context() as patch:
+        if missing == "gufunc":
+            patch.delattr(np.linalg._umath_linalg, "svd_s")
+        elif missing == "module":
+            patch.setitem(sys.modules, "numpy.linalg._umath_linalg", None)
+            patch.delattr(np.linalg, "_umath_linalg")
+        else:
+            patch.delattr(np._core._ufunc_config, "_make_extobj")
+        table = algebra._lapack_table()
+    assert table == {name: (wrapper, None, None) for name, wrapper in algebra._PUBLIC_LAPACK.items()}
+    monkeypatch.setattr(algebra, "_LAPACK", table)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _catalog_report_bits() == want
 
 
 def _error_state():

@@ -44,7 +44,7 @@ from lie3geo.foliation import (
     residuals,
     search_directions,
 )
-from lie3geo.geometry import _is_constant, _riemann, connection, curvature
+from lie3geo.geometry import _riemann, connection, curvature
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -715,7 +715,7 @@ def _float64_scan(gamma):
 
 def test_sample_interpolation_reproduces_residuals():
     """The sextic whose coefficients in the basis ``(s_j . u)^6`` the search
-    forms (rows 84-111 of its product) is r at every lattice point, within
+    forms (rows 12-39 of its product) is r at every lattice point, within
     a thousandth of the ``_SCREEN_SLACK * |c|_F^2`` that ``_screen`` proves
     for every unit direction."""
     points = foliation._lattice()[0]
@@ -723,7 +723,7 @@ def test_sample_interpolation_reproduces_residuals():
     for sc, _ in brackets_across_scales(seed=15, per_scale=4):
         check = algebra._scaled_jacobi(sc, foliation._SEARCH)
         want = _float64_scan(geometry._gamma(check.scaled))
-        gap = np.abs(check.quadratic[84:] @ powers - want).max()
+        gap = np.abs(check.quadratic[12:] @ powers - want).max()
         assert gap <= foliation._SCREEN_SLACK / 1000 * check.scale_sq
 
 
@@ -744,7 +744,7 @@ def test_float32_lattice_screen_is_within_its_bound():
     table = foliation._lattice()[1]
     inputs = 0
     for check, gamma in _lattice_corpus():
-        coeff = check.quadratic[84:]
+        coeff = check.quadratic[12:]
         screen = coeff.astype(np.float32) @ table
         bound = 31 * 2.0**-24 * np.abs(coeff).sum() + foliation._SCREEN_SLACK * check.scale_sq
         assert np.abs(screen - _float64_scan(gamma)).max() <= bound
@@ -844,7 +844,7 @@ def test_lattice_floor_when_every_point_passes_the_screen(monkeypatch):
     monkeypatch.setattr(foliation, "_residual_vector", unit_sphere)
     coeff = foliation._INVERSE @ np.ones(28)
     check = algebra._ScaledJacobi(
-        np.zeros((3, 3, 3)), None, np.concatenate((np.zeros(84), coeff)), 0.0, 1.0, 0
+        np.zeros((3, 3, 3)), None, np.concatenate((np.zeros(12), coeff)), 0.0, 1.0, 0
     )
     got = foliation._lattice_floor(check)
     assert measured == [(LATTICE_DEFAULT, 1, 3)]
@@ -945,11 +945,10 @@ def test_screened_search_builds_no_connection_table(monkeypatch):
 
 def test_search_reads_its_tables_off_the_scaled_components(monkeypatch):
     """A non-constant search builds its connection table, Milnor's n and the
-    Riemann rows from the scaled brackets and their products: it calls none
+    Ricci rows from the scaled brackets and their products: it calls none
     of connection, milnor_decompose and _riemann.  curvature and the search
-    take their constant flag from the one _is_constant, on Riemann rows that
-    agree within the 150 eps |c|_F^2 of test_quadratic_map_matches_its_kernels
-    (tests/test_geometry.py)."""
+    take their constant flag from the one _is_constant, on the same nine
+    Ricci floats, bit for bit."""
 
     def refused(*args, **kwargs):
         raise AssertionError("the search called a report-side kernel")
@@ -969,9 +968,9 @@ def test_search_reads_its_tables_off_the_scaled_components(monkeypatch):
     decisions = []
     decide = geometry._is_constant
 
-    def recorded(riemann, scale_sq):
-        flag = decide(riemann, scale_sq)
-        decisions.append((riemann.copy(), scale_sq, flag))
+    def recorded(ricci, scale_sq):
+        flag = decide(ricci, scale_sq)
+        decisions.append((ricci.tobytes(), scale_sq, flag))
         return flag
 
     monkeypatch.setattr(geometry, "_is_constant", recorded)
@@ -985,20 +984,29 @@ def test_search_reads_its_tables_off_the_scaled_components(monkeypatch):
             report = curvature(sc)
             constant = search_directions(sc).constant_curvature
             assert len(decisions) == 2
-            (reported, scale_sq, flag), (searched, searched_sq, searched_flag) = decisions
-            assert scale_sq == searched_sq
-            assert np.abs(reported - searched).max() <= 150 * np.finfo(float).eps * scale_sq
-            assert constant == flag == searched_flag == (report.constant_curvature is not None)
+            reported, searched = decisions
+            assert len(reported[0]) == 9 * 8 and reported == searched
+            assert constant == reported[2] == (report.constant_curvature is not None)
             flags.add(constant)
             decisions.clear()
     assert flags == {True, False}
 
 
+_UNIT_MODEL = np.einsum("il,jk->ijkl", np.eye(3), np.eye(3)) - np.einsum(
+    "ik,jl->ijkl", np.eye(3), np.eye(3)
+)
+
+
 def _constant_flags(sc):
-    """The constant-curvature test on the Riemann tensor of the unscaled
-    brackets, formed directly by _riemann, and the report's flag."""
-    riemann = _riemann(sc.c, connection(sc).gamma).ravel()
-    lean = _is_constant(riemann, float(np.vdot(sc.c, sc.c)))
+    """The constant-curvature test on the whole Riemann tensor of the
+    unscaled brackets, formed directly by _riemann: its largest entrywise
+    deviation from the constant model of curvature ``scalar / 6`` against
+    ``CONSTANT_CURVATURE_TOL * |c|_F^2``; and the report's flag, which
+    decides on the nine Ricci floats."""
+    riemann = _riemann(sc.c, connection(sc).gamma)
+    scalar = float(np.einsum("ijji->", riemann))
+    deviation = float(np.abs(riemann - scalar / 6.0 * _UNIT_MODEL).max())
+    lean = deviation <= geometry.CONSTANT_CURVATURE_TOL * float(np.vdot(sc.c, sc.c))
     return lean, curvature(sc).constant_curvature is not None
 
 
@@ -1044,8 +1052,8 @@ def test_constant_curvature_test_matches_the_report_at_the_tolerance(name, alpha
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if _constant_flags(moved(mid))[1] else (lo, mid)
-    # at the edge itself the report and the search read the same rows of the
-    # quadratic map, so their flags agree at every scale, bit for bit
+    # at the edge itself the report and the search read the same Ricci rows
+    # of the quadratic map, so their flags agree at every scale, bit for bit
     for t, want in ((lo, True), (hi, False)):
         sc = moved(t)
         assert _constant_flags(sc)[1] == want
@@ -1053,8 +1061,9 @@ def test_constant_curvature_test_matches_the_report_at_the_tolerance(name, alpha
             rescaled = StructureConstants(10.0**k * sc.c)
             report = curvature(rescaled).constant_curvature is not None
             assert search_directions(rescaled).constant_curvature == report
-    # _riemann rounds differently from the map, so the independent route is
-    # held to the report only 1e-3 off the edge
+    # _riemann rounds differently from the map, and its test reads all 81
+    # entries, so the independent route is held to the report only 1e-3 off
+    # the edge
     for t, want in ((lo * (1 - 1e-3), True), (hi * (1 + 1e-3), False)):
         sc = moved(t)
         assert _constant_flags(sc) == (want, want)
@@ -1274,7 +1283,7 @@ def test_sextic_rows_carry_the_constants_of_the_screen_bound():
     40-digit arithmetic from the same samples."""
     mp = pytest.importorskip("mpmath")
     samples = foliation._SAMPLES
-    rows = foliation._SEARCH[84:]
+    rows = foliation._SEARCH[12:]
     assert np.linalg.cond((samples @ samples.T) ** 6) <= 231
     assert np.abs(rows).sum() <= 181
     w = sum(np.linalg.norm(np.abs(row).reshape(9, 9), 2) for row in rows)
@@ -1309,15 +1318,32 @@ def test_sextic_rows_carry_the_constants_of_the_screen_bound():
 
 
 def test_search_map_keeps_the_quadratic_rows_bit_for_bit():
-    """Rows 0-83 of the search's product are ``_QUADRATIC``'s product, bit
+    """Rows 0-11 of the search's product are ``_QUADRATIC``'s product, bit
     for bit, so the search and ``curvature`` make one constant decision."""
     search = foliation._SEARCH
-    assert search.shape == (112, 81) and not search.flags.writeable
-    assert np.array_equal(search[:84], geometry._QUADRATIC)
+    assert search.shape == (40, 81) and not search.flags.writeable
+    assert np.array_equal(search[:12], geometry._QUADRATIC)
     for sc, _ in brackets_across_scales(seed=71):
         products = algebra._products(algebra._normalised(sc.c)[0])[1]
         got = search @ products
-        assert got[:84].tobytes() == (geometry._QUADRATIC @ products).tobytes()
+        assert got[:12].tobytes() == (geometry._QUADRATIC @ products).tobytes()
+
+
+def test_search_map_keeps_the_sextic_bits_of_the_riemann_layout():
+    """The sextic rows 12-39 of ``_SEARCH`` give, bit for bit, rows 84-111
+    of the (112, 81) map that stacked the 81 Riemann rows below the Jacobi
+    rows, and so do its Jacobi rows 0-2: the screen, the certificate and the
+    Jacobi residual read the same floats with nine Ricci rows in place of
+    81 Riemann rows."""
+    riemann_rows = algebra._polarize(lambda c: geometry._riemann(c, geometry._gamma(c)))
+    layout = np.vstack((algebra._JACOBI_ROWS, riemann_rows, foliation._sextic_rows()))
+    assert layout.shape == (112, 81)
+    assert np.array_equal(foliation._SEARCH[12:], layout[84:])
+    for sc, _ in brackets_across_scales(seed=103):
+        products = algebra._products(algebra._normalised(sc.c)[0])[1]
+        got, want = foliation._SEARCH @ products, layout @ products
+        assert got[12:].tobytes() == want[84:].tobytes()
+        assert got[:3].tobytes() == want[:3].tobytes()
 
 
 # ------------------------------------------------ brackets whose squares underflow

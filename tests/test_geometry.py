@@ -3,10 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brackets_across_scales, random_gl, random_orthogonal
+from conftest import brackets_across_scales, random_gl, random_orthogonal, random_spd
 
 from lie3geo import algebra, geometry
-from lie3geo.algebra import StructureConstants, catalog, change_basis
+from lie3geo.algebra import (
+    MetricSpec,
+    StructureConstants,
+    catalog,
+    catalog_names,
+    change_basis,
+    jacobi_residual,
+    orthonormalize,
+)
 from lie3geo.foliation import AdaptedBracketParams, adapted_constants, enumerate_families
 from lie3geo.geometry import connection, curvature, sectional
 
@@ -74,7 +82,8 @@ def test_kernels_match_einsum_oracles():
         rep = curvature(sc)
         scale_sq = float(np.sum(c * c))
         assert np.abs(rep.riemann - riemann).max() <= 1e-13 * scale_sq
-        assert rep.ricci.tobytes() == np.einsum("kijk->ij", rep.riemann).tobytes()
+        ricci = np.einsum("kijk->ij", riemann)
+        assert np.abs(rep.ricci - ricci).max() <= 1e-13 * scale_sq
 
 
 def test_connection_is_metric_and_torsion_free():
@@ -236,27 +245,80 @@ def test_curvature_decisions_hold_where_the_brackets_square_to_zero(exponent):
 
 def test_quadratic_map_matches_its_kernels():
     """Rows 0-2 of the map give the Jacobi cyclic vector J(e_0, e_1, e_2) and
-    rows 3-83 the Riemann tensor, as the kernels they were polarized from do.
+    rows 3-11 the Ricci tensor, as the kernels they were polarized from do.
 
     The map sums at most 13 terms a row, each rounded at most 15 times, whose
     absolute values add up to at most (sum_a |m_a|)^2 <= 9 |m|^2 =
-    4.5 |c|_F^2 (every |entry| <= 1).  The kernels sum at most 9 products of
-    entries of c and Gamma, each at most (1.5 max|c|)^2 <= 1.125 |c|_F^2,
-    rounded at most 8 times.  So the two routes differ by less than
-    (15 * 4.5 + 8 * 9 * 1.125) eps |c|_F^2 < 150 eps |c|_F^2."""
+    4.5 |c|_F^2 (every |entry| <= 1): 67.5 eps |c|_F^2.  The cyclic sum adds
+    at most 9 products of entries of c, each at most max|c|^2 <= |c|_F^2 / 2,
+    rounded at most 8 times.  The Ricci kernel sums 3 Riemann entries, each
+    of at most 9 products of entries of c and Gamma, each at most
+    (1.5 max|c|)^2 <= 1.125 |c|_F^2, rounded at most 8 times (81 eps
+    |c|_F^2 an entry), and its two additions round partial sums of at most
+    3 * 9 * 1.125 |c|_F^2.  So the routes differ by less than 150 eps
+    |c|_F^2 on the Jacobi rows and (67.5 + 243 + 61) eps |c|_F^2 < 400 eps
+    |c|_F^2 on the Ricci rows."""
     quadratic = geometry._QUADRATIC
-    assert quadratic.shape == (84, 81)
+    assert quadratic.shape == (12, 81)
     assert not quadratic.flags.writeable
     assert np.array_equal(quadratic[:3], algebra._JACOBI_ROWS)
     assert np.array_equal(4.0 * quadratic, np.round(4.0 * quadratic))
     assert np.abs(quadratic).max() <= 1.0
     assert np.count_nonzero(quadratic, axis=1).max() <= 13
-    bound = 150 * np.finfo(float).eps
+    eps = np.finfo(float).eps
     for sc, _ in brackets_across_scales(seed=31):
         c = sc.c
         scale_sq = float(np.vdot(c, c))
         got = quadratic @ algebra._products(c)[1]
         cyclic = algebra._cyclic_sum(c)[0, 1, 2]
-        assert np.abs(got[:3] - cyclic).max() <= bound * scale_sq
-        riemann = geometry._riemann(c, connection(sc).gamma).ravel()
-        assert np.abs(got[3:] - riemann).max() <= bound * scale_sq
+        assert np.abs(got[:3] - cyclic).max() <= 150 * eps * scale_sq
+        ricci = np.trace(geometry._riemann(c, connection(sc).gamma), axis1=0, axis2=3)
+        assert np.abs(got[3:] - ricci.ravel()).max() <= 400 * eps * scale_sq
+
+
+def test_riemann_is_the_3d_reconstruction_of_ricci_off_jacobi():
+    """In three dimensions the Koszul Riemann tensor of any antisymmetric
+    bracket, Jacobi or not, is ``_RIEMANN_OF_RICCI`` applied to its Ricci
+    tensor: exactly on integer brackets, where every sum is exact, and
+    within a few eps |c|_F^2 on random ones, none of which satisfies
+    Jacobi."""
+    rebuild = geometry._RIEMANN_OF_RICCI
+    assert rebuild.shape == (81, 9) and not rebuild.flags.writeable
+    assert set(rebuild.ravel().tolist()) == {-1.0, -0.5, 0.0, 0.5, 1.0}
+    rng = np.random.default_rng(97)
+    failing = 0
+    for _ in range(200):
+        sc = StructureConstants(rng.integers(-8, 9, (3, 3, 3)).astype(float))
+        failing += jacobi_residual(sc) > 0.0
+        riemann = geometry._riemann(sc.c, connection(sc).gamma)
+        ricci = np.trace(riemann, axis1=0, axis2=3)
+        assert np.array_equal(rebuild @ ricci.ravel(), riemann.ravel())
+    assert failing == 200
+    failing = 0
+    for sc, _ in brackets_across_scales(seed=97):
+        c = sc.c
+        riemann = geometry._riemann(c, connection(sc).gamma)
+        ricci = np.trace(riemann, axis1=0, axis2=3)
+        gap = np.abs(rebuild @ ricci.ravel() - riemann.ravel()).max()
+        assert gap <= 8 * np.finfo(float).eps * float(np.vdot(c, c))
+        failing += not sc.is_valid()
+    assert failing == 13 * 20
+
+
+def test_report_riemann_is_the_reconstruction_of_its_ricci():
+    """The report's ``riemann`` is ``_RIEMANN_OF_RICCI`` applied to its
+    ``ricci``, bit for bit, and its sectional curvatures are read off it."""
+    rng = np.random.default_rng(101)
+    inputs = [sc for sc, _ in brackets_across_scales(seed=101, per_scale=4)]
+    for name in catalog_names():
+        alpha = {"Sol3": 2.0, "G7": 0.5}.get(name)
+        for _ in range(4):
+            sc = change_basis(catalog(name, alpha).constants, random_gl(rng))
+            inputs.append(orthonormalize(sc, MetricSpec(random_spd(rng))))
+    for sc in inputs:
+        rep = curvature(sc)
+        want = geometry._RIEMANN_OF_RICCI @ rep.ricci.ravel()
+        assert rep.riemann.tobytes() == want.tobytes()
+        assert rep.sectional_basis == (
+            rep.riemann[0, 1, 1, 0], rep.riemann[0, 2, 2, 0], rep.riemann[1, 2, 2, 1]
+        )

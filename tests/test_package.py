@@ -117,19 +117,42 @@ def test_functions_call_no_numpy_linalg_wrapper():
     probe = "x = np.linalg.inv(a)\ndef f(a):\n    return g(lambda: np.linalg.svd(a))\n"
     assert _linalg_wrapper_calls(probe) == ["np.linalg.svd (line 3)"]
     assert _linalg_wrapper_calls("from numpy.linalg import norm") == ["norm"]
-    # numpy's private error-state machinery is used for exactly the two names
-    # np.errstate itself uses, so that a numpy which moves them fails loudly
+    # numpy's private names are the gufunc module and the two names of the
+    # error-state machinery that np.errstate itself uses, each imported only
+    # inside a try whose handler falls back to the public wrappers when a
+    # numpy lacks it
     private = {
-        (node.module, alias.name)
+        (node.module, alias.name, id(node) in _guarded_nodes(tree))
         for path in sorted(package.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy._core")
+        for tree in [ast.parse(path.read_text(encoding="utf-8"))]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.")
         for alias in node.names
     }
     assert private == {
-        ("numpy._core._ufunc_config", "_extobj_contextvar"),
-        ("numpy._core._ufunc_config", "_make_extobj"),
+        ("numpy._core._ufunc_config", "_extobj_contextvar", True),
+        ("numpy._core._ufunc_config", "_make_extobj", True),
+        ("numpy.linalg", "_umath_linalg", True),
     }
+    probe = ast.parse(
+        "try:\n    from numpy.linalg import _umath_linalg\n"
+        "except (ImportError, AttributeError):\n    pass\n"
+        "try:\n    import numpy\nexcept ImportError:\n    pass\n"
+    )
+    imports = [n for n in ast.walk(probe) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert [id(n) in _guarded_nodes(probe) for n in imports] == [True, False]
+
+
+def _guarded_nodes(tree) -> set[int]:
+    """The ids of the nodes in the body of each ``try`` of ``tree`` whose
+    handlers catch exactly ImportError and AttributeError."""
+    guarded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Try):
+            caught = {_dotted(n) for h in node.handlers for n in ast.walk(h.type)}
+            if caught - {None} == {"ImportError", "AttributeError"}:
+                guarded.update(id(n) for stmt in node.body for n in ast.walk(stmt))
+    return guarded
 
 
 def _lapack_names(source: str) -> list[object]:
