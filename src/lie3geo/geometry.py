@@ -225,9 +225,9 @@ _RIEMANN_OF_RICCI = _riemann_of_ricci()
 
 
 def _trace(ricci: list[float]) -> float:
-    """The trace of the nine flat Ricci floats ``ricci``, summed from 0.0 in
-    order as ``np.trace`` sums it."""
-    return 0.0 + ricci[0] + ricci[4] + ricci[8]
+    """The trace of the nine flat Ricci floats ``ricci``, summed in the
+    order ``np.trace`` sums it."""
+    return ricci[0] + ricci[4] + ricci[8]
 
 
 def _is_constant(ricci: np.ndarray, scale_sq: float) -> bool:
